@@ -7,8 +7,8 @@
 // tireplay -timed / tisweep -timed), and tistat computes the time-resolved
 // POP metrics report — load balance, communication efficiency, and the
 // serialization/transfer split, per fixed time window and per detected
-// phase. Several files merge into one analysis (the partitioned-sweep
-// case, one timed trace per platform part).
+// phase. Several files merge into one analysis by process name, e.g. the
+// timed traces of separate runs that together cover one application.
 //
 // Usage:
 //

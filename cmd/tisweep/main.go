@@ -70,7 +70,6 @@ func main() {
 		synthJitter  = flag.Float64("jitter", 0, "compute-volume jitter fraction in [0,1) for synthetic worlds")
 		workers      = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
 		forkMode     = flag.String("fork", "on", "shared-prefix forking: scenarios differing only in -coll/-ckpt replay their common prefix once (on/off)")
-		partition    = flag.Bool("partition", false, "split scenarios across kernels per disjoint platform component")
 		identity     = flag.Bool("no-mpi-model", false, "disable the piece-wise linear MPI model")
 		jsonPath     = flag.String("json", "", "write the JSON report to this file ('-' for stdout)")
 		timedDir     = flag.String("timed-dir", "", "write each scenario's timed trace to <dir>/scenario<i>.timed")
@@ -81,10 +80,13 @@ func main() {
 	)
 	flag.Parse()
 
-	worlds, err := sweep.ParseWorldList(*worldList)
+	grid, err := sweep.GridSpec{Lat: *lat, Bw: *bw, Power: *power, Fold: *fold, Hosts: *hosts,
+		Coll: *collSpecs, Topo: *topoSpecs, Fault: *faultSpecs, Ckpt: *ckptSpecs,
+		World: *worldList}.Parse()
 	if err != nil {
 		fail(cli.Usage(err))
 	}
+	worlds := grid.World
 	synthetic := *synthPath != ""
 	if synthetic && len(worlds) == 0 {
 		fail(cli.Usagef("-synth needs a -world axis"))
@@ -129,36 +131,6 @@ func main() {
 		base = platform.BordereauWithCores(maxN, 1)
 	}
 
-	grid := sweep.Grid{}
-	if grid.LatencyScale, err = sweep.ParseFloatList(*lat); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.BandwidthScale, err = sweep.ParseFloatList(*bw); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.PowerScale, err = sweep.ParseFloatList(*power); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.Fold, err = sweep.ParseIntList(*fold); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.Hosts, err = sweep.ParseIntList(*hosts); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.Coll, err = sweep.ParseCollList(*collSpecs); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.Topo, err = sweep.ParseTopoList(*topoSpecs); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.Faults, err = sweep.ParseFaultList(*faultSpecs); err != nil {
-		fail(cli.Usage(err))
-	}
-	if grid.Ckpt, err = sweep.ParseCkptList(*ckptSpecs); err != nil {
-		fail(cli.Usage(err))
-	}
-	grid.World = worlds
-
 	var traces *sweep.TraceSet
 	if needTraces {
 		if traces, err = sweep.LoadDir(*dir, *ranks); err != nil {
@@ -191,7 +163,6 @@ func main() {
 		Profile:        *profile,
 		Metrics:        *metricsOn || *metricsJSON != "",
 		MetricsWindows: *windows,
-		Partition:      *partition,
 		Fork:           fork,
 	}
 	if *identity {

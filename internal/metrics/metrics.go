@@ -122,8 +122,8 @@ type analysis struct {
 }
 
 // Analyze computes the time-resolved report of one or more event sinks
-// (several sinks arise when a partitioned scenario replayed one platform
-// component per kernel; they are merged by process name). The result is a
+// (several sinks arise when tistat merges several timed-trace files; they
+// are merged by process name). The result is a
 // pure function of the sink contents and the options — analysing the same
 // replay at any sweep worker count yields byte-identical JSON.
 func Analyze(sinks []*replay.MetricsSink, opt Options) *Report {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -419,4 +420,19 @@ func closeEnough(a, b float64) bool {
 		d = -d
 	}
 	return d <= 1e-9+1e-6*b
+}
+
+func TestHostsMatchesInstantiate(t *testing.T) {
+	p := twoClusters()
+	hosts, err := p.Hosts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Instantiate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(hosts, b.HostNames) {
+		t.Fatalf("Hosts() = %v, Instantiate order = %v", hosts, b.HostNames)
+	}
 }

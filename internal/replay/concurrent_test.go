@@ -89,46 +89,17 @@ func TestConcurrentRunsIndependent(t *testing.T) {
 	}
 }
 
-// TestRankMappingSubset replays only the second pair through Config.Ranks on
-// a kernel of its own, as the sweep partitioner does, and checks the world
-// the handlers see stays the global one.
-func TestRankMappingSubset(t *testing.T) {
-	perRank := pairTraces()
-	b, d := buildFour(t)
-	full, err := RunActions(b, d, Config{Model: smpi.Default()}, perRank)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	b2, d2 := buildFour(t)
-	sub := &platform.Deployment{Version: d2.Version, Processes: d2.Processes[2:4]}
-	cfg := Config{Model: smpi.Default(), Ranks: []int{2, 3}, WorldSize: 4}
-	part, err := Run(b2, sub, cfg, []Source{SliceSource(perRank[2]), SliceSource(perRank[3])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(len(perRank[2]) + len(perRank[3])); part.Actions != want {
-		t.Fatalf("partial run replayed %d actions, want %d", part.Actions, want)
-	}
-	// The fast pair finishes before the full run's slow pair; both are real
-	// simulations of the same platform, so the partial makespan must be
-	// positive and strictly below the full one.
-	if part.SimulatedTime <= 0 || part.SimulatedTime >= full.SimulatedTime {
-		t.Fatalf("partial makespan %g vs full %g", part.SimulatedTime, full.SimulatedTime)
-	}
-}
-
-// TestRankMappingValidation exercises the mapping error paths.
+// TestRankMappingValidation exercises the world-size error paths: the
+// world is always the deployment, so a WorldSize naming any other size is
+// rejected before anything replays.
 func TestRankMappingValidation(t *testing.T) {
 	perRank := pairTraces()
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"short mapping", Config{Ranks: []int{0}, WorldSize: 4}},
-		{"rank outside world", Config{Ranks: []int{0, 9}, WorldSize: 4}},
-		{"duplicate rank", Config{Ranks: []int{1, 1}, WorldSize: 4}},
 		{"world below deployment", Config{WorldSize: 1}},
+		{"world above deployment", Config{WorldSize: 3}},
 	}
 	for _, c := range cases {
 		b, err := platform.BuildBordereauWithCores(2, 1)

@@ -28,12 +28,11 @@ var ErrForkUnsafe = errors.New("replay: forked run not provably equivalent")
 
 // Forkable reports whether a replay configuration may participate in a
 // shared-prefix fork group at all. Custom registries are opaque (a handler
-// may keep state across the cut), partitioned runs replay on sub-kernels the
-// planner does not model, and fail-stops without a checkpoint policy play
-// out inside the kernel — killing parked ranks the donor cannot represent.
+// may keep state across the cut), and fail-stops without a checkpoint policy
+// play out inside the kernel — killing parked ranks the donor cannot
+// represent.
 func (c *Config) Forkable() bool {
-	return c.Registry == nil && c.Ranks == nil &&
-		!(c.Faults.FailStops() && c.Ckpt == nil)
+	return c.Registry == nil && !(c.Faults.FailStops() && c.Ckpt == nil)
 }
 
 // CollectiveDependent reports whether replaying an action depends on
@@ -282,61 +281,33 @@ type PrefixRun struct {
 // quiesce on a prefix the planner accepted — simply means the group replays
 // from scratch.
 func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Source, opt PrefixOptions) (*PrefixRun, error) {
-	n := len(depl.Processes)
-	if n == 0 {
-		return nil, fmt.Errorf("replay: empty deployment")
-	}
-	if len(sources) != n || len(opt.Cuts) != n {
-		return nil, fmt.Errorf("replay: %d sources and %d cuts for %d deployed processes",
-			len(sources), len(opt.Cuts), n)
+	if n := len(depl.Processes); len(opt.Cuts) != n {
+		return nil, fmt.Errorf("replay: %d cuts for %d deployed processes", len(opt.Cuts), n)
 	}
 	if !cfg.Forkable() {
 		return nil, fmt.Errorf("replay: configuration not forkable")
 	}
-	cfg.setDefaults()
-	worldN := cfg.WorldSize
-	if worldN == 0 {
-		worldN = n
-	}
-	if worldN < n {
-		return nil, fmt.Errorf("replay: world size %d below %d deployed processes", worldN, n)
-	}
-	k := b.Kernel
-	k.SetRateModel(cfg.Model.RateModel())
-	cfg.Faults.InjectDegradations(k)
-
-	rec := &forkRecorder{k: k, hostOf: procHosts(depl), keep: opt.RecordTrace,
+	rec := &forkRecorder{k: b.Kernel, hostOf: procHosts(depl), keep: opt.RecordTrace,
 		lastEnd: make(map[string]float64)}
 	if opt.TieCheck {
 		rec.ends = make(map[float64]struct{})
 	}
-	k.SetTracer(rec)
-
+	r, err := newRun(b, depl, cfg, sources, rec)
+	if err != nil {
+		return nil, err
+	}
 	pr := &PrefixRun{build: b, depl: depl, opt: opt,
-		park: make([]float64, n), rec: rec}
-	r := &run{
-		cfg:         cfg,
-		world:       &world{k: k, n: worldN, stringMailboxes: cfg.StringMailboxes},
-		errs:        make([]error, n),
-		rankActions: make([]int64, n),
-		failed:      make([]*simx.FailedError, n),
+		park: make([]float64, len(r.hosts)), rec: rec}
+	for slot := range r.hosts {
+		r.spawnRankPrefix(slot, opt.Cuts[slot], pr)
 	}
-	for i, pd := range depl.Processes {
-		host := k.Host(pd.Host)
-		if host == nil {
-			return nil, fmt.Errorf("replay: deployment host %q not in platform", pd.Host)
-		}
-		r.spawnRankPrefix(k, pd.Function, host, i, sources[i], opt.Cuts[i], pr)
-	}
-	if _, err := k.Run(); err != nil {
+	if _, err := r.k.Run(); err != nil {
 		return nil, fmt.Errorf("replay: prefix run: %w", err)
 	}
-	for _, err := range r.errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := r.rankErr(); err != nil {
+		return nil, err
 	}
-	snap, err := k.Snapshot(nil)
+	snap, err := r.k.Snapshot(nil)
 	if err != nil {
 		return nil, fmt.Errorf("replay: prefix did not quiesce: %w", err)
 	}
@@ -347,10 +318,9 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 
 // spawnRankPrefix is spawnRank bounded to the first cut actions, recording
 // the rank's park time and park order for the resumed members.
-func (r *run) spawnRankPrefix(k *simx.Kernel, fn string, host *simx.Host, slot int, src Source, cut int, pr *PrefixRun) {
-	k.Spawn(fn, host, func(sp *simx.Proc) {
-		p := &Proc{Sim: sp, Rank: slot, N: r.world.n, cfg: &r.cfg, world: r.world}
-		r.initMboxCaches(p)
+func (r *run) spawnRankPrefix(slot, cut int, pr *PrefixRun) {
+	r.k.Spawn(r.depl.Processes[slot].Function, r.hosts[slot], func(sp *simx.Proc) {
+		p, src := r.newProc(sp, slot), r.sources[slot]
 		for i := 0; i < cut; i++ {
 			if !r.stepAction(p, src, slot) {
 				return
@@ -363,47 +333,6 @@ func (r *run) spawnRankPrefix(k *simx.Kernel, fn string, host *simx.Host, slot i
 		pr.park[slot] = sp.Now()
 		pr.order = append(pr.order, slot) // one rank runs at a time: no race
 	})
-}
-
-// initMboxCaches enables the per-rank interned mailbox ID caches (left
-// disabled on the string-keyed reference path), shared by all spawn
-// variants. The caches allocate lazily on first use and are sized by the
-// peers the rank talks to, so spawning a rank costs O(1) regardless of
-// the world size.
-func (r *run) initMboxCaches(p *Proc) {
-	if r.cfg.StringMailboxes {
-		return
-	}
-	p.sendMb.init(r.world.n)
-	p.recvMb.init(r.world.n)
-}
-
-// stepAction fetches and executes one action of rank slot, mirroring the
-// spawnRank loop body; false stops the rank (end of trace or recorded error).
-func (r *run) stepAction(p *Proc, src Source, slot int) bool {
-	a, ok, err := src.Next()
-	if err != nil {
-		r.errs[slot] = fmt.Errorf("replay: p%d trace: %w", p.Rank, err)
-		return false
-	}
-	if !ok {
-		return false
-	}
-	if a.Proc != p.Rank {
-		r.errs[slot] = fmt.Errorf("replay: p%d trace contains action of p%d", p.Rank, a.Proc)
-		return false
-	}
-	h, err := r.cfg.Registry.Lookup(a.Type)
-	if err != nil {
-		r.errs[slot] = err
-		return false
-	}
-	if err := h(p, a); err != nil {
-		r.errs[slot] = err
-		return false
-	}
-	r.rankActions[slot]++
-	return true
 }
 
 // procHosts maps deployment process names to their hosts.
@@ -441,54 +370,26 @@ func (pr *PrefixRun) ClaimDonorBuild() *platform.Build {
 // this member and it must be replayed from scratch; the donor run and its
 // snapshot stay valid for other members.
 func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) (*Result, error) {
-	n := len(pr.depl.Processes)
-	if len(sources) != n {
-		return nil, fmt.Errorf("replay: %d sources for %d deployed processes", len(sources), n)
-	}
 	if !cfg.Forkable() {
 		return nil, fmt.Errorf("replay: configuration not forkable")
 	}
-	cfg.setDefaults()
-	if err := cfg.Ckpt.Validate(); err != nil {
-		return nil, err
-	}
-	k := b.Kernel
-	k.SetRateModel(cfg.Model.RateModel())
-	cfg.Faults.InjectDegradations(k)
-
-	rec := &forkRecorder{k: k, hostOf: procHosts(pr.depl), keep: pr.opt.RecordTrace,
+	rec := &forkRecorder{k: b.Kernel, hostOf: procHosts(pr.depl), keep: pr.opt.RecordTrace,
 		donorLast: pr.rec.lastEnd, donorEnds: pr.rec.ends}
-	k.SetTracer(rec)
-
-	worldN := cfg.WorldSize
-	if worldN == 0 {
-		worldN = n
-	}
-	r := &run{
-		cfg:         cfg,
-		world:       &world{k: k, n: worldN, stringMailboxes: cfg.StringMailboxes},
-		errs:        make([]error, n),
-		rankActions: make([]int64, n),
-		failed:      make([]*simx.FailedError, n),
+	r, err := newRun(b, pr.depl, cfg, sources, rec)
+	if err != nil {
+		return nil, err
 	}
 	// Spawn in donor park order: ranks parked at the same instant resume in
 	// the order they parked, so the event queue wakes them exactly as the
 	// from-scratch interleaving would.
 	for _, slot := range pr.order {
-		pd := pr.depl.Processes[slot]
-		host := k.Host(pd.Host)
-		if host == nil {
-			return nil, fmt.Errorf("replay: deployment host %q not in platform", pd.Host)
-		}
-		r.spawnRankResumed(k, pd.Function, host, slot, sources[slot], pr.opt.Cuts[slot], pr.park[slot])
+		r.spawnRankResumed(slot, pr.opt.Cuts[slot], pr.park[slot])
 	}
 	start := time.Now()
-	makespan, runErr := k.Run()
+	makespan, runErr := r.k.Run()
 	wall := time.Since(start)
-	for _, err := range r.errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := r.rankErr(); err != nil {
+		return nil, err
 	}
 	if runErr != nil {
 		return nil, fmt.Errorf("replay: simulation stalled: %w", runErr)
@@ -499,23 +400,15 @@ func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) 
 	if cfg.TimedTracer != nil && pr.opt.RecordTrace {
 		replayRecords(cfg.TimedTracer, pr.rec.recs, rec.recs)
 	}
-	res := &Result{SimulatedTime: makespan, Actions: pr.Actions + r.actions(), WallTime: wall}
-	if cfg.Ckpt != nil {
-		ra, err := applyCkpt(makespan, cfg.Ckpt, cfg.Faults.Arrivals(n))
-		if err != nil {
-			return nil, err
-		}
-		res.Resilience = ra
-		res.SimulatedTime = ra.Effective
-	}
-	return res, nil
+	return r.result(makespan, pr.Actions+r.actions(), wall)
 }
 
 // spawnRankResumed creates the kernel process replaying rank slot's
 // post-divergence actions: skip the prefix on the source, sleep to the park
 // time, continue.
-func (r *run) spawnRankResumed(k *simx.Kernel, fn string, host *simx.Host, slot int, src Source, cut int, park float64) {
-	k.Spawn(fn, host, func(sp *simx.Proc) {
+func (r *run) spawnRankResumed(slot, cut int, park float64) {
+	r.k.Spawn(r.depl.Processes[slot].Function, r.hosts[slot], func(sp *simx.Proc) {
+		src := r.sources[slot]
 		for i := 0; i < cut; i++ {
 			if _, ok, err := src.Next(); err != nil || !ok {
 				r.errs[slot] = fmt.Errorf("replay: p%d trace shrank under fork (action %d of %d)", slot, i, cut)
@@ -523,8 +416,7 @@ func (r *run) spawnRankResumed(k *simx.Kernel, fn string, host *simx.Host, slot 
 			}
 		}
 		sp.SleepUntil(park)
-		p := &Proc{Sim: sp, Rank: slot, N: r.world.n, cfg: &r.cfg, world: r.world}
-		r.initMboxCaches(p)
+		p := r.newProc(sp, slot)
 		for r.stepAction(p, src, slot) {
 		}
 	})

@@ -154,7 +154,6 @@ func TestForkableExclusions(t *testing.T) {
 	}{
 		{"default", Config{}, true},
 		{"registry", Config{Registry: NewRegistry()}, false},
-		{"partitioned", Config{Ranks: []int{0}}, false},
 		{"failstop abort", Config{Faults: fs}, false},
 		{"failstop ckpt", Config{Faults: fs, Ckpt: ck}, true},
 	}

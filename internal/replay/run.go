@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -41,15 +40,10 @@ type Config struct {
 	// replays every collective as the paper's linear star through rank 0;
 	// coll.Auto selects per message size from the MPI model's segments.
 	Collectives coll.Config
-	// Ranks maps the deployment's i-th process entry to the global MPI rank
-	// it replays; nil means the identity mapping. The sweep engine's
-	// platform partitioner uses it to run one connected component's subset
-	// of ranks on its own kernel while the traces keep naming global ranks.
-	Ranks []int
 	// WorldSize is the communicator size the handlers see (comm_size
-	// validation, peer range checks, collective fan-out); zero means the
-	// number of deployed processes. It must cover every rank and peer the
-	// replayed traces name.
+	// validation, peer range checks, collective fan-out). The world is
+	// always the deployment: zero means the number of deployed processes,
+	// and any other value than that number is rejected.
 	WorldSize int
 	// Faults is the availability profile injected into the run; nil replays
 	// fault-free. Index clauses ("host:0") address the deployment's process
@@ -330,9 +324,13 @@ func ScannerSource(sc *trace.Scanner) Source {
 // backing arrays, the parsed platform description) are all immutable during
 // a run.
 type run struct {
-	cfg   Config
-	world *world
-	errs  []error
+	cfg     Config
+	k       *simx.Kernel
+	depl    *platform.Deployment
+	hosts   []*simx.Host // hosts[slot] runs deployment slot's rank
+	sources []Source
+	world   *world
+	errs    []error
 
 	// rankActions[slot] counts the actions rank slot completed; failed[slot]
 	// records the fail-stop that killed it. Plain slices: the kernel
@@ -341,6 +339,65 @@ type run struct {
 	// per-slot counters sum up after k.Run returns.
 	rankActions []int64
 	failed      []*simx.FailedError
+}
+
+// newRun prepares one replay of the deployment on the build's kernel — the
+// single constructor behind Run, RunPrefix and RunForked. It validates the
+// deployment, the sources, the world size and the checkpoint protocol, sets
+// the rate model and the tracer, injects the availability profile
+// (degradation windows always, fail-stops under the abort policy) and
+// resolves one host per deployment slot. Rank i of the traces replays on
+// slot i; the caller spawns the ranks in the order its run needs.
+func newRun(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Source, tracer simx.Tracer) (*run, error) {
+	n := len(depl.Processes)
+	if n == 0 {
+		return nil, fmt.Errorf("replay: empty deployment")
+	}
+	if len(sources) != n {
+		return nil, fmt.Errorf("replay: %d sources for %d deployed processes", len(sources), n)
+	}
+	if cfg.WorldSize != 0 && cfg.WorldSize != n {
+		return nil, fmt.Errorf("replay: world size %d differs from %d deployed processes", cfg.WorldSize, n)
+	}
+	if err := cfg.Ckpt.Validate(); err != nil {
+		return nil, err
+	}
+	cfg.setDefaults()
+	k := b.Kernel
+	hosts := make([]*simx.Host, n)
+	for i, pd := range depl.Processes {
+		if hosts[i] = k.Host(pd.Host); hosts[i] == nil {
+			return nil, fmt.Errorf("replay: deployment host %q not in platform", pd.Host)
+		}
+	}
+	k.SetRateModel(cfg.Model.RateModel())
+	k.SetTracer(tracer)
+	cfg.Faults.InjectDegradations(k)
+	if cfg.Ckpt == nil && cfg.Faults.FailStops() {
+		// Abort policy: fail-stops play out in the kernel and kill ranks.
+		// Their index clauses address the deployment's process slots; folded
+		// deployments may name a host several times (killing it once is
+		// idempotent). Under Ckpt the fail-stop clauses are consumed
+		// analytically after the fault-free run (see result).
+		names := make([]string, n)
+		for i, pd := range depl.Processes {
+			names[i] = pd.Host
+		}
+		if err := cfg.Faults.InjectFailStops(k, names); err != nil {
+			return nil, err
+		}
+	}
+	return &run{
+		cfg:         cfg,
+		k:           k,
+		depl:        depl,
+		hosts:       hosts,
+		sources:     sources,
+		world:       &world{k: k, n: n, stringMailboxes: cfg.StringMailboxes},
+		errs:        make([]error, n),
+		rankActions: make([]int64, n),
+		failed:      make([]*simx.FailedError, n),
+	}, nil
 }
 
 // actions totals the per-slot action counters; call only after k.Run.
@@ -352,114 +409,64 @@ func (r *run) actions() int64 {
 	return sum
 }
 
+// rankErr returns the first error a rank recorded; call only after k.Run.
+func (r *run) rankErr() error {
+	for _, err := range r.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// result assembles the outcome of a finished run. Under a checkpoint
+// protocol the simulated makespan is the fault-free one, and the protocol's
+// overhead and the rewind waste of the spec's fail-stops apply analytically.
+func (r *run) result(makespan float64, actions int64, wall time.Duration) (*Result, error) {
+	res := &Result{SimulatedTime: makespan, Actions: actions, WallTime: wall}
+	if r.cfg.Ckpt != nil {
+		ra, err := applyCkpt(makespan, r.cfg.Ckpt, r.cfg.Faults.Arrivals(len(r.hosts)))
+		if err != nil {
+			return nil, err
+		}
+		res.Resilience = ra
+		res.SimulatedTime = ra.Effective
+	}
+	return res, nil
+}
+
 // Run replays one Source per rank on the platform: the engine of the whole
-// framework. The deployment's i-th process entry maps rank i onto its host
-// (or onto cfg.Ranks[i] for a partitioned run). The build's kernel is
-// consumed by the run.
+// framework. The deployment's i-th process entry maps rank i onto its host.
+// The build's kernel is consumed by the run.
 //
 // Run is safe to call concurrently from multiple goroutines as long as each
 // call gets its own Build (the kernel is mutated), its own Sources (cursors
 // advance) and its own TimedTracer; Config values such as the Registry and
 // the Model are only read.
 func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Source) (*Result, error) {
-	n := len(depl.Processes)
-	if n == 0 {
-		return nil, fmt.Errorf("replay: empty deployment")
-	}
-	if len(sources) != n {
-		return nil, fmt.Errorf("replay: %d sources for %d deployed processes", len(sources), n)
-	}
-	cfg.setDefaults()
-	worldN := cfg.WorldSize
-	if worldN == 0 {
-		worldN = n
-	}
-	if worldN < n {
-		return nil, fmt.Errorf("replay: world size %d below %d deployed processes", worldN, n)
-	}
-	if cfg.Ranks != nil && len(cfg.Ranks) != n {
-		return nil, fmt.Errorf("replay: %d rank mappings for %d deployed processes", len(cfg.Ranks), n)
-	}
-	k := b.Kernel
-	k.SetRateModel(cfg.Model.RateModel())
-	if cfg.TimedTracer != nil {
-		k.SetTracer(cfg.TimedTracer)
-	}
-
-	if err := cfg.Ckpt.Validate(); err != nil {
+	r, err := newRun(b, depl, cfg, sources, cfg.TimedTracer)
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Faults != nil || cfg.Ckpt != nil {
-		// The availability profile's index clauses address the deployment's
-		// process slots; folded deployments may name a host several times
-		// (killing it once is idempotent).
-		hosts := make([]string, n)
-		for i, pd := range depl.Processes {
-			hosts[i] = pd.Host
-		}
-		cfg.Faults.InjectDegradations(k)
-		if cfg.Ckpt == nil {
-			// Abort policy: fail-stops play out in the kernel and kill ranks.
-			if err := cfg.Faults.InjectFailStops(k, hosts); err != nil {
-				return nil, err
-			}
-		}
-		// Under Ckpt the fail-stop clauses are consumed analytically after
-		// the fault-free run (see applyCkpt).
-	}
-
-	r := &run{
-		cfg:         cfg,
-		world:       &world{k: k, n: worldN, stringMailboxes: cfg.StringMailboxes},
-		errs:        make([]error, n),
-		rankActions: make([]int64, n),
-		failed:      make([]*simx.FailedError, n),
-	}
-	var taken map[int]bool
-	if cfg.Ranks != nil {
-		taken = make(map[int]bool, n)
-	}
-	for i, pd := range depl.Processes {
-		host := k.Host(pd.Host)
-		if host == nil {
-			return nil, fmt.Errorf("replay: deployment host %q not in platform", pd.Host)
-		}
-		rank := i
-		if cfg.Ranks != nil {
-			rank = cfg.Ranks[i]
-			if rank < 0 || rank >= worldN {
-				return nil, fmt.Errorf("replay: rank mapping %d outside world of %d", rank, worldN)
-			}
-			if taken[rank] {
-				return nil, fmt.Errorf("replay: rank %d mapped twice", rank)
-			}
-			taken[rank] = true
-		}
-		r.spawnRank(k, pd.Function, host, i, rank, sources[i])
+	for slot := range r.hosts {
+		r.spawnRank(slot)
 	}
 
 	start := time.Now()
-	makespan, runErr := k.Run()
+	makespan, runErr := r.k.Run()
 	wall := time.Since(start)
-	for _, err := range r.errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := r.rankErr(); err != nil {
+		return nil, err
 	}
 	var lost []RankFailure
 	for slot, fe := range r.failed {
 		if fe == nil {
 			continue
 		}
-		rank := slot
-		if cfg.Ranks != nil {
-			rank = cfg.Ranks[slot]
-		}
-		lost = append(lost, RankFailure{Rank: rank, Host: depl.Processes[slot].Host,
+		lost = append(lost, RankFailure{Rank: slot, Host: depl.Processes[slot].Host,
 			Actions: r.rankActions[slot], At: fe.Time, Cause: fe.Error()})
 	}
 	if len(lost) > 0 {
-		sort.Slice(lost, func(i, j int) bool { return lost[i].Rank < lost[j].Rank })
 		// Survivors blocked on a rendezvous with a dead rank deadlock when
 		// the queue drains; that is the expected shape of an aborted run,
 		// not a stall.
@@ -471,27 +478,13 @@ func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Sou
 	if runErr != nil {
 		return nil, fmt.Errorf("replay: simulation stalled: %w", runErr)
 	}
-	res := &Result{SimulatedTime: makespan, Actions: r.actions(), WallTime: wall}
-	if cfg.Ckpt != nil {
-		ra, err := applyCkpt(makespan, cfg.Ckpt, cfg.Faults.Arrivals(n))
-		if err != nil {
-			return nil, err
-		}
-		res.Resilience = ra
-		res.SimulatedTime = ra.Effective
-	}
-	return res, nil
+	return r.result(makespan, r.actions(), wall)
 }
 
-// spawnRank creates the kernel process replaying one rank's source. slot is
-// the deployment index (the run-local error slot), rank the global MPI rank
-// the trace names.
-func (r *run) spawnRank(k *simx.Kernel, fn string, host *simx.Host, slot, rank int, src Source) {
-	// The rank-local caches intern the point-to-point mailbox IDs: the
-	// first rendezvous with a peer resolves the name once, every later one
-	// addresses the dense ID with no strconv or map hash; only pairs the
-	// trace actually uses are interned.
-	k.Spawn(fn, host, func(sp *simx.Proc) {
+// spawnRank creates the kernel process replaying deployment slot's whole
+// source.
+func (r *run) spawnRank(slot int) {
+	r.k.Spawn(r.depl.Processes[slot].Function, r.hosts[slot], func(sp *simx.Proc) {
 		defer func() {
 			rec := recover()
 			if rec == nil {
@@ -506,33 +499,53 @@ func (r *run) spawnRank(k *simx.Kernel, fn string, host *simx.Host, slot, rank i
 			}
 			panic(rec)
 		}()
-		p := &Proc{Sim: sp, Rank: rank, N: r.world.n, cfg: &r.cfg, world: r.world}
-		r.initMboxCaches(p)
-		for {
-			a, ok, err := src.Next()
-			if err != nil {
-				r.errs[slot] = fmt.Errorf("replay: p%d trace: %w", rank, err)
-				return
-			}
-			if !ok {
-				return
-			}
-			if a.Proc != rank {
-				r.errs[slot] = fmt.Errorf("replay: p%d trace contains action of p%d", rank, a.Proc)
-				return
-			}
-			h, err := r.cfg.Registry.Lookup(a.Type)
-			if err != nil {
-				r.errs[slot] = err
-				return
-			}
-			if err := h(p, a); err != nil {
-				r.errs[slot] = err
-				return
-			}
-			r.rankActions[slot]++
+		p, src := r.newProc(sp, slot), r.sources[slot]
+		for r.stepAction(p, src, slot) {
 		}
 	})
+}
+
+// newProc creates the handler context of deployment slot's rank. Its
+// interned mailbox ID caches (left disabled on the string-keyed reference
+// path) let the first rendezvous with a peer resolve the name once and every
+// later one address the dense ID with no strconv or map hash; they allocate
+// lazily on first use and are sized by the peers the rank talks to, so
+// spawning a rank costs O(1) regardless of the world size.
+func (r *run) newProc(sp *simx.Proc, slot int) *Proc {
+	p := &Proc{Sim: sp, Rank: slot, N: r.world.n, cfg: &r.cfg, world: r.world}
+	if !r.cfg.StringMailboxes {
+		p.sendMb.init(r.world.n)
+		p.recvMb.init(r.world.n)
+	}
+	return p
+}
+
+// stepAction fetches and executes one action of rank slot; false stops the
+// rank (end of trace or recorded error).
+func (r *run) stepAction(p *Proc, src Source, slot int) bool {
+	a, ok, err := src.Next()
+	if err != nil {
+		r.errs[slot] = fmt.Errorf("replay: p%d trace: %w", p.Rank, err)
+		return false
+	}
+	if !ok {
+		return false
+	}
+	if a.Proc != p.Rank {
+		r.errs[slot] = fmt.Errorf("replay: p%d trace contains action of p%d", p.Rank, a.Proc)
+		return false
+	}
+	h, err := r.cfg.Registry.Lookup(a.Type)
+	if err != nil {
+		r.errs[slot] = err
+		return false
+	}
+	if err := h(p, a); err != nil {
+		r.errs[slot] = err
+		return false
+	}
+	r.rankActions[slot]++
+	return true
 }
 
 // RunActions replays in-memory per-rank action lists.

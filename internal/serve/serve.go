@@ -328,21 +328,7 @@ func (s *Server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
 
 // GridSpec is the scenario grid of a sweep request, every axis in the
 // corresponding tisweep flag syntax.
-type GridSpec struct {
-	Lat   string `json:"lat,omitempty"`
-	Bw    string `json:"bw,omitempty"`
-	Power string `json:"power,omitempty"`
-	Fold  string `json:"fold,omitempty"`
-	Hosts string `json:"hosts,omitempty"`
-	Coll  string `json:"coll,omitempty"`
-	Topo  string `json:"topo,omitempty"`
-	Fault string `json:"fault,omitempty"`
-	Ckpt  string `json:"ckpt,omitempty"`
-	// World is the synthetic world-size axis ("1024,4096,16384"; 0 is the
-	// recorded world). Positive entries regenerate rank streams from the
-	// request's synth model instead of the stored trace.
-	World string `json:"world,omitempty"`
-}
+type GridSpec = sweep.GridSpec
 
 // SynthSpec carries the fitted statistical model (tigen fit output) that
 // synthetic worlds regenerate from, plus the generation knobs. The model
@@ -382,9 +368,6 @@ type SweepRequest struct {
 	Synth *SynthSpec `json:"synth,omitempty"`
 	// NoMPIModel disables the piece-wise linear MPI model.
 	NoMPIModel bool `json:"no_mpi_model,omitempty"`
-	// Partition splits scenarios across kernels per disjoint platform
-	// component.
-	Partition bool `json:"partition,omitempty"`
 	// Fork toggles shared-prefix forking (default on). Forking is proven
 	// result-identical, so this knob does not shape the response and is
 	// not part of the cache key.
@@ -430,18 +413,18 @@ type SweepResponse struct {
 
 // sweepPlan is a parsed, canonicalized sweep request.
 type sweepPlan struct {
-	key                             string // canonical cache key
-	digest                          string // empty: all-synthetic, no stored trace
-	platKey                         string
-	platform                        *platform.Platform
-	grid                            sweep.Grid
-	synth                           *synth.Model
-	synthSpec                       synth.Spec
-	synthKey                        string // canonical model+knobs identity
-	identity                        bool
-	partition, timed, profile, fork bool
-	metrics                         bool
-	metricsWindows                  int
+	key                  string // canonical cache key
+	digest               string // empty: all-synthetic, no stored trace
+	platKey              string
+	platform             *platform.Platform
+	grid                 sweep.Grid
+	synth                *synth.Model
+	synthSpec            synth.Spec
+	synthKey             string // canonical model+knobs identity
+	identity             bool
+	timed, profile, fork bool
+	metrics              bool
+	metricsWindows       int
 }
 
 // parseSweep decodes, validates and canonicalizes a request body.
@@ -452,10 +435,11 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "bad sweep request: %v", err)
 	}
-	worlds, err := sweep.ParseWorldList(req.Grid.World)
+	grid, err := req.Grid.Parse()
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "bad grid: %v", err)
 	}
+	worlds := grid.World
 	// The stored trace is needed unless every cell is synthetic: no world
 	// axis means the whole grid replays the stored set, and a 0 entry on
 	// the axis is the recorded world.
@@ -486,36 +470,14 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 		return nil, httpErrorf(http.StatusBadRequest, "missing trace digest")
 	}
 
-	p := &sweepPlan{digest: req.Trace, identity: req.NoMPIModel,
-		partition: req.Partition, timed: req.Timed, profile: req.Profile, fork: true,
+	p := &sweepPlan{digest: req.Trace, grid: grid, identity: req.NoMPIModel,
+		timed: req.Timed, profile: req.Profile, fork: true,
 		metrics: req.Metrics || req.MetricsWindows > 0}
 	if p.metrics {
 		p.metricsWindows = req.MetricsWindows
 	}
 	if req.Fork != nil {
 		p.fork = *req.Fork
-	}
-	g := &p.grid
-	g.World = worlds
-	if g.LatencyScale, err = sweep.ParseFloatList(req.Grid.Lat); err == nil {
-		if g.BandwidthScale, err = sweep.ParseFloatList(req.Grid.Bw); err == nil {
-			if g.PowerScale, err = sweep.ParseFloatList(req.Grid.Power); err == nil {
-				if g.Fold, err = sweep.ParseIntList(req.Grid.Fold); err == nil {
-					if g.Hosts, err = sweep.ParseIntList(req.Grid.Hosts); err == nil {
-						if g.Coll, err = sweep.ParseCollList(req.Grid.Coll); err == nil {
-							if g.Topo, err = sweep.ParseTopoList(req.Grid.Topo); err == nil {
-								if g.Faults, err = sweep.ParseFaultList(req.Grid.Fault); err == nil {
-									g.Ckpt, err = sweep.ParseCkptList(req.Grid.Ckpt)
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if err != nil {
-		return nil, httpErrorf(http.StatusBadRequest, "bad grid: %v", err)
 	}
 	if n := p.grid.Size(); n > s.cfg.MaxScenarios {
 		return nil, httpErrorf(http.StatusBadRequest,
@@ -607,8 +569,8 @@ func canonicalSweepKey(p *sweepPlan) string {
 	b.WriteString(p.digest)
 	b.WriteByte('\n')
 	b.WriteString(p.platKey)
-	fmt.Fprintf(&b, "\nmodel=%t part=%t timed=%t prof=%t metrics=%t win=%d",
-		p.identity, p.partition, p.timed, p.profile, p.metrics, p.metricsWindows)
+	fmt.Fprintf(&b, "\nmodel=%t timed=%t prof=%t metrics=%t win=%d",
+		p.identity, p.timed, p.profile, p.metrics, p.metricsWindows)
 	b.WriteString("\nlat=")
 	writeFloats(&b, p.grid.LatencyScale)
 	b.WriteString("\nbw=")
@@ -809,7 +771,6 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, bodyHash [32]byt
 		Profile:        plan.profile,
 		Metrics:        plan.metrics,
 		MetricsWindows: plan.metricsWindows,
-		Partition:      plan.partition,
 		Fork:           plan.fork,
 	}
 	if plan.identity {

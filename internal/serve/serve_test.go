@@ -169,6 +169,8 @@ func TestSweepRequestValidation(t *testing.T) {
 		{"missing trace", `{"grid":{"lat":"1"}}`, http.StatusBadRequest},
 		{"unknown digest", `{"trace":"sha256:00","grid":{"lat":"1"}}`, http.StatusNotFound},
 		{"bad axis", fmt.Sprintf(`{"trace":%q,"grid":{"lat":"fast"}}`, dig), http.StatusBadRequest},
+		{"non-finite axis", fmt.Sprintf(`{"trace":%q,"grid":{"bw":"NaN"}}`, dig), http.StatusBadRequest},
+		{"removed partition field", fmt.Sprintf(`{"trace":%q,"partition":true,"grid":{}}`, dig), http.StatusBadRequest},
 		{"grid too big", fmt.Sprintf(`{"trace":%q,"grid":{"lat":"1,2,3","bw":"1,2,3"}}`, dig), http.StatusBadRequest},
 		{"bad platform", fmt.Sprintf(`{"trace":%q,"platform":"gdx:2","grid":{}}`, dig), http.StatusBadRequest},
 		{"platform with full topo axis", fmt.Sprintf(`{"trace":%q,"platform":"bordereau:4","grid":{"topo":"fat-tree:4"}}`, dig), http.StatusBadRequest},

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -62,10 +61,6 @@ type Config struct {
 	// MetricsWindows is the number of fixed time windows for Metrics;
 	// <= 0 means the metrics package default (10).
 	MetricsWindows int
-	// Partition splits a scenario across several kernels when the platform
-	// graph decomposes into disjoint connected components and the trace's
-	// communication respects the induced rank partition.
-	Partition bool
 	// Fork enables shared-prefix forking: scenarios differing only in their
 	// collective algorithm or checkpoint policy replay their common trace
 	// prefix once on a donor kernel and fork from its snapshot (see fork.go).
@@ -88,13 +83,15 @@ type ScenarioResult struct {
 	SimulatedTime float64 `json:"simulated_time"`
 	// Actions is the number of trace actions replayed.
 	Actions int64 `json:"actions"`
-	// Wall is the host CPU time the scenario's kernels consumed (summed
-	// over components, so it is comparable across worker counts).
+	// Wall is the host CPU time the scenario's kernel consumed (a forked
+	// group's donor time is charged to its first member, so the sum over
+	// scenarios is comparable across worker counts and fork modes).
 	Wall time.Duration `json:"wall_ns"`
-	// Components is how many independent kernels executed the scenario.
+	// Components is the number of kernels that executed the scenario: 1
+	// for every completed scenario (every scenario replays on one kernel),
+	// 0 on a failed or cancelled row.
 	Components int `json:"components"`
-	// TimedTrace is the scenario's timed trace when Config.Timed is set,
-	// concatenated over components in deterministic component order.
+	// TimedTrace is the scenario's timed trace when Config.Timed is set.
 	TimedTrace []byte `json:"-"`
 	// Profile holds the per-process profile rows when Config.Profile is
 	// set, sorted by process name.
@@ -127,7 +124,7 @@ type Result struct {
 type taskKind uint8
 
 const (
-	// taskNormal replays one scenario component from scratch.
+	// taskNormal replays one scenario from scratch.
 	taskNormal taskKind = iota
 	// taskDonor replays a fork group's shared prefix, then enqueues the
 	// group's member tasks.
@@ -140,21 +137,18 @@ const (
 type task struct {
 	kind taskKind
 	si   int        // scenario index (-1 for donors)
-	pi   int        // part index within the scenario
-	part part       // global ranks of this component
 	grp  *forkGroup // fork group of donor and member tasks
 }
 
-// partOut is the raw outcome of one task.
-type partOut struct {
-	res        *replay.Result
-	timed      []byte
-	profile    *replay.Profile
-	sink       *replay.MetricsSink
-	components int
-	forked     bool
-	prefix     int64
-	err        error
+// outcome is the raw outcome of one scenario's replay.
+type outcome struct {
+	res     *replay.Result
+	timed   []byte
+	profile *replay.Profile
+	sink    *replay.MetricsSink
+	forked  bool
+	prefix  int64
+	err     error
 }
 
 // taskTracers bundles the per-task tracer set runTask and runMember share:
@@ -167,7 +161,7 @@ type taskTracers struct {
 	tw  *replay.TimedTraceWriter
 }
 
-func newTaskTracers(cfg *Config, out *partOut, procs []platform.ProcessDef) *taskTracers {
+func newTaskTracers(cfg *Config, out *outcome, procs []platform.ProcessDef) *taskTracers {
 	t := &taskTracers{}
 	if cfg.Timed {
 		t.tw = replay.NewTimedTraceWriter(&t.buf)
@@ -187,10 +181,27 @@ func newTaskTracers(cfg *Config, out *partOut, procs []platform.ProcessDef) *tas
 	return t
 }
 
+// config returns the scenario's replay configuration with the task's
+// tracers attached.
+func (t *taskTracers) config(cfg *Config, model *smpi.Model, sc Scenario) replay.Config {
+	rcfg := replayConfig(cfg, model, sc)
+	if len(t.tee) > 0 {
+		rcfg.TimedTracer = t.tee
+	}
+	return rcfg
+}
+
+// replayConfig is the scenario's replay configuration, shared by every
+// replay variant (from-scratch, donor, forked member).
+func replayConfig(cfg *Config, model *smpi.Model, sc Scenario) replay.Config {
+	return replay.Config{Model: model, Registry: cfg.Registry, EagerThreshold: cfg.EagerThreshold,
+		Collectives: sc.Coll, Faults: sc.Fault, Ckpt: sc.Ckpt}
+}
+
 // finish flushes the timed trace into the outcome; a write error that
-// slipped by mid-replay (sticky in the writer) fails the part rather than
+// slipped by mid-replay (sticky in the writer) fails the scenario rather than
 // passing off a truncated trace.
-func (t *taskTracers) finish(out *partOut) {
+func (t *taskTracers) finish(out *outcome) {
 	if t.tw == nil {
 		return
 	}
@@ -201,8 +212,8 @@ func (t *taskTracers) finish(out *partOut) {
 }
 
 // Run executes the sweep on a pool created for this one call: it expands
-// the grid, schedules every scenario component on the worker pool and merges
-// the results deterministically. Cancelling the context stops scheduling new
+// the grid, schedules every scenario on the worker pool and reports the
+// results in scenario order. Cancelling the context stops scheduling new
 // work; already-running scenarios finish (a kernel run is not
 // interruptible), unstarted ones are reported with Err "sweep: canceled",
 // and Run returns the partial result together with the context's error.
@@ -278,31 +289,7 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		}
 	}
 
-	// The shared read-only inputs of every task: the communication graph of
-	// the traces and the host components of the base platform (scaling
-	// never changes connectivity, so one analysis serves every scenario).
-	// Generated topologies are always a single connected component, so
-	// their scenarios replay whole regardless of Partition.
-	var graph *commGraph
-	hostComp := make(map[string]int)
-	if cfg.Partition && needBase && hasRecorded {
-		if graph, err = analyze(cfg.Traces); err != nil {
-			return nil, err
-		}
-		comps, err := cfg.Platform.Components()
-		if err != nil {
-			return nil, err
-		}
-		for ci, comp := range comps {
-			for _, h := range comp {
-				hostComp[h] = ci
-			}
-		}
-	}
-
 	depls := make([]*platform.Deployment, len(scenarios))
-	partsBy := make([][]part, len(scenarios))
-	multiPart := make([]bool, len(scenarios))
 	for si, sc := range scenarios {
 		// Synthetic cells size their own world; recorded cells replay
 		// every rank of the trace set.
@@ -314,27 +301,14 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		if sc.Topo != nil {
 			scHosts = sc.Topo.HostNames()
 		}
-		d, err := scenarioDeployment(scHosts, sc, n)
-		if err != nil {
+		if depls[si], err = scenarioDeployment(scHosts, sc, n); err != nil {
 			return nil, fmt.Errorf("sweep: scenario %d (%s): %w", si, sc.Name(), err)
 		}
-		depls[si] = d
-		parts := []part{wholePart(n)}
-		// A faulted or checkpointed scenario always replays whole: fault
-		// host indices address the full deployment and the waste algebra
-		// applies to the global makespan, neither of which survives a
-		// split across kernels. Synthetic cells replay whole too — the
-		// communication-graph analysis only covers the recorded traces.
-		if cfg.Partition && sc.Topo == nil && sc.Fault == nil && sc.Ckpt == nil && sc.World == 0 {
-			parts = partition(graph, hostComp, d.Processes)
-		}
-		partsBy[si] = parts
-		multiPart[si] = len(parts) > 1
 	}
 
 	// Fork planning: scenarios sharing a prefix become member tasks of a
 	// donor instead of normal tasks (see fork.go).
-	groups, memberOf, err := planForkGroups(cfg, scenarios, multiPart)
+	groups, memberOf, err := planForkGroups(cfg, scenarios)
 	if err != nil {
 		return nil, err
 	}
@@ -349,24 +323,15 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		total += len(g.members)
 	}
 	for si := range scenarios {
-		if memberOf[si] != nil {
-			continue // scheduled by its donor
-		}
-		for pi, p := range partsBy[si] {
-			initial = append(initial, task{kind: taskNormal, si: si, pi: pi, part: p})
+		if memberOf[si] == nil { // members are scheduled by their donor
+			initial = append(initial, task{kind: taskNormal, si: si})
 		}
 	}
 	total += len(initial)
 
-	// outs[si][pi] is written by exactly one worker; remaining[si] counts
-	// parts still running so the last worker can emit the merged result.
-	outs := make([][]partOut, len(scenarios))
-	remaining := make([]atomic.Int32, len(scenarios))
+	// results[si] is written by exactly one worker, the one that ran the
+	// scenario.
 	results := make([]ScenarioResult, len(scenarios))
-	for si := range scenarios {
-		outs[si] = make([]partOut, len(partsBy[si]))
-		remaining[si].Add(int32(len(partsBy[si])))
-	}
 	for si := range results {
 		results[si] = ScenarioResult{Scenario: scenarios[si], Name: scenarios[si].Name(),
 			Err: "sweep: canceled"}
@@ -392,23 +357,15 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		case taskDonor:
 			t.grp.runDonor(ctx, cfg, model, scenarios[t.grp.members[0]], depls[t.grp.members[0]])
 			for _, si := range t.grp.members {
-				mt := task{kind: taskMember, si: si, pi: 0, part: partsBy[si][0], grp: t.grp}
+				mt := task{kind: taskMember, si: si, grp: t.grp}
 				e.submit(func() { exec(mt); finish() })
 			}
 		default:
 			if ctx.Err() == nil {
-				var out partOut
-				if t.kind == taskMember {
-					out = safeRunMember(cfg, model, scenarios[t.si], depls[t.si], t.part, t.grp)
-				} else {
-					out = safeRunTask(cfg, model, scenarios[t.si], depls[t.si], t.part)
-				}
-				outs[t.si][t.pi] = out
-				if remaining[t.si].Add(-1) == 0 {
-					results[t.si] = mergeScenario(cfg, scenarios[t.si], outs[t.si])
-					if cfg.OnResult != nil {
-						cfg.OnResult(&results[t.si])
-					}
+				out := safeRunTask(cfg, model, scenarios[t.si], depls[t.si], t.grp)
+				results[t.si] = resultOf(cfg, scenarios[t.si], out)
+				if cfg.OnResult != nil {
+					cfg.OnResult(&results[t.si])
 				}
 			}
 		}
@@ -421,14 +378,6 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 
 	res := &Result{Workers: e.workers, Wall: time.Since(start), Scenarios: results}
 	return res, ctx.Err()
-}
-
-func wholePart(n int) part {
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return part{ranks: ranks}
 }
 
 // scenarioDeployment folds the n ranks onto the scenario's host subset.
@@ -445,127 +394,97 @@ func scenarioDeployment(hosts []string, sc Scenario, n int) (*platform.Deploymen
 }
 
 // safeRunTask shields the worker pool from a crashing scenario: a panic
-// anywhere in one component's replay — a custom handler bug, a pathological
-// trace, a kernel invariant violation — becomes that scenario's error
-// instead of taking down the whole sweep, so sibling scenarios complete and
-// their results are still flushed.
-func safeRunTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, p part) (out partOut) {
+// anywhere in its replay — a custom handler bug, a pathological trace, a
+// kernel invariant violation — becomes that scenario's error instead of
+// taking down the whole sweep, so sibling scenarios complete and their
+// results are still flushed. g is the scenario's fork group, nil when it
+// replays from scratch; the donor's wall time lands on the group's first
+// member so the summed host CPU accounting stays comparable across modes.
+func safeRunTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, g *forkGroup) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			out = partOut{err: fmt.Errorf("sweep: scenario %d (%s) panicked: %v",
+			out = outcome{err: fmt.Errorf("sweep: scenario %d (%s) panicked: %v",
 				sc.Index, sc.Name(), r)}
 		}
 	}()
-	return runTask(cfg, model, sc, depl, p)
+	if g == nil {
+		return runTask(cfg, model, sc, depl)
+	}
+	out = runMember(cfg, model, sc, depl, g)
+	if out.res != nil && sc.Index == g.members[0] {
+		out.res.WallTime += g.wall
+	}
+	return out
 }
 
-// runTask replays one scenario component on its own kernel. Every mutable
+// runTask replays one scenario from scratch on its own kernel. Every mutable
 // structure — the scaled description, the instantiated kernel with its
 // pools and interning tables, the sources, the tracers — is created here
 // and owned by this task alone.
-func runTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, p part) partOut {
+func runTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment) outcome {
 	b, err := scenarioBuild(cfg, sc)
 	if err != nil {
-		return partOut{err: err}
+		return outcome{err: err}
 	}
-
-	n := len(depl.Processes)
-	sub := depl
-	rcfg := replay.Config{Model: model, Registry: cfg.Registry,
-		EagerThreshold: cfg.EagerThreshold, WorldSize: n,
-		Collectives: sc.Coll, Faults: sc.Fault, Ckpt: sc.Ckpt}
-	if len(p.ranks) != n {
-		sub = &platform.Deployment{Version: depl.Version}
-		for _, r := range p.ranks {
-			sub.Processes = append(sub.Processes, depl.Processes[r])
-		}
-		rcfg.Ranks = p.ranks
+	sources, err := scenarioSources(cfg, &sc, len(depl.Processes))
+	if err != nil {
+		return outcome{err: err}
 	}
-	sources := make([]replay.Source, len(p.ranks))
-	for i, r := range p.ranks {
-		if sources[i], err = scenarioSource(cfg, &sc, r); err != nil {
-			return partOut{err: err}
-		}
-	}
-
-	var out partOut
-	tr := newTaskTracers(cfg, &out, sub.Processes)
-	if len(tr.tee) > 0 {
-		rcfg.TimedTracer = tr.tee
-	}
-
-	out.res, out.err = replay.Run(b, sub, rcfg, sources)
+	var out outcome
+	tr := newTaskTracers(cfg, &out, depl.Processes)
+	out.res, out.err = replay.Run(b, depl, tr.config(cfg, model, sc), sources)
 	tr.finish(&out)
-	out.components = 1
 	return out
 }
 
-// scenarioSource returns a fresh action source for rank r of the scenario:
-// a cursor over the shared recorded trace set, or — for synthetic cells — a
-// streaming generator cursor that synthesises the rank's actions on the
+// scenarioSources returns fresh action sources for the scenario's n ranks:
+// cursors over the shared recorded trace set, or — for synthetic cells —
+// streaming generator cursors that synthesise each rank's actions on the
 // fly, so a 16k-rank world costs one small cursor per rank, not trace
 // files.
-func scenarioSource(cfg *Config, sc *Scenario, r int) (replay.Source, error) {
-	if sc.synthGen != nil {
-		return sc.synthGen.Rank(r)
+func scenarioSources(cfg *Config, sc *Scenario, n int) ([]replay.Source, error) {
+	sources := make([]replay.Source, n)
+	for r := range sources {
+		var err error
+		if sc.synthGen != nil {
+			sources[r], err = sc.synthGen.Rank(r)
+		} else {
+			sources[r], err = cfg.Traces.source(r)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	return cfg.Traces.source(r)
+	return sources, nil
 }
 
-// mergeScenario folds a scenario's component outcomes into its result:
-// makespan is the maximum over components (they run concurrently in
-// simulated time), actions and host CPU time are summed, timed traces are
-// concatenated in component order — all independent of which worker ran
-// what, so the merged result is deterministic.
-func mergeScenario(cfg *Config, sc Scenario, parts []partOut) ScenarioResult {
-	out := ScenarioResult{Scenario: sc, Name: sc.Name()}
-	var timed []byte
-	var sinks []*replay.MetricsSink
-	for _, p := range parts {
-		if p.err != nil {
-			out.Err = p.err.Error()
-			return out
-		}
-		if p.res.SimulatedTime > out.SimulatedTime {
-			out.SimulatedTime = p.res.SimulatedTime
-		}
-		if p.res.Resilience != nil {
-			// Checkpointed scenarios always replay whole (one part), so
-			// this assigns at most once.
-			out.Resilience = p.res.Resilience
-		}
-		out.Actions += p.res.Actions
-		out.Wall += p.res.WallTime
-		out.Components += p.components
-		if p.forked {
-			out.Forked = true
-			out.PrefixActions += p.prefix
-		}
-		if cfg.Timed {
-			timed = append(timed, p.timed...)
-		}
-		if cfg.Profile && p.profile != nil {
-			out.Profile = append(out.Profile, p.profile.Processes()...)
-		}
-		if cfg.Metrics && p.sink != nil {
-			sinks = append(sinks, p.sink)
-		}
+// resultOf turns a scenario's outcome into its row. It reads nothing but the
+// outcome, so the row is the same whichever worker replayed the scenario.
+func resultOf(cfg *Config, sc Scenario, out outcome) ScenarioResult {
+	r := ScenarioResult{Scenario: sc, Name: sc.Name()}
+	if out.err != nil {
+		r.Err = out.err.Error()
+		return r
 	}
-	out.TimedTrace = timed
-	if cfg.Profile {
-		sort.Slice(out.Profile, func(i, j int) bool { return out.Profile[i].Name < out.Profile[j].Name })
+	r.SimulatedTime = out.res.SimulatedTime
+	r.Actions = out.res.Actions
+	r.Wall = out.res.WallTime
+	r.Components = 1
+	r.Resilience = out.res.Resilience
+	r.Forked = out.forked
+	r.PrefixActions = out.prefix
+	r.TimedTrace = out.timed
+	if out.profile != nil {
+		r.Profile = out.profile.Processes()
 	}
-	if cfg.Metrics {
-		// Sinks are folded in deterministic part order and the analysis is
-		// a pure function of its input, so the report — including its JSON
-		// encoding — is identical whatever the worker count. Checkpointed
-		// scenarios report a waste-inflated makespan (Effective time), so
-		// their analysis horizon derives from the events instead.
+	if out.sink != nil {
+		// Checkpointed scenarios report a waste-inflated makespan (Effective
+		// time), so their analysis horizon derives from the events instead.
 		opt := metrics.Options{Windows: cfg.MetricsWindows}
-		if out.Resilience == nil {
-			opt.Makespan = out.SimulatedTime
+		if r.Resilience == nil {
+			opt.Makespan = r.SimulatedTime
 		}
-		out.Metrics = metrics.Analyze(sinks, opt)
+		r.Metrics = metrics.AnalyzeSink(out.sink, opt)
 	}
-	return out
+	return r
 }

@@ -226,10 +226,10 @@ func TestSweepPanickingScenarioIsIsolated(t *testing.T) {
 
 // TestSafeRunTaskRecoversWorkerPanic exercises the pool-side recover
 // directly: a panic raised in the worker goroutine itself (here a nil
-// deployment dereference) becomes the component's error.
+// deployment dereference) becomes the scenario's error.
 func TestSafeRunTaskRecoversWorkerPanic(t *testing.T) {
 	sc := Scenario{LatencyScale: 1, BandwidthScale: 1, PowerScale: 1, Fold: 1}
-	out := safeRunTask(&Config{Platform: disjointPlatform()}, smpi.Default(), sc, nil, wholePart(2))
+	out := safeRunTask(&Config{Platform: disjointPlatform()}, smpi.Default(), sc, nil, nil)
 	if out.err == nil || !strings.Contains(out.err.Error(), "panicked") {
 		t.Fatalf("safeRunTask error = %v, want a recovered panic", out.err)
 	}

@@ -57,7 +57,7 @@ type forkGroup struct {
 // per-scenario pointer to its group (nil: the scenario replays normally).
 // The prefix plan is computed from the shared trace set at most twice — once
 // per cut rule — whatever the grid size.
-func planForkGroups(cfg *Config, scenarios []Scenario, multiPart []bool) ([]*forkGroup, []*forkGroup, error) {
+func planForkGroups(cfg *Config, scenarios []Scenario) ([]*forkGroup, []*forkGroup, error) {
 	memberOf := make([]*forkGroup, len(scenarios))
 	if !cfg.Fork || cfg.Registry != nil || cfg.Traces == nil {
 		// Custom registries are opaque to the planner: a handler may keep
@@ -70,9 +70,6 @@ func planForkGroups(cfg *Config, scenarios []Scenario, multiPart []bool) ([]*for
 	byKey := make(map[groupKey][]int)
 	for si := range scenarios {
 		sc := &scenarios[si]
-		if multiPart[si] {
-			continue // partitioned scenarios replay on sub-kernels
-		}
 		if sc.Fault.FailStops() && sc.Ckpt == nil {
 			continue // fail-stops play out inside the kernel (abort policy)
 		}
@@ -187,18 +184,13 @@ func (g *forkGroup) runDonor(ctx context.Context, cfg *Config, model *smpi.Model
 		g.err = err
 		return
 	}
-	n := len(depl.Processes)
-	sources := make([]replay.Source, n)
-	for i := range sources {
-		if sources[i], err = cfg.Traces.source(i); err != nil {
-			g.err = err
-			return
-		}
+	sources, err := scenarioSources(cfg, &sc, len(depl.Processes))
+	if err != nil {
+		g.err = err
+		return
 	}
-	rcfg := replay.Config{Model: model, EagerThreshold: cfg.EagerThreshold,
-		WorldSize: n, Collectives: sc.Coll, Faults: sc.Fault, Ckpt: sc.Ckpt}
 	start := time.Now()
-	g.pr, g.err = replay.RunPrefix(b, depl, rcfg, sources, replay.PrefixOptions{
+	g.pr, g.err = replay.RunPrefix(b, depl, replayConfig(cfg, model, sc), sources, replay.PrefixOptions{
 		Cuts:        g.cuts,
 		RecordTrace: cfg.Timed || cfg.Profile || cfg.Metrics,
 		TieCheck:    cfg.Timed,
@@ -206,61 +198,33 @@ func (g *forkGroup) runDonor(ctx context.Context, cfg *Config, model *smpi.Model
 	g.wall = time.Since(start)
 }
 
-// safeRunMember is safeRunTask for a forked member: panics become the
-// scenario's error, and the donor's wall time lands on the group's first
-// member so the summed host CPU accounting stays comparable across modes.
-func safeRunMember(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, p part, g *forkGroup) (out partOut) {
-	defer func() {
-		if r := recover(); r != nil {
-			out = partOut{err: fmt.Errorf("sweep: scenario %d (%s) panicked: %v",
-				sc.Index, sc.Name(), r)}
-		}
-	}()
-	out = runMember(cfg, model, sc, depl, p, g)
-	if out.res != nil && sc.Index == g.members[0] {
-		out.res.WallTime += g.wall
-	}
-	return out
-}
-
 // runMember replays one member scenario from the shared prefix, falling back
 // to a from-scratch replay when the donor failed or the forked run could not
 // be proven equivalent (replay.ErrForkUnsafe). The first member to arrive
 // reuses the donor's own restored kernel; the rest instantiate fresh ones.
-func runMember(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, p part, g *forkGroup) partOut {
+func runMember(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, g *forkGroup) outcome {
 	if g.err != nil || g.pr == nil {
-		return runTask(cfg, model, sc, depl, p)
+		return runTask(cfg, model, sc, depl)
 	}
 	b := g.pr.ClaimDonorBuild()
 	if b == nil {
 		var err error
 		if b, err = scenarioBuild(cfg, sc); err != nil {
-			return partOut{err: err}
+			return outcome{err: err}
 		}
 	}
-	n := len(depl.Processes)
-	rcfg := replay.Config{Model: model, EagerThreshold: cfg.EagerThreshold,
-		WorldSize: n, Collectives: sc.Coll, Faults: sc.Fault, Ckpt: sc.Ckpt}
-	sources := make([]replay.Source, n)
-	for i := range sources {
-		var err error
-		if sources[i], err = cfg.Traces.source(i); err != nil {
-			return partOut{err: err}
-		}
+	sources, err := scenarioSources(cfg, &sc, len(depl.Processes))
+	if err != nil {
+		return outcome{err: err}
 	}
 
-	var out partOut
+	var out outcome
 	tr := newTaskTracers(cfg, &out, depl.Processes)
-	if len(tr.tee) > 0 {
-		rcfg.TimedTracer = tr.tee
-	}
-
-	out.res, out.err = g.pr.RunForked(b, rcfg, sources)
+	out.res, out.err = g.pr.RunForked(b, tr.config(cfg, model, sc), sources)
 	if out.err != nil && errors.Is(out.err, replay.ErrForkUnsafe) {
-		return runTask(cfg, model, sc, depl, p)
+		return runTask(cfg, model, sc, depl)
 	}
 	tr.finish(&out)
-	out.components = 1
 	if out.err == nil {
 		out.forked = true
 		out.prefix = g.pr.Actions

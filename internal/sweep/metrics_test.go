@@ -14,7 +14,7 @@ import (
 
 // TestSweepMetricsDeterministicAcrossWorkers pins the metrics contract
 // end to end: sweep rows carry a POP metrics report, the report survives
-// the fork path (coll axis) and the partition merge identically, and the
+// the fork path (coll axis) identically, and the
 // metrics-only JSON view is byte-identical between one worker and many —
 // the property the CI determinism gate diffs.
 func TestSweepMetricsDeterministicAcrossWorkers(t *testing.T) {
@@ -83,41 +83,6 @@ func TestSweepMetricsDeterministicAcrossWorkers(t *testing.T) {
 	slow, fast := serial.Scenarios[0].Metrics.Summary, serial.Scenarios[2].Metrics.Summary
 	if !(slow.CommEff < fast.CommEff) {
 		t.Fatalf("bw=0.1 comm eff %g not below bw=1 %g", slow.CommEff, fast.CommEff)
-	}
-}
-
-// TestSweepMetricsPartitioned checks the multi-sink merge: a scenario
-// split across two disjoint platform components folds both sinks into one
-// report covering all ranks.
-func TestSweepMetricsPartitioned(t *testing.T) {
-	ts := disjointTraces()
-	res, err := Run(context.Background(), &Config{
-		Platform:  disjointPlatform(),
-		Grid:      Grid{},
-		Traces:    ts,
-		Partition: true,
-		Metrics:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &res.Scenarios[0]
-	if sc.Err != "" {
-		t.Fatal(sc.Err)
-	}
-	if sc.Components != 2 {
-		t.Fatalf("components = %d, want a split scenario", sc.Components)
-	}
-	m := sc.Metrics
-	if m == nil || len(m.Ranks) != 4 {
-		t.Fatalf("partitioned metrics: %+v", m)
-	}
-	var names []string
-	for _, r := range m.Ranks {
-		names = append(names, r.Rank)
-	}
-	if got := strings.Join(names, ","); got != "p0,p1,p2,p3" {
-		t.Fatalf("merged rank order %q", got)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // WriteJSON renders the sweep result as indented JSON: one record per
-// scenario in expansion order, with the makespan, action count, component
-// count and (when collected) the per-process profile rows.
+// scenario in expansion order, with the makespan, action count and (when
+// collected) the per-process profile rows.
 func (r *Result) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -65,8 +65,8 @@ func (r *Result) RenderTable(w io.Writer) {
 			metered = true
 		}
 	}
-	fmt.Fprintf(w, "%-40s | %12s | %8s | %5s | %8s",
-		"scenario", "predicted", "speedup", "parts", "actions")
+	fmt.Fprintf(w, "%-40s | %12s | %8s | %8s",
+		"scenario", "predicted", "speedup", "actions")
 	if metered {
 		fmt.Fprintf(w, " | %6s %6s %6s %6s %6s",
 			"parEff", "ldBal", "commE", "serE", "trfE")
@@ -93,8 +93,8 @@ func (r *Result) RenderTable(w io.Writer) {
 		if s.SimulatedTime > 0 && baseline > 0 {
 			speedup = fmt.Sprintf("%7.2fx", baseline/s.SimulatedTime)
 		}
-		fmt.Fprintf(w, "%-40s | %12s | %8s | %5d | %8d",
-			s.Name, units.FormatSeconds(s.SimulatedTime), speedup, s.Components, s.Actions)
+		fmt.Fprintf(w, "%-40s | %12s | %8s | %8d",
+			s.Name, units.FormatSeconds(s.SimulatedTime), speedup, s.Actions)
 		if metered {
 			if m := s.Metrics; m != nil {
 				e := m.Summary

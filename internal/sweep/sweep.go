@@ -7,16 +7,14 @@
 // This realises at scale the paper's core promise (Section 5: "a wide range
 // of what-if scenarios can be explored without any modification of the
 // simulator"): the trace is acquired once, parsed once, and shared read-only
-// between workers; each scenario owns every piece of mutable state its
-// replay touches (kernel, pools, interning tables, tracer), so results are
-// byte-identical whatever the worker count. When the scenario platform
-// decomposes into disjoint connected components and the trace's
-// communication graph respects the partition, the engine additionally
-// splits one scenario across several kernels (see partition.go).
+// between workers; each scenario is one replay on one kernel and owns every
+// piece of mutable state that replay touches (kernel, pools, interning
+// tables, tracer), so results are byte-identical whatever the worker count.
 package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -245,6 +243,63 @@ func (g Grid) Expand() []Scenario {
 	return out
 }
 
+// GridSpec names the axes of a scenario grid as strings, each in the
+// syntax of the corresponding tisweep flag and of the tiserved request's
+// grid object. An empty string leaves its axis at the identity value.
+type GridSpec struct {
+	Lat   string `json:"lat,omitempty"`
+	Bw    string `json:"bw,omitempty"`
+	Power string `json:"power,omitempty"`
+	Fold  string `json:"fold,omitempty"`
+	Hosts string `json:"hosts,omitempty"`
+	Coll  string `json:"coll,omitempty"`
+	Topo  string `json:"topo,omitempty"`
+	Fault string `json:"fault,omitempty"`
+	Ckpt  string `json:"ckpt,omitempty"`
+	// World is the synthetic world-size axis ("1024,4096,16384"; 0 is the
+	// recorded world). Positive entries regenerate rank streams from a
+	// fitted model instead of the recorded traces.
+	World string `json:"world,omitempty"`
+}
+
+// Parse parses every axis of the spec into a Grid, failing on the first
+// malformed one.
+func (s GridSpec) Parse() (Grid, error) {
+	var g Grid
+	var err error
+	if g.LatencyScale, err = ParseFloatList(s.Lat); err != nil {
+		return Grid{}, err
+	}
+	if g.BandwidthScale, err = ParseFloatList(s.Bw); err != nil {
+		return Grid{}, err
+	}
+	if g.PowerScale, err = ParseFloatList(s.Power); err != nil {
+		return Grid{}, err
+	}
+	if g.Fold, err = ParseIntList(s.Fold); err != nil {
+		return Grid{}, err
+	}
+	if g.Hosts, err = ParseIntList(s.Hosts); err != nil {
+		return Grid{}, err
+	}
+	if g.Coll, err = ParseCollList(s.Coll); err != nil {
+		return Grid{}, err
+	}
+	if g.Topo, err = ParseTopoList(s.Topo); err != nil {
+		return Grid{}, err
+	}
+	if g.Faults, err = ParseFaultList(s.Fault); err != nil {
+		return Grid{}, err
+	}
+	if g.Ckpt, err = ParseCkptList(s.Ckpt); err != nil {
+		return Grid{}, err
+	}
+	if g.World, err = ParseWorldList(s.World); err != nil {
+		return Grid{}, err
+	}
+	return g, nil
+}
+
 // ParseFloatList parses a comma-separated list of scale factors, the syntax
 // of tisweep's grid flags ("0.5,1,2").
 func ParseFloatList(s string) ([]float64, error) {
@@ -257,8 +312,8 @@ func ParseFloatList(s string) ([]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: bad factor %q in %q", part, s)
 		}
-		if v <= 0 {
-			return nil, fmt.Errorf("sweep: factor %g in %q must be positive", v, s)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("sweep: factor %g in %q must be positive and finite", v, s)
 		}
 		out = append(out, v)
 	}

@@ -61,8 +61,10 @@ func TestParseLists(t *testing.T) {
 	if err != nil || len(fs) != 3 || fs[0] != 0.5 {
 		t.Fatalf("ParseFloatList = %v, %v", fs, err)
 	}
-	if _, err := ParseFloatList("1,-2"); err == nil {
-		t.Fatal("negative factor must fail")
+	for _, bad := range []string{"1,-2", "0", "NaN", "Inf", "-Inf", "1,+Inf"} {
+		if _, err := ParseFloatList(bad); err == nil {
+			t.Fatalf("ParseFloatList(%q) must fail: factors are positive and finite", bad)
+		}
 	}
 	is, err := ParseIntList("1,2,4")
 	if err != nil || len(is) != 3 || is[2] != 4 {
@@ -161,8 +163,8 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // disjointTraces builds a 4-rank trace whose communication stays inside the
-// pairs (0,1) and (2,3): the shape that lets a two-cluster scenario split
-// onto two kernels.
+// pairs (0,1) and (2,3), so it replays on a platform whose two clusters
+// share no route.
 func disjointTraces() *TraceSet {
 	mk := func(r, peer int) []trace.Action {
 		return []trace.Action{
@@ -187,104 +189,6 @@ func disjointPlatform() *platform.Platform {
 				{ID: "beta", Prefix: "b-", Radical: "0-1", Power: "1E9", BW: "1.25E8", Lat: "1E-5"},
 			},
 		},
-	}
-}
-
-func TestPartitionSplitsDisjointScenario(t *testing.T) {
-	ts := disjointTraces()
-	cfg := &Config{
-		Platform:  disjointPlatform(),
-		Traces:    ts,
-		Workers:   2,
-		Timed:     true,
-		Partition: true,
-	}
-	split, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := split.Scenarios[0].Components; got != 2 {
-		t.Fatalf("partitioned scenario ran on %d kernels, want 2 (err=%q)",
-			got, split.Scenarios[0].Err)
-	}
-	cfg.Partition = false
-	whole, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.Scenarios[0].Components != 1 {
-		t.Fatalf("unpartitioned scenario ran on %d kernels", whole.Scenarios[0].Components)
-	}
-	// Disjoint components share no link, so the split simulation agrees
-	// exactly with the single-kernel one.
-	if split.Scenarios[0].SimulatedTime != whole.Scenarios[0].SimulatedTime {
-		t.Fatalf("split makespan %g != whole %g",
-			split.Scenarios[0].SimulatedTime, whole.Scenarios[0].SimulatedTime)
-	}
-	if split.Scenarios[0].Actions != whole.Scenarios[0].Actions {
-		t.Fatalf("split actions %d != whole %d",
-			split.Scenarios[0].Actions, whole.Scenarios[0].Actions)
-	}
-	// And the split itself is deterministic across worker counts.
-	cfg.Partition = true
-	cfg.Workers = 1
-	serial, err := Run(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Scenarios[0].TimedTrace, split.Scenarios[0].TimedTrace) {
-		t.Fatal("partitioned timed trace depends on worker count")
-	}
-}
-
-func TestPartitionRefusesCrossComponentTraffic(t *testing.T) {
-	// Rank 1 talks to rank 2 across the cluster gap: the scenario must fall
-	// back to a single kernel — where the replay then fails loudly because
-	// no route exists, rather than silently mis-simulating.
-	mk := func(r, peer int) []trace.Action {
-		return []trace.Action{
-			{Proc: r, Type: trace.Send, Peer: peer, Volume: 1e4},
-			{Proc: r, Type: trace.Recv, Peer: peer},
-		}
-	}
-	ts := TracesFromActions([][]trace.Action{mk(0, 1), mk(1, 0), mk(2, 3), mk(3, 2)})
-	ts.perRank[1] = append(ts.perRank[1], trace.Action{Proc: 1, Type: trace.Isend, Peer: 2, Volume: 10})
-	ts.perRank[2] = append(ts.perRank[2], trace.Action{Proc: 2, Type: trace.Irecv, Peer: 1},
-		trace.Action{Proc: 2, Type: trace.Wait, Peer: -1})
-	g, err := analyze(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comps, err := disjointPlatform().Components()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hostComp := map[string]int{}
-	for ci, comp := range comps {
-		for _, h := range comp {
-			hostComp[h] = ci
-		}
-	}
-	hosts, _ := disjointPlatform().Hosts()
-	d, err := platform.RoundRobin(hosts, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts := partition(g, hostComp, d.Processes); len(parts) != 1 {
-		t.Fatalf("cross-component trace split into %d parts", len(parts))
-	}
-	// A collective likewise pins the scenario to one kernel.
-	ts2 := disjointTraces()
-	ts2.perRank[0] = append(ts2.perRank[0], trace.Action{Proc: 0, Type: trace.Barrier, Peer: -1})
-	g2, err := analyze(ts2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g2.collective {
-		t.Fatal("collective not detected")
-	}
-	if parts := partition(g2, hostComp, d.Processes); len(parts) != 1 {
-		t.Fatalf("collective trace split into %d parts", len(parts))
 	}
 }
 

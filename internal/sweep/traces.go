@@ -113,7 +113,7 @@ func (t *TraceSet) source(r int) (replay.Source, error) {
 }
 
 // visit streams rank r's actions through fn, stopping early when fn returns
-// false; the communication-graph analysis of partition.go uses it without
+// false; the fork planner computes shared prefixes with it without
 // materialising mapped traces.
 func (t *TraceSet) visit(r int, fn func(trace.Action) bool) error {
 	src, err := t.source(r)
