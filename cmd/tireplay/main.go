@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"tireplay/internal/cli"
 	"tireplay/internal/coll"
@@ -45,19 +44,15 @@ func main() {
 		profile      = flag.Bool("profile", false, "print a per-process profile of the simulated execution")
 		collSpec     = flag.String("coll", "", "collective algorithms: an algorithm for all collectives (linear, binomial, auto, ...) or per-collective choices (\"bcast=binomial,allReduce=ring\")")
 		topoSpec     = flag.String("topo", "", "replay on a generated topology instead of the built-in cluster (fat-tree:4 | torus:4x4x2 | dragonfly:2x4x2), with -dir/-procs")
-		routingMode  = flag.String("routing", "computed", "route resolution: computed (zone-composed, O(n) build) or table (eager per-pair reference)")
 		faultSpec    = flag.String("fault", "", "availability profile injected into the replay (\"host:1@5,hosts:25%@60,bw:0.5@10-20,mtbf:3600,seed:7\")")
 		ckptSpec     = flag.String("ckpt", "", "checkpoint/restart protocol riding through fail-stop faults: \"interval[/cost[/restart[/down]]]\" in seconds")
 	)
 	flag.Parse()
 
-	routing, err := platform.ParseRouting(*routingMode)
-	if err != nil {
-		fail(cli.Usage(err))
-	}
 	var (
-		b *platform.Build
-		d *platform.Deployment
+		b   *platform.Build
+		d   *platform.Deployment
+		err error
 	)
 	switch {
 	case *platformPath != "" && *deployPath != "":
@@ -65,7 +60,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		b, err = platform.InstantiateRouting(p, routing)
+		b, err = platform.Instantiate(p)
 		if err != nil {
 			fail(err)
 		}
@@ -75,9 +70,6 @@ func main() {
 		}
 	case *dir != "" && *procs > 0:
 		if *topoSpec != "" {
-			if routing != platform.RoutingComputed {
-				fail(cli.Usagef("-routing %s is not available for generated topologies (they route computed only)", routing))
-			}
 			spec, err := platform.ParseTopo(*topoSpec)
 			if err != nil {
 				fail(cli.Usage(err))
@@ -88,7 +80,7 @@ func main() {
 				fail(err)
 			}
 		} else {
-			b, err = platform.InstantiateRouting(platform.BordereauCustom(*procs, 1, *power), routing)
+			b, err = platform.Instantiate(platform.BordereauCustom(*procs, 1, *power))
 			if err != nil {
 				fail(err)
 			}
@@ -99,7 +91,9 @@ func main() {
 		}
 		files := make([]string, *procs)
 		for r := range files {
-			files[r] = resolveTraceFile(*dir, r)
+			if files[r], err = trace.RankFile(*dir, r); err != nil {
+				fail(err)
+			}
 		}
 		d, err = d.WithTraceArgs(files)
 		if err != nil {
@@ -172,23 +166,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tireplay: warning: %s\n", warn)
 		}
 	}
-}
-
-// resolveTraceFile locates rank r's trace under dir, accepting the three
-// encodings tau2ti emits: text, gzip and binary.
-func resolveTraceFile(dir string, r int) string {
-	plain := filepath.Join(dir, trace.ProcessFileName(r))
-	for _, name := range []string{trace.ProcessFileName(r), trace.GzipFileName(r), trace.BinaryFileName(r)} {
-		if p := filepath.Join(dir, name); fileExists(p) {
-			return p
-		}
-	}
-	return plain // let the replay report the missing plain name
-}
-
-func fileExists(p string) bool {
-	_, err := os.Stat(p)
-	return err == nil
 }
 
 func fail(err error) {

@@ -32,7 +32,7 @@ import (
 func main() {
 	verify := flag.Bool("verify", true, "run cross-process consistency checks")
 	metricsMode := flag.Bool("metrics", false, "treat arguments as timed traces and print time-resolved POP metrics")
-	windows := flag.Int("windows", 10, "number of fixed time windows for -metrics")
+	windows := flag.Int("windows", 10, fmt.Sprintf("number of fixed time windows for -metrics (at most %d)", metrics.MaxWindows))
 	jsonOut := flag.Bool("json", false, "emit the -metrics report as JSON instead of tables")
 	flag.Parse()
 	files := flag.Args()
@@ -41,6 +41,9 @@ func main() {
 	}
 
 	if *metricsMode {
+		if err := metrics.CheckWindows(*windows); err != nil {
+			cli.Fail("tistat", cli.Usage(err))
+		}
 		runMetrics(files, *windows, *jsonOut)
 		return
 	}

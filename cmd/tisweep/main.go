@@ -43,6 +43,7 @@ import (
 	"runtime"
 
 	"tireplay/internal/cli"
+	"tireplay/internal/metrics"
 	"tireplay/internal/platform"
 	"tireplay/internal/smpi"
 	"tireplay/internal/sweep"
@@ -76,7 +77,7 @@ func main() {
 		profile      = flag.Bool("profile", false, "collect per-process profiles into the JSON report")
 		metricsOn    = flag.Bool("metrics", false, "compute time-resolved POP metrics per scenario (adds efficiency columns to the table and the report)")
 		metricsJSON  = flag.String("metrics-json", "", "write the deterministic metrics-only JSON view to this file ('-' for stdout); implies -metrics")
-		windows      = flag.Int("windows", 0, "fixed time windows per scenario for -metrics (default 10)")
+		windows      = flag.Int("windows", 0, fmt.Sprintf("fixed time windows per scenario for -metrics (default 10, at most %d)", metrics.MaxWindows))
 	)
 	flag.Parse()
 
@@ -86,24 +87,12 @@ func main() {
 	if err != nil {
 		fail(cli.Usage(err))
 	}
-	worlds := grid.World
-	synthetic := *synthPath != ""
-	if synthetic && len(worlds) == 0 {
-		fail(cli.Usagef("-synth needs a -world axis"))
+	haveTraces, synthetic := *dir != "" && *ranks > 0, *synthPath != ""
+	if err := grid.CheckInputs(haveTraces, synthetic); err != nil {
+		fail(cli.Usagef("%v (traces: -dir with a positive -ranks; model: -synth)", err))
 	}
-	// Recorded traces are needed unless every cell is synthetic: no -synth
-	// means the whole grid replays the -dir set, and a 0 entry on the
-	// -world axis is the recorded world.
-	needTraces := !synthetic
-	for _, w := range worlds {
-		if w == 0 {
-			needTraces = true
-		} else if !synthetic {
-			fail(cli.Usagef("-world %d needs -synth (a fitted model to regenerate from)", w))
-		}
-	}
-	if needTraces && (*dir == "" || *ranks <= 0) {
-		fail(cli.Usagef("need -dir and a positive -ranks (or -synth with -world)"))
+	if err := metrics.CheckWindows(*windows); err != nil {
+		fail(cli.Usage(err))
 	}
 	var fork bool
 	switch *forkMode {
@@ -122,17 +111,11 @@ func main() {
 	} else {
 		// The built-in platform must hold the largest world of the sweep,
 		// synthetic cells included.
-		maxN := *ranks
-		for _, w := range worlds {
-			if w > maxN {
-				maxN = w
-			}
-		}
-		base = platform.BordereauWithCores(maxN, 1)
+		base = platform.BordereauWithCores(max(*ranks, grid.MaxWorld()), 1)
 	}
 
 	var traces *sweep.TraceSet
-	if needTraces {
+	if haveTraces {
 		if traces, err = sweep.LoadDir(*dir, *ranks); err != nil {
 			fail(err)
 		}

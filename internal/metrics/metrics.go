@@ -36,28 +36,38 @@ import (
 	"tireplay/internal/replay"
 )
 
-// Options parameterises an analysis.
+// Options parameterises an analysis. Ranks that recorded no event get a
+// (fully idle) row when their names are pre-interned in a sink with
+// MetricsSink.RankID.
 type Options struct {
 	// Windows is the number of equal time windows the run is cut into;
 	// <= 0 means 10. A zero-makespan run yields no windows regardless.
 	Windows int
-	// Ranks pre-registers process names, giving ranks that recorded no
-	// event a (fully idle) row; names also present in the sinks merge.
-	Ranks []string
 	// Makespan overrides the analysis horizon; <= 0 derives it from the
 	// latest event end.
 	Makespan float64
-	// CommThreshold is the transfer share of busy time at which a window
-	// classifies comm-dominant for phase detection; <= 0 means 0.5.
-	CommThreshold float64
+}
+
+// MaxWindows caps the window count callers may request: the analysis
+// rescans every event once per window, so its cost grows with the count.
+const MaxWindows = 1000
+
+// commThreshold is the transfer share of busy time at which a window
+// classifies comm-dominant for phase detection.
+const commThreshold = 0.5
+
+// CheckWindows validates a requested window count where it enters the
+// program: 0 selects the default, 1..MaxWindows are accepted.
+func CheckWindows(n int) error {
+	if n < 0 || n > MaxWindows {
+		return fmt.Errorf("metrics: window count %d out of range (0 for the default, or 1..%d)", n, MaxWindows)
+	}
+	return nil
 }
 
 func (o Options) withDefaults() Options {
 	if o.Windows <= 0 {
 		o.Windows = 10
-	}
-	if o.CommThreshold <= 0 {
-		o.CommThreshold = 0.5
 	}
 	return o
 }
@@ -129,9 +139,6 @@ type analysis struct {
 func Analyze(sinks []*replay.MetricsSink, opt Options) *Report {
 	opt = opt.withDefaults()
 	a := &analysis{id: make(map[string]int)}
-	for _, name := range opt.Ranks {
-		a.intern(name)
-	}
 	events := 0
 	for _, s := range sinks {
 		if s == nil {
@@ -201,7 +208,7 @@ func Analyze(sinks []*replay.MetricsSink, opt Options) *Report {
 			kinds[w] = "idle"
 		default:
 			win.CommFraction = sumT / (sumU + sumT)
-			if win.CommFraction >= opt.CommThreshold {
+			if win.CommFraction >= commThreshold {
 				kinds[w] = "comm"
 			} else {
 				kinds[w] = "compute"

@@ -24,7 +24,7 @@ func approx(a, b float64) bool {
 // TestZeroMakespan covers the empty and instantaneous traces: no windows,
 // no phases, zero efficiencies, and no NaN anywhere.
 func TestZeroMakespan(t *testing.T) {
-	rep := AnalyzeSink(replay.NewMetricsSink(), Options{Ranks: []string{"p0", "p1"}})
+	rep := AnalyzeSink(internedSink("p0", "p1"), Options{})
 	if rep.Makespan != 0 || rep.Events != 0 {
 		t.Fatalf("empty trace: makespan=%g events=%d", rep.Makespan, rep.Events)
 	}
@@ -118,13 +118,23 @@ func TestSingleEventWindow(t *testing.T) {
 	}
 }
 
-// TestRanksWithoutEvents pins the pre-registration path: ranks named in
-// Options.Ranks but absent from the sink appear as fully idle rows and
-// drag the load balance down.
-func TestRanksWithoutEvents(t *testing.T) {
+// internedSink returns an empty sink with the given process names
+// pre-interned, as sweep does for every deployed process.
+func internedSink(names ...string) *replay.MetricsSink {
 	s := replay.NewMetricsSink()
+	for _, n := range names {
+		s.RankID(n)
+	}
+	return s
+}
+
+// TestRanksWithoutEvents pins the pre-registration path: ranks interned in
+// the sink but without events appear as fully idle rows and drag the load
+// balance down.
+func TestRanksWithoutEvents(t *testing.T) {
+	s := internedSink("p0", "p1", "p2")
 	s.Compute("p0", "h0", 1e6, 0, 3)
-	rep := AnalyzeSink(s, Options{Ranks: []string{"p0", "p1", "p2"}, Makespan: 3})
+	rep := AnalyzeSink(s, Options{Makespan: 3})
 	if len(rep.Ranks) != 3 {
 		t.Fatalf("rank rows: %d, want 3", len(rep.Ranks))
 	}
@@ -299,5 +309,15 @@ func TestWindowPartitionExact(t *testing.T) {
 	}
 	if !approx(useful, 1.0/3.0) {
 		t.Fatalf("window-weighted useful %g, want 1/3", useful)
+	}
+}
+
+// TestCheckWindows pins the accepted window range: 0 (the default) and
+// 1..MaxWindows.
+func TestCheckWindows(t *testing.T) {
+	for n, ok := range map[int]bool{-1: false, 0: true, 1: true, MaxWindows: true, MaxWindows + 1: false} {
+		if err := CheckWindows(n); (err == nil) != ok {
+			t.Errorf("CheckWindows(%d) = %v, want ok=%t", n, err, ok)
+		}
 	}
 }

@@ -29,17 +29,6 @@ func (r Routing) String() string {
 	return "computed"
 }
 
-// ParseRouting parses a -routing flag value.
-func ParseRouting(s string) (Routing, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "computed", "zone", "zones":
-		return RoutingComputed, nil
-	case "table", "eager", "full":
-		return RoutingTable, nil
-	}
-	return 0, fmt.Errorf("platform: unknown routing mode %q (want computed or table)", s)
-}
-
 // Build is an instantiated platform: a simulation kernel populated with the
 // platform's hosts, links and routes, plus the host naming information the
 // deployment step needs.

@@ -9,8 +9,8 @@ import (
 // Built-in platform specs name the generator platforms a service can
 // instantiate without an uploaded XML description, in a canonical string
 // form suitable as a cache key: two specs naming the same platform
-// canonicalize to the same string, so a warm-platform cache keyed on the
-// canonical spec never builds one platform twice.
+// canonicalize to the same string, so a result cache keyed on the canonical
+// spec answers both spellings from one entry.
 //
 // Grammar: "bordereau:<nodes>[x<cores>]" — the paper's bordereau cluster
 // prefix, the base platform of the acquisition experiments. Generated
@@ -67,8 +67,7 @@ func (b *BuiltinSpec) String() string {
 
 // Build returns the platform description of the spec. Descriptions are
 // read-only in every consumer (sweeps deep-copy before scaling), so one
-// built description can be shared by any number of concurrent replays — the
-// property a warm-platform cache relies on.
+// built description can be shared by any number of concurrent replays.
 func (b *BuiltinSpec) Build() (*Platform, error) {
 	if b.Cluster != "bordereau" {
 		return nil, fmt.Errorf("platform: unknown builtin cluster %q", b.Cluster)

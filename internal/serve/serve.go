@@ -1,7 +1,7 @@
 // Package serve turns the replay stack into a long-running service: a
-// resident daemon holding a content-addressed store of parsed traces, a
-// warm cache of built platforms, and a single-flight cache of sweep results,
-// executing sweep requests on one shared worker pool.
+// resident daemon holding a content-addressed store of parsed traces and a
+// single-flight cache of sweep results, executing sweep requests on one
+// shared worker pool.
 //
 // This is the paper's economics taken to its conclusion. Acquiring a
 // time-independent trace is expensive and done once; every what-if question
@@ -20,8 +20,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -88,13 +86,12 @@ func (c Config) withDefaults() Config {
 
 // Server is the daemon state behind the HTTP surface.
 type Server struct {
-	cfg       Config
-	engine    *sweep.Engine
-	traces    *TraceStore
-	platforms *platformCache
-	results   *resultCache
-	flights   *flightGroup
-	admitted  *admission
+	cfg      Config
+	engine   *sweep.Engine
+	traces   *TraceStore
+	results  *resultCache
+	flights  *flightGroup
+	admitted *admission
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -112,17 +109,16 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
-		cfg:       cfg,
-		engine:    sweep.NewEngine(cfg.Workers),
-		traces:    NewTraceStore(cfg.TraceBudget),
-		platforms: newPlatformCache(),
-		results:   newResultCache(cfg.ResultBudget),
-		flights:   newFlightGroup(),
-		admitted:  newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
-		baseCtx:   ctx,
-		cancel:    cancel,
-		start:     time.Now(),
-		bodies:    sync.Pool{New: func() any { return new(bytes.Buffer) }},
+		cfg:      cfg,
+		engine:   sweep.NewEngine(cfg.Workers),
+		traces:   NewTraceStore(cfg.TraceBudget),
+		results:  newResultCache(cfg.ResultBudget),
+		flights:  newFlightGroup(),
+		admitted: newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
+		baseCtx:  ctx,
+		cancel:   cancel,
+		start:    time.Now(),
+		bodies:   sync.Pool{New: func() any { return new(bytes.Buffer) }},
 	}
 }
 
@@ -278,7 +274,7 @@ func (s *Server) registerPath(dir string, ranks int) (*uploadResponse, *httpErro
 	}
 	paths := make([]string, ranks)
 	for r := 0; r < ranks; r++ {
-		p, err := resolveTraceFile(dir, r)
+		p, err := trace.RankFile(dir, r)
 		if err != nil {
 			return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 		}
@@ -303,20 +299,6 @@ func (s *Server) registerPath(dir string, ranks int) (*uploadResponse, *httpErro
 		resp.Existed = true
 	}
 	return resp, nil
-}
-
-// resolveTraceFile locates rank r's trace file under dir, preferring the
-// same encoding order as the sweep loader.
-func resolveTraceFile(dir string, r int) (string, error) {
-	names := []string{trace.ProcessFileName(r), trace.GzipFileName(r), trace.BinaryFileName(r)}
-	for _, name := range names {
-		p := filepath.Join(dir, name)
-		if _, err := os.Stat(p); err == nil {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("no trace for rank %d under %s (tried %s)",
-		r, dir, strings.Join(names, ", "))
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
@@ -382,7 +364,8 @@ type SweepRequest struct {
 	// cache and coalesce like any other.
 	Metrics bool `json:"metrics,omitempty"`
 	// MetricsWindows sets the number of fixed time windows for Metrics
-	// (0: default 10). Part of the canonical cache key.
+	// (0: default 10; at most metrics.MaxWindows). Part of the canonical
+	// cache key.
 	MetricsWindows int `json:"metrics_windows,omitempty"`
 }
 
@@ -416,7 +399,7 @@ type sweepPlan struct {
 	key                  string // canonical cache key
 	digest               string // empty: all-synthetic, no stored trace
 	platKey              string
-	platform             *platform.Platform
+	platform             *platform.BuiltinSpec // nil: every cell sets a topology
 	grid                 sweep.Grid
 	synth                *synth.Model
 	synthSpec            synth.Spec
@@ -439,26 +422,11 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 	if err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "bad grid: %v", err)
 	}
-	worlds := grid.World
-	// The stored trace is needed unless every cell is synthetic: no world
-	// axis means the whole grid replays the stored set, and a 0 entry on
-	// the axis is the recorded world.
-	needTrace := len(worlds) == 0
-	maxWorld := 0
-	for _, w := range worlds {
-		if w == 0 {
-			needTrace = true
-		} else if req.Synth == nil {
-			return nil, httpErrorf(http.StatusBadRequest,
-				"grid world %d needs a synth model to regenerate from", w)
-		}
-		if w > maxWorld {
-			maxWorld = w
-		}
+	if err := grid.CheckInputs(req.Trace != "", req.Synth != nil); err != nil {
+		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
-	if req.Synth != nil && maxWorld == 0 {
-		return nil, httpErrorf(http.StatusBadRequest,
-			"synth model without a positive grid world axis; drop it or add one")
+	if err := metrics.CheckWindows(req.MetricsWindows); err != nil {
+		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
 	ranks := 0
 	if req.Trace != "" {
@@ -466,8 +434,6 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 		if ranks, ok = s.traces.Ranks(req.Trace); !ok {
 			return nil, httpErrorf(http.StatusNotFound, "unknown trace %s", req.Trace)
 		}
-	} else if needTrace {
-		return nil, httpErrorf(http.StatusBadRequest, "missing trace digest")
 	}
 
 	p := &sweepPlan{digest: req.Trace, grid: grid, identity: req.NoMPIModel,
@@ -486,7 +452,7 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 
 	if req.Synth != nil {
 		var herr *httpError
-		if p.synth, p.synthSpec, p.synthKey, herr = parseSynth(req.Synth, worlds); herr != nil {
+		if p.synth, p.synthSpec, p.synthKey, herr = parseSynth(req.Synth, grid.World); herr != nil {
 			return nil, herr
 		}
 	}
@@ -497,17 +463,13 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 	if len(p.grid.Topo) == 0 {
 		spec := req.Platform
 		if spec == "" {
-			n := ranks
-			if maxWorld > n {
-				n = maxWorld
-			}
-			spec = fmt.Sprintf("bordereau:%d", n)
+			spec = fmt.Sprintf("bordereau:%d", max(ranks, grid.MaxWorld()))
 		}
-		key, plat, _, err := s.platforms.get(spec)
+		b, err := platform.ParseBuiltin(spec)
 		if err != nil {
 			return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 		}
-		p.platKey, p.platform = key, plat
+		p.platKey, p.platform = b.String(), b
 	} else if req.Platform != "" {
 		return nil, httpErrorf(http.StatusBadRequest,
 			"platform is ignored when every cell sets a topology; drop it")
@@ -762,7 +724,6 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, bodyHash [32]byt
 	}
 
 	cfg := &sweep.Config{
-		Platform:       plan.platform,
 		Grid:           plan.grid,
 		Traces:         traces,
 		Synth:          plan.synth,
@@ -775,6 +736,12 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, bodyHash [32]byt
 	}
 	if plan.identity {
 		cfg.Model = smpi.Identity()
+	}
+	if plan.platform != nil {
+		var err error
+		if cfg.Platform, err = plan.platform.Build(); err != nil {
+			return sweepOutcome{status: http.StatusInternalServerError, body: errorBody(err.Error())}
+		}
 	}
 	res, err := s.engine.Run(ctx, cfg)
 	s.sweepsRun.Add(1)
@@ -823,17 +790,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // Stats is the /stats snapshot.
 type Stats struct {
-	UptimeSeconds   float64            `json:"uptime_seconds"`
-	Requests        int64              `json:"requests"`
-	SweepsRun       int64              `json:"sweeps_run"`
-	ScenariosServed int64              `json:"scenarios_served"`
-	Inflight        int                `json:"inflight"`
-	Coalesced       int64              `json:"coalesced"`
-	EngineWorkers   int                `json:"engine_workers"`
-	Cache           resultCacheStats   `json:"cache"`
-	Queue           admissionStats     `json:"queue"`
-	Traces          TraceStoreStats    `json:"traces"`
-	Platforms       platformCacheStats `json:"platforms"`
+	UptimeSeconds   float64          `json:"uptime_seconds"`
+	Requests        int64            `json:"requests"`
+	SweepsRun       int64            `json:"sweeps_run"`
+	ScenariosServed int64            `json:"scenarios_served"`
+	Inflight        int              `json:"inflight"`
+	Coalesced       int64            `json:"coalesced"`
+	EngineWorkers   int              `json:"engine_workers"`
+	Cache           resultCacheStats `json:"cache"`
+	Queue           admissionStats   `json:"queue"`
+	Traces          TraceStoreStats  `json:"traces"`
 }
 
 // Snapshot collects the daemon counters.
@@ -850,7 +816,6 @@ func (s *Server) Snapshot() Stats {
 		Cache:           s.results.stats(),
 		Queue:           s.admitted.stats(),
 		Traces:          s.traces.Stats(),
-		Platforms:       s.platforms.stats(),
 	}
 }
 

@@ -149,6 +149,7 @@ func TestSweepSynthMixed(t *testing.T) {
 // axis: every misuse is the client's 4xx, never a mid-sweep failure.
 func TestSweepSynthErrors(t *testing.T) {
 	d := newTestDaemon(t, Config{})
+	dig := d.uploadLU(t, npb.ClassS, 4)
 	model := luModelJSON(t, npb.ClassS, 16)
 	cases := []struct {
 		name, body string
@@ -156,13 +157,16 @@ func TestSweepSynthErrors(t *testing.T) {
 		want       string
 	}{
 		{"world without synth", `{"grid":{"world":"8"}}`,
-			http.StatusBadRequest, "needs a synth model"},
+			http.StatusBadRequest, "needs a fitted model"},
 		{"synth without world",
 			fmt.Sprintf(`{"synth":{"model":%s}}`, model),
-			http.StatusBadRequest, "without a positive grid world axis"},
+			http.StatusBadRequest, "needs a positive world"},
 		{"recorded cell without trace",
 			fmt.Sprintf(`{"grid":{"world":"0,8"},"synth":{"model":%s}}`, model),
-			http.StatusBadRequest, "missing trace digest"},
+			http.StatusBadRequest, "need a trace set"},
+		{"synth with only the recorded world",
+			fmt.Sprintf(`{"trace":%q,"grid":{"world":"0"},"synth":{"model":%s}}`, dig, model),
+			http.StatusBadRequest, "needs a positive world"},
 		{"empty model", `{"grid":{"world":"8"},"synth":{}}`,
 			http.StatusBadRequest, "synth needs a model"},
 		{"bad model", `{"grid":{"world":"8"},"synth":{"model":{"app":42}}}`,

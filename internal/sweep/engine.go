@@ -23,14 +23,15 @@ type Config struct {
 	Platform *platform.Platform
 	// Grid spans the scenario space.
 	Grid Grid
-	// Traces is the shared trace set. It is only read. Required unless
-	// every grid cell is synthetic (Grid.World all positive with Synth
-	// set), in which case it may be nil.
+	// Traces is the shared trace set. It is only read. Grid.CheckInputs
+	// decides when it is required: for recorded cells, i.e. a grid with no
+	// World axis or a 0 entry on it. It may be nil otherwise.
 	Traces *TraceSet
 	// Synth is the fitted statistical model (see internal/synth) that
 	// synthetic cells — grid cells with a positive World — regenerate
-	// their rank streams from, on the fly, without trace files. Required
-	// when Grid.World has positive entries; ignored otherwise.
+	// their rank streams from, on the fly, without trace files. By
+	// Grid.CheckInputs it is required exactly when Grid.World has a
+	// positive entry.
 	Synth *synth.Model
 	// SynthSpec templates the synthetic generation: its scaling law, seed,
 	// jitter and explicit grid apply to every synthetic cell, while its
@@ -41,8 +42,6 @@ type Config struct {
 	// Registry binds action keywords to handlers for every scenario replay;
 	// nil means replay.Default(). It is shared read-only between workers.
 	Registry *replay.Registry
-	// EagerThreshold is forwarded to every replay (see replay.Config).
-	EagerThreshold float64
 	// Workers bounds the pool replaying scenarios concurrently; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
@@ -194,7 +193,7 @@ func (t *taskTracers) config(cfg *Config, model *smpi.Model, sc Scenario) replay
 // replayConfig is the scenario's replay configuration, shared by every
 // replay variant (from-scratch, donor, forked member).
 func replayConfig(cfg *Config, model *smpi.Model, sc Scenario) replay.Config {
-	return replay.Config{Model: model, Registry: cfg.Registry, EagerThreshold: cfg.EagerThreshold,
+	return replay.Config{Model: model, Registry: cfg.Registry,
 		Collectives: sc.Coll, Faults: sc.Fault, Ckpt: sc.Ckpt}
 }
 
@@ -233,28 +232,16 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		model = smpi.Default()
 	}
 
+	if err := cfg.Grid.CheckInputs(cfg.Traces != nil && cfg.Traces.Ranks() > 0, cfg.Synth != nil); err != nil {
+		return nil, err
+	}
 	scenarios := cfg.Grid.Expand()
-	needBase, hasRecorded, hasSynth := false, false, false
-	for i := range scenarios {
-		if scenarios[i].Topo == nil {
-			needBase = true
-		}
-		if scenarios[i].World > 0 {
-			hasSynth = true
-		} else {
-			hasRecorded = true
-		}
-	}
-	if hasRecorded && (cfg.Traces == nil || cfg.Traces.Ranks() == 0) {
-		return nil, fmt.Errorf("sweep: empty trace set")
-	}
-	if hasSynth && cfg.Synth == nil {
-		return nil, fmt.Errorf("sweep: grid has synthetic worlds but no fitted model (Config.Synth)")
-	}
+	// A non-empty topology axis gives every cell a generated platform.
+	needBase := len(cfg.Grid.Topo) == 0
 	// One generator per distinct synthetic world, shared read-only by every
 	// scenario at that size (per-rank cursors are created per replay, so
 	// workers never share mutable generation state).
-	if hasSynth {
+	if cfg.Synth != nil {
 		gens := make(map[int]*synth.Gen)
 		for i := range scenarios {
 			sc := &scenarios[i]

@@ -10,6 +10,11 @@
 // between workers; each scenario is one replay on one kernel and owns every
 // piece of mutable state that replay touches (kernel, pools, interning
 // tables, tracer), so results are byte-identical whatever the worker count.
+//
+// The package is the one front door for sweep inputs: GridSpec.Parse reads
+// every axis in the shared flag/request syntax, and Grid.CheckInputs decides
+// which inputs — recorded traces, a fitted synthetic model — a grid needs.
+// Engine.Run, tisweep and tiserved all apply that one check.
 package sweep
 
 import (
@@ -126,6 +131,39 @@ func (g Grid) Size() int {
 		len(orFloats(g.PowerScale)) * len(orInts(g.Fold, 1)) * len(orInts(g.Hosts, 0)) *
 		len(orColl(g.Coll)) * len(orTopos(g.Topo)) *
 		len(orFaults(g.Faults)) * len(orCkpts(g.Ckpt)) * len(orInts(g.World, 0))
+}
+
+// MaxWorld returns the grid's largest synthetic world size, 0 when it has
+// no synthetic cell.
+func (g Grid) MaxWorld() int {
+	n := 0
+	for _, w := range g.World {
+		n = max(n, w)
+	}
+	return n
+}
+
+// CheckInputs states which inputs a sweep over the grid needs, for every
+// front end (Engine.Run, tisweep, tiserved) alike: haveTraces reports a
+// recorded trace set, haveModel a fitted synthetic model. A positive world
+// needs a model; a model needs at least one positive world; and recorded
+// cells — a grid with no world axis or a 0 entry — need traces.
+func (g Grid) CheckInputs(haveTraces, haveModel bool) error {
+	recorded := len(g.World) == 0
+	for _, w := range g.World {
+		if w == 0 {
+			recorded = true
+		} else if !haveModel {
+			return fmt.Errorf("sweep: world %d needs a fitted model to regenerate from", w)
+		}
+	}
+	if haveModel && g.MaxWorld() == 0 {
+		return fmt.Errorf("sweep: a fitted model needs a positive world on the grid")
+	}
+	if recorded && !haveTraces {
+		return fmt.Errorf("sweep: recorded cells (no world axis or a 0 entry) need a trace set")
+	}
+	return nil
 }
 
 // Scenario is one fully instantiated cell of the grid.

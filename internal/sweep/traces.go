@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 
 	"tireplay/internal/replay"
@@ -40,7 +38,7 @@ func LoadDir(dir string, n int) (*TraceSet, error) {
 		mapped:  make([]*trace.MappedTrace, n),
 	}
 	for r := 0; r < n; r++ {
-		path, err := resolveTraceFile(dir, r)
+		path, err := trace.RankFile(dir, r)
 		if err != nil {
 			ts.Close()
 			return nil, err
@@ -67,19 +65,6 @@ func LoadDir(dir string, n int) (*TraceSet, error) {
 		ts.perRank[r] = acts
 	}
 	return ts, nil
-}
-
-// resolveTraceFile locates rank r's trace file under dir.
-func resolveTraceFile(dir string, r int) (string, error) {
-	names := []string{trace.ProcessFileName(r), trace.GzipFileName(r), trace.BinaryFileName(r)}
-	for _, name := range names {
-		p := filepath.Join(dir, name)
-		if _, err := os.Stat(p); err == nil {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("sweep: no trace for rank %d under %s (tried %s)",
-		r, dir, strings.Join(names, ", "))
 }
 
 // Ranks returns the number of ranks in the set.

@@ -170,6 +170,43 @@ func TestSweepWorldDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGridCheckInputs walks the input rules every front end shares over
+// world axis x traces x model: a positive world needs a model, a model
+// needs a positive world, and recorded cells need traces.
+func TestGridCheckInputs(t *testing.T) {
+	cases := []struct {
+		world             []int
+		traces, model, ok bool
+		want              string
+	}{
+		{nil, true, false, true, ""},
+		{nil, false, false, false, "need a trace set"},
+		{nil, true, true, false, "needs a positive world"},
+		{[]int{0}, true, false, true, ""},
+		{[]int{0}, true, true, false, "needs a positive world"},
+		{[]int{0}, false, false, false, "need a trace set"},
+		{[]int{8}, false, true, true, ""},
+		{[]int{8}, true, true, true, ""},
+		{[]int{8}, true, false, false, "world 8 needs a fitted model"},
+		{[]int{0, 8}, true, true, true, ""},
+		{[]int{0, 8}, false, true, false, "need a trace set"},
+		{[]int{0, 8}, true, false, false, "world 8 needs a fitted model"},
+	}
+	for _, c := range cases {
+		err := Grid{World: c.world}.CheckInputs(c.traces, c.model)
+		if c.ok != (err == nil) || (err != nil && !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("world %v traces=%t model=%t: err %v, want ok=%t %q",
+				c.world, c.traces, c.model, err, c.ok, c.want)
+		}
+	}
+	if n := (Grid{World: []int{0, 24, 12}}).MaxWorld(); n != 24 {
+		t.Errorf("MaxWorld = %d, want 24", n)
+	}
+	if n := (Grid{}).MaxWorld(); n != 0 {
+		t.Errorf("MaxWorld of a recorded grid = %d, want 0", n)
+	}
+}
+
 func TestSweepWorldErrors(t *testing.T) {
 	// A synthetic world without a fitted model is a configuration error.
 	_, err := Run(context.Background(), &Config{
@@ -184,7 +221,7 @@ func TestSweepWorldErrors(t *testing.T) {
 		Platform: platform.BordereauWithCores(8, 1),
 		Grid:     Grid{},
 	})
-	if err == nil || !strings.Contains(err.Error(), "empty trace set") {
+	if err == nil || !strings.Contains(err.Error(), "need a trace set") {
 		t.Fatalf("recorded grid without traces: %v", err)
 	}
 	// A bad synthetic spec (grid not tiling a world) surfaces as a sweep

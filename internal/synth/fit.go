@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"tireplay/internal/trace"
@@ -110,7 +108,7 @@ func FitDir(dir string, ranks int) (*Model, error) {
 	}
 	perRank := make([][]trace.Action, ranks)
 	for r := range perRank {
-		path, err := resolveRankFile(dir, r)
+		path, err := trace.RankFile(dir, r)
 		if err != nil {
 			return nil, err
 		}
@@ -121,21 +119,6 @@ func FitDir(dir string, ranks int) (*Model, error) {
 		perRank[r] = acts
 	}
 	return Fit(perRank)
-}
-
-func resolveRankFile(dir string, rank int) (string, error) {
-	names := []string{
-		trace.ProcessFileName(rank),
-		trace.GzipFileName(rank),
-		trace.BinaryFileName(rank),
-	}
-	for _, name := range names {
-		p := filepath.Join(dir, name)
-		if _, err := os.Stat(p); err == nil {
-			return p, nil
-		}
-	}
-	return "", fmt.Errorf("synth: no trace for rank %d in %s (tried %v)", rank, dir, names)
 }
 
 // ---------------------------------------------------------------------------

@@ -163,6 +163,21 @@ func BinaryFileName(rank int) string {
 	return fmt.Sprintf("SG_process%d.tib", rank)
 }
 
+// RankFile locates rank's trace file under dir among the three encodings
+// tau2ti emits, preferring text, then gzip, then binary. The error names
+// every file it tried.
+func RankFile(dir string, rank int) (string, error) {
+	names := []string{ProcessFileName(rank), GzipFileName(rank), BinaryFileName(rank)}
+	for _, name := range names {
+		p := filepath.Join(dir, name)
+		if _, err := os.Stat(p); err == nil {
+			return p, nil
+		}
+	}
+	return "", fmt.Errorf("trace: no trace for rank %d under %s (tried %s)",
+		rank, dir, strings.Join(names, ", "))
+}
+
 // WriteSplit writes one trace file per process under dir, named with
 // ProcessFileName, and returns the file paths indexed by rank. Ranks with no
 // actions still get an (empty) file so deployments stay aligned.

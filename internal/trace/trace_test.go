@@ -334,6 +334,37 @@ func TestWriteSplit(t *testing.T) {
 	}
 }
 
+// TestRankFile pins the encoding preference (text, then gzip, then binary)
+// by removing the preferred file one at a time, and checks a missing rank's
+// error names every file tried.
+func TestRankFile(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{ProcessFileName(3), GzipFileName(3), BinaryFileName(3)}
+	for _, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range names {
+		got, err := RankFile(dir, 3)
+		if err != nil || got != filepath.Join(dir, want) {
+			t.Fatalf("RankFile = %q, %v; want %s", got, err, want)
+		}
+		if err := os.Remove(got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := RankFile(dir, 3)
+	if err == nil {
+		t.Fatal("missing rank resolved")
+	}
+	for _, name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+}
+
 func TestWriteSplitRejectsForeignRank(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := WriteSplit(dir, 2, []Action{{Proc: 5, Type: Barrier, Peer: -1}}); err == nil {
