@@ -10,8 +10,11 @@
 //     one kernel run
 //  5. flood a 1-slot/1-queue daemon with distinct requests — overflow must
 //     shed with 429 + Retry-After while admitted work completes
-//  6. SIGTERM the daemon — it must drain and exit 0, and with -leakcheck
-//     it proves no goroutine outlived shutdown
+//  6. run an abort-policy fault sweep — a fail-stop that kills a rank must
+//     answer 200 with a diagnosed err row, and its blocked survivors must
+//     not outlive the run
+//  7. SIGTERM the daemon — it must drain and exit 0, and with -leakcheck
+//     it proves no goroutine outlived shutdown (aborted ranks included)
 //
 // Run with: go run ./examples/serve
 // (builds cmd/tiserved itself; pass -daemon to reuse a prebuilt binary)
@@ -177,10 +180,21 @@ func main() {
 	if st := <-slowDone; st != http.StatusOK {
 		log.Fatalf("admitted sweep was disturbed by the flood: status %d", st)
 	}
-	final := stats(base)
 	log.Printf("flood: %d/4 shed with 429+Retry-After, admitted sweep unharmed", shed.Load())
 
-	// 6. Graceful shutdown: drain, exit 0, no goroutines left behind.
+	// 6. An abort-policy fault sweep: host 1 fail-stops at t=0, so its rank
+	// dies and the survivors block on it until the kernel gives up. The
+	// answer is a row carrying the diagnosis; the -leakcheck below proves
+	// the blocked ranks were released.
+	st, _, aborted := post(base+"/sweeps", fmt.Sprintf(`{"trace":%q,"grid":{"fault":"host:1@0"}}`, digest))
+	if st != http.StatusOK {
+		log.Fatalf("fault sweep: status %d: %s", st, aborted)
+	}
+	assertAborted(aborted)
+	final := stats(base)
+	log.Printf("fault sweep: 200 with the lost-rank diagnosis in its row")
+
+	// 7. Graceful shutdown: drain, exit 0, no goroutines left behind.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		log.Fatalf("signalling daemon: %v", err)
 	}
@@ -279,6 +293,22 @@ func assertScenarios(body []byte, want int) {
 		if sc.Err != "" || sc.SimulatedTime <= 0 {
 			log.Fatalf("scenario %d: err=%q t=%g", i, sc.Err, sc.SimulatedTime)
 		}
+	}
+}
+
+// assertAborted checks that a one-cell fault sweep came back as a single row
+// diagnosing the ranks the fail-stop killed.
+func assertAborted(body []byte) {
+	var resp struct {
+		Scenarios []struct {
+			Err string `json:"err"`
+		} `json:"scenarios"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		log.Fatalf("decoding fault sweep response: %v", err)
+	}
+	if len(resp.Scenarios) != 1 || !strings.Contains(resp.Scenarios[0].Err, "lost to fail-stop faults") {
+		log.Fatalf("fault sweep: want one row diagnosing lost ranks, got %s", body)
 	}
 }
 

@@ -9,10 +9,9 @@ import (
 	"tireplay/internal/trace"
 )
 
-// p2pMbox names the mailbox of point-to-point traffic between two ranks.
-// The interned fast path resolves these names once per rank pair at spawn
-// time; the name-per-rendezvous reference path (Config.StringMailboxes)
-// formats them on every action.
+// p2pMbox names the mailbox of point-to-point traffic between two ranks on
+// the string-keyed reference path (Config.StringMailboxes), which formats
+// it on every action.
 func p2pMbox(src, dst int) string {
 	return "replay:" + strconv.Itoa(src) + ">" + strconv.Itoa(dst)
 }
@@ -24,32 +23,14 @@ func collMbox(seq int64, src, dst int) string {
 	return "replay:coll" + strconv.FormatInt(seq, 10) + ":" + strconv.Itoa(src) + ">" + strconv.Itoa(dst)
 }
 
-// sendMbox resolves the mailbox this rank sends to dst on, interning the
-// name on first use and serving the cached ID afterwards.
-func (p *Proc) sendMbox(dst int) simx.MailboxID {
-	if p.sendMb.disabled() {
-		return p.Sim.Kernel().MailboxID(p2pMbox(p.Rank, dst))
+// p2pMboxID resolves the mailbox of src-to-dst point-to-point traffic. On
+// the interned path the ID comes from the world's pair table, created on
+// the pair's first message with no name formatted or hashed.
+func (p *Proc) p2pMboxID(src, dst int) simx.MailboxID {
+	if p.world.stringMailboxes {
+		return p.Sim.Kernel().MailboxID(p2pMbox(src, dst))
 	}
-	if id, ok := p.sendMb.get(dst); ok {
-		return id
-	}
-	id := p.Sim.Kernel().MailboxID(p2pMbox(p.Rank, dst))
-	p.sendMb.put(dst, id)
-	return id
-}
-
-// recvMbox resolves the mailbox this rank receives from src on, interning
-// the name on first use and serving the cached ID afterwards.
-func (p *Proc) recvMbox(src int) simx.MailboxID {
-	if p.recvMb.disabled() {
-		return p.Sim.Kernel().MailboxID(p2pMbox(src, p.Rank))
-	}
-	if id, ok := p.recvMb.get(src); ok {
-		return id
-	}
-	id := p.Sim.Kernel().MailboxID(p2pMbox(src, p.Rank))
-	p.recvMb.put(src, id)
-	return id
+	return p.world.pairMbox(&p.world.p2p, src, dst)
 }
 
 // collMbox resolves the mailbox of the (src,dst) leg of collective round
@@ -59,7 +40,7 @@ func (p *Proc) collMbox(seq int64, src, dst int) simx.MailboxID {
 	if p.world.stringMailboxes {
 		return p.Sim.Kernel().MailboxID(collMbox(seq, src, dst))
 	}
-	return p.world.pairMbox(p.world.round(seq), src, dst)
+	return p.world.pairMbox(&p.world.round(seq).pairs, src, dst)
 }
 
 // runCollective decomposes one traced collective into the point-to-point
@@ -109,10 +90,10 @@ func handleCompute(p *Proc, a trace.Action) error {
 }
 
 // checkPeer rejects peers outside the deployment: the run loop does not
-// re-validate actions (a custom Source can hand over anything), and the
-// interned mailbox tables are rank-sized, so an out-of-range peer — in
-// either direction — must fail with a diagnostic (on both mailbox paths)
-// rather than an index panic or a bare deadlock.
+// re-validate actions (a custom Source can hand over anything), and the pair
+// table keys src*n+dst alias across ranks for an out-of-range peer, so such
+// a peer — in either direction — must fail with a diagnostic (on both
+// mailbox paths) rather than meet a stranger's traffic or a bare deadlock.
 func (p *Proc) checkPeer(peer int) error {
 	if peer < 0 || peer >= p.N {
 		return fmt.Errorf("replay: p%d names peer p%d but deployment has %d processes",
@@ -131,10 +112,10 @@ func handleSend(p *Proc, a trace.Action) error {
 		return err
 	}
 	if a.Volume <= p.cfg.EagerThreshold {
-		p.Sim.ISendDetachedID(p.sendMbox(a.Peer), a.Volume, nil)
+		p.Sim.ISendDetachedID(p.p2pMboxID(p.Rank, a.Peer), a.Volume, nil)
 		return nil
 	}
-	p.Sim.SendID(p.sendMbox(a.Peer), a.Volume, nil)
+	p.Sim.SendID(p.p2pMboxID(p.Rank, a.Peer), a.Volume, nil)
 	return nil
 }
 
@@ -147,7 +128,7 @@ func handleIsend(p *Proc, a trace.Action) error {
 	if err := p.checkPeer(a.Peer); err != nil {
 		return err
 	}
-	p.Sim.ISendDetachedID(p.sendMbox(a.Peer), a.Volume, nil)
+	p.Sim.ISendDetachedID(p.p2pMboxID(p.Rank, a.Peer), a.Volume, nil)
 	return nil
 }
 
@@ -156,7 +137,7 @@ func handleRecv(p *Proc, a trace.Action) error {
 	if err := p.checkPeer(a.Peer); err != nil {
 		return err
 	}
-	p.Sim.RecvID(p.recvMbox(a.Peer))
+	p.Sim.RecvID(p.p2pMboxID(a.Peer, p.Rank))
 	return nil
 }
 
@@ -166,7 +147,7 @@ func handleIrecv(p *Proc, a trace.Action) error {
 	if err := p.checkPeer(a.Peer); err != nil {
 		return err
 	}
-	p.pending.Push(p.Sim.IRecvID(p.recvMbox(a.Peer)))
+	p.pending.Push(p.Sim.IRecvID(p.p2pMboxID(a.Peer, p.Rank)))
 	return nil
 }
 

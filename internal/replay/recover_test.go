@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tireplay/internal/platform"
 	"tireplay/internal/smpi"
@@ -259,6 +260,31 @@ func TestReplayAbortDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("abort diagnosis not deterministic:\n%s\n%s", a, b)
+	}
+}
+
+// TestReplayAbortReleasesRanks: an aborted replay leaves ranks 2 and 3
+// blocked on their dead peers. Run must still return the lost-rank
+// diagnosis, and neither rank may outlive it, run after run.
+func TestReplayAbortReleasesRanks(t *testing.T) {
+	faults, err := platform.ParseFaultSpec("host:1@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		b, d, perRank := faultSetup(t)
+		_, err := RunActions(b, d, Config{Model: smpi.Identity(), Faults: faults}, perRank)
+		var fre *FailedRanksError
+		if !errors.As(err, &fre) || len(fre.Ranks) != 2 || fre.Ranks[0].Actions != 1 {
+			t.Fatalf("run %d: err = %v, want ranks 0 and 1 lost", i, err)
+		}
+	}
+	for i := 0; i < 50 && runtime.NumGoroutine() > before; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, after)
 	}
 }
 

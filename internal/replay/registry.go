@@ -19,8 +19,8 @@ import (
 )
 
 // Handler implements the simulated behaviour of one action keyword. It runs
-// in the replayer process's goroutine and may use every blocking operation
-// of p.Sim.
+// inside the replayer process's coroutine (see simx.Proc) and may use every
+// blocking operation of p.Sim.
 type Handler func(p *Proc, a trace.Action) error
 
 // Registry binds action keywords to handlers, the analogue of

@@ -30,10 +30,10 @@ type Config struct {
 	// execution (the secondary output of Figure 4).
 	TimedTracer simx.Tracer
 	// StringMailboxes switches the handlers back to formatting and hashing
-	// a mailbox name on every rendezvous instead of the interned mailbox
-	// IDs resolved at rank spawn time. This is the reference path kept for
-	// the interning equivalence tests; both paths address the same
-	// mailboxes and produce identical timed traces.
+	// a mailbox name on every rendezvous instead of the anonymous mailbox
+	// IDs of the world's pair tables. This is the reference path kept for
+	// the interning equivalence tests; both paths pair the same sends with
+	// the same receives and produce identical timed traces.
 	StringMailboxes bool
 	// Collectives selects the algorithm decomposing each collective action
 	// into point-to-point schedules (see internal/coll). The zero value
@@ -90,9 +90,12 @@ type Result struct {
 	Resilience *Resilience
 }
 
-// Proc is the per-rank replayer context handed to action handlers.
+// Proc is the per-rank replayer context handed to action handlers. It
+// holds only rank-local state; the mailboxes a rank meets its peers in live
+// in the shared world.
 type Proc struct {
-	// Sim is the simulation process executing this rank's actions.
+	// Sim is the simulation process executing this rank's actions: a kernel
+	// coroutine that suspends whenever a handler blocks.
 	Sim *simx.Proc
 	// Rank is the process id of the trace being replayed.
 	Rank int
@@ -101,13 +104,6 @@ type Proc struct {
 
 	cfg   *Config
 	world *world
-
-	// sendMb / recvMb cache the rank's interned point-to-point mailbox IDs
-	// (this rank to peer, peer to this rank), resolved on first use; the
-	// zero caches mark the string-keyed reference path. Sized by the peers
-	// the rank actually talks to, not by the world (see mboxCache).
-	sendMb mboxCache
-	recvMb mboxCache
 
 	// pending is the FIFO of outstanding Irecv requests; the queue reuses
 	// its backing array, so wait-heavy traces do not grow it per round.
@@ -138,6 +134,12 @@ type world struct {
 	n               int
 	stringMailboxes bool
 
+	// p2p holds the point-to-point mailbox of every (src,dst) pair that has
+	// exchanged a message, created on first use: a rank pair's traffic
+	// meets in one anonymous mailbox, no name is formatted or hashed, and
+	// the table grows with the pairs that talk, not with the world squared.
+	p2p pairTable
+
 	// Collective round window. rounds[head:] holds the live rounds in
 	// sequence order, rounds[head] being round `base`: every rank executes
 	// the same collective sequence, so rounds are created on demand in
@@ -154,18 +156,25 @@ type world struct {
 	free   []*collRound
 }
 
-// collRound holds the pair mailboxes of one collective round as a small
-// open-addressing table keyed by src*n+dst: every schedule sends at most
-// once per (round, src, dst), so a round uses at most n directed pairs and
-// the table stays O(n) — a dense n-by-n slice would make the 2(n-1)
-// simultaneously-live rounds of a ring allReduce cost O(n^3) memory. keys
-// holds src*n+dst+1 (0 = empty slot); refs counts the ranks still executing
-// the collective the round belongs to.
-type collRound struct {
-	refs int
+// pairTable maps directed rank pairs to anonymous mailboxes with open
+// addressing keyed by src*n+dst: a dense n-by-n slice would cost O(n^2)
+// memory per table, while the pairs that actually exchange messages are
+// O(n) for the stencil and tree patterns traces show. keys holds
+// src*n+dst+1 (0 = empty slot).
+type pairTable struct {
 	used int // occupied slots, live and stale
 	keys []int64
 	vals []simx.MailboxID
+}
+
+// collRound holds the pair mailboxes of one collective round: every
+// schedule sends at most once per (round, src, dst), so a round uses at most
+// n directed pairs and its table stays O(n) even though a ring allReduce
+// keeps 2(n-1) rounds live at once. refs counts the ranks still executing
+// the collective the round belongs to.
+type collRound struct {
+	refs  int
+	pairs pairTable
 }
 
 // round returns (creating rounds up to seq on demand) round seq's mailboxes.
@@ -177,13 +186,7 @@ func (w *world) round(seq int64) *collRound {
 			w.free[n-1] = nil
 			w.free = w.free[:n-1]
 		} else {
-			// Start small and let grow() right-size by the pairs the round
-			// actually sees: dense rounds (a linear star's single round uses
-			// ~n pairs) reach O(n) capacity through log n geometric regrows
-			// on the first round ever, after which the free list recycles the
-			// grown table; sparse rounds (tree and ring schedules move O(1)
-			// pairs per rank and round) never pay for 2n slots up front.
-			r = &collRound{keys: make([]int64, 64), vals: make([]simx.MailboxID, 64)}
+			r = new(collRound)
 		}
 		r.refs = w.n
 		w.rounds = append(w.rounds, r)
@@ -191,33 +194,42 @@ func (w *world) round(seq int64) *collRound {
 	return w.rounds[w.head+int(seq-w.base)]
 }
 
-// pairMbox resolves the src-to-dst mailbox of a round, creating it on first
-// use. Recycled rounds keep their tables: a stale entry from a previous
-// occupant of the struct maps the same pair to a mailbox that was drained
-// when that round retired, so reusing it is free — the steady state neither
-// interns a mailbox nor allocates.
-func (w *world) pairMbox(r *collRound, src, dst int) simx.MailboxID {
+// pairMbox resolves the src-to-dst mailbox of a pair table, creating it on
+// first use. Recycled collective rounds keep their tables: a stale entry
+// from a previous occupant of the struct maps the same pair to a mailbox
+// that was drained when that round retired, so reusing it is free — the
+// steady state neither interns a mailbox nor allocates.
+func (w *world) pairMbox(t *pairTable, src, dst int) simx.MailboxID {
 	key := int64(src)*int64(w.n) + int64(dst) + 1
-	mask := len(r.keys) - 1
+	if t.keys == nil {
+		// Start small and let grow() right-size by the pairs the table
+		// actually sees: dense tables (a linear star's single round uses ~n
+		// pairs) reach O(n) capacity through log n geometric regrows, after
+		// which the round free list recycles the grown table; sparse ones
+		// (tree and ring rounds move O(1) pairs per rank) never pay for 2n
+		// slots up front.
+		t.keys, t.vals = make([]int64, 64), make([]simx.MailboxID, 64)
+	}
+	mask := len(t.keys) - 1
 	// Fibonacci-style multiplicative hash spreads the dense pair keys.
 	i := int(uint64(key)*0x9E3779B97F4A7C15>>32) & mask
 	for {
-		switch r.keys[i] {
+		switch t.keys[i] {
 		case key:
-			return r.vals[i]
+			return t.vals[i]
 		case 0:
 			// Keep occupancy (live + stale) at or below half so probe
 			// chains stay short; growth is geometric and bounded by the
-			// distinct pairs the recycled struct ever sees (<= n^2), so it
-			// amortises away.
-			if r.used >= (mask+1)/2 {
-				r.grow()
-				return w.pairMbox(r, src, dst)
+			// distinct pairs the table ever sees (<= n^2), so it amortises
+			// away.
+			if t.used >= (mask+1)/2 {
+				t.grow()
+				return w.pairMbox(t, src, dst)
 			}
 			id := w.k.NewMailbox()
-			r.keys[i] = key
-			r.vals[i] = id
-			r.used++
+			t.keys[i] = key
+			t.vals[i] = id
+			t.used++
 			return id
 		}
 		i = (i + 1) & mask
@@ -225,21 +237,21 @@ func (w *world) pairMbox(r *collRound, src, dst int) simx.MailboxID {
 }
 
 // grow doubles the table, keeping every entry (stale ones stay reusable).
-func (r *collRound) grow() {
-	oldKeys, oldVals := r.keys, r.vals
-	r.keys = make([]int64, 2*len(oldKeys))
-	r.vals = make([]simx.MailboxID, 2*len(oldVals))
-	mask := len(r.keys) - 1
+func (t *pairTable) grow() {
+	oldKeys, oldVals := t.keys, t.vals
+	t.keys = make([]int64, 2*len(oldKeys))
+	t.vals = make([]simx.MailboxID, 2*len(oldVals))
+	mask := len(t.keys) - 1
 	for j, k := range oldKeys {
 		if k == 0 {
 			continue
 		}
 		i := int(uint64(k)*0x9E3779B97F4A7C15>>32) & mask
-		for r.keys[i] != 0 {
+		for t.keys[i] != 0 {
 			i = (i + 1) & mask
 		}
-		r.keys[i] = k
-		r.vals[i] = oldVals[j]
+		t.keys[i] = k
+		t.vals[i] = oldVals[j]
 	}
 }
 
@@ -505,19 +517,11 @@ func (r *run) spawnRank(slot int) {
 	})
 }
 
-// newProc creates the handler context of deployment slot's rank. Its
-// interned mailbox ID caches (left disabled on the string-keyed reference
-// path) let the first rendezvous with a peer resolve the name once and every
-// later one address the dense ID with no strconv or map hash; they allocate
-// lazily on first use and are sized by the peers the rank talks to, so
-// spawning a rank costs O(1) regardless of the world size.
+// newProc creates the handler context of deployment slot's rank. It holds
+// no per-peer state (point-to-point mailboxes live in the world's pair
+// table), so spawning a rank costs O(1) regardless of the world size.
 func (r *run) newProc(sp *simx.Proc, slot int) *Proc {
-	p := &Proc{Sim: sp, Rank: slot, N: r.world.n, cfg: &r.cfg, world: r.world}
-	if !r.cfg.StringMailboxes {
-		p.sendMb.init(r.world.n)
-		p.recvMb.init(r.world.n)
-	}
-	return p
+	return &Proc{Sim: sp, Rank: slot, N: r.world.n, cfg: &r.cfg, world: r.world}
 }
 
 // stepAction fetches and executes one action of rank slot; false stops the

@@ -1,8 +1,10 @@
 package simx
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestMissingRouteSurfacesAsRunError(t *testing.T) {
@@ -174,4 +176,105 @@ func TestNowAdvancesMonotonically(t *testing.T) {
 			t.Fatalf("clock not monotonic: %v", stamps)
 		}
 	}
+}
+
+// goroutinesBackTo waits briefly for the goroutine count to return to
+// before and reports the count it settled at.
+func goroutinesBackTo(before int) int {
+	for i := 0; i < 50; i++ {
+		if n := runtime.NumGoroutine(); n <= before {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
+
+// TestRunReleasesUnfinishedProcesses: a Run that ends early — deadlock or a
+// process panic — must stop every unfinished process before returning, so
+// no coroutine outlives the simulation. Released bodies unwind through
+// their defers (with a panic that is not a fail-stop kill), and the error
+// Run returns is the one the simulation produced.
+func TestRunReleasesUnfinishedProcesses(t *testing.T) {
+	// unwound returns a body defer that records the unwinding and re-raises
+	// it, the way replay rank bodies treat foreign panics.
+	unwound := func(t *testing.T, ran *int) func() {
+		return func() {
+			r := recover()
+			if r == nil {
+				t.Error("a released body returned instead of unwinding")
+				return
+			}
+			if FailureOf(r) != nil {
+				t.Errorf("release unwound as a fail-stop kill: %v", r)
+			}
+			*ran++
+			panic(r)
+		}
+	}
+
+	t.Run("deadlock", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		k, a, b := twoHostKernel()
+		var defers int
+		k.Spawn("recv", a, func(p *Proc) {
+			defer unwound(t, &defers)()
+			p.Recv("never")
+		})
+		k.Spawn("send", b, func(p *Proc) {
+			defer unwound(t, &defers)()
+			p.Send("void", 10, nil)
+		})
+		k.Spawn("done", b, func(p *Proc) { p.Execute(1e6) })
+		_, err := k.Run()
+		want := "simx: deadlock at t=0.001 with 2 blocked process(es): " +
+			"recv: waiting match on comm; send: waiting match on comm"
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %s", err, want)
+		}
+		if defers != 2 {
+			t.Fatalf("%d of 2 blocked bodies unwound", defers)
+		}
+		if n := goroutinesBackTo(before); n > before {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+		}
+	})
+
+	t.Run("panic", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		k, a, b := twoHostKernel()
+		var defers int
+		freshRan := false
+		// Spawn order is step order: blocked parks on a rendezvous nobody
+		// serves; runnable parks on a send that bad's receive matches, which
+		// makes it runnable again; bad panics before runnable or fresh gets
+		// another step.
+		k.Spawn("blocked", a, func(p *Proc) {
+			defer unwound(t, &defers)()
+			p.Recv("never")
+		})
+		k.Spawn("runnable", a, func(p *Proc) {
+			defer unwound(t, &defers)()
+			p.Send("m", 10, nil)
+		})
+		k.Spawn("bad", b, func(p *Proc) {
+			p.IRecv("m")
+			panic("boom")
+		})
+		k.Spawn("fresh", b, func(p *Proc) { freshRan = true })
+		_, err := k.Run()
+		want := `simx: process "bad" panicked: boom`
+		if err == nil || err.Error() != want {
+			t.Fatalf("err = %v, want %s", err, want)
+		}
+		if defers != 2 {
+			t.Fatalf("%d of 2 started bodies unwound", defers)
+		}
+		if freshRan {
+			t.Fatal("a process released before its first step ran its body")
+		}
+		if n := goroutinesBackTo(before); n > before {
+			t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+		}
+	})
 }

@@ -31,8 +31,8 @@ func (e *FailedError) Error() string {
 
 // killSignal is the panic payload unwinding a process killed by a fail-stop:
 // the blocked operation can never complete, so the process body is aborted.
-// Spawn's recover treats it as a normal death (not a procPanic); bodies that
-// want to record the failure recover it themselves via FailureOf.
+// The process wrapper treats it as a normal death (not a procPanic); bodies
+// that want to record the failure recover it themselves via FailureOf.
 type killSignal struct{ err *FailedError }
 
 // FailureOf extracts the fail-stop error from a recovered panic value. It
@@ -43,7 +43,8 @@ type killSignal struct{ err *FailedError }
 //		if fe := simx.FailureOf(recover()); fe != nil { ... record ... }
 //	}()
 //
-// Non-kill panics must be re-raised by the caller.
+// Non-kill panics must be re-raised by the caller, including the one that
+// unwinds a process the kernel released when Run ended early.
 func FailureOf(r any) *FailedError {
 	if ks, ok := r.(killSignal); ok {
 		return ks.err

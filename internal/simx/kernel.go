@@ -14,10 +14,10 @@
 //     and hierarchical cluster topologies are contended realistically;
 //   - mailboxes with rendezvous semantics used to match sends and receives.
 //
-// Simulated processes are goroutines scheduled cooperatively: exactly one
-// process runs at a time and control returns to the kernel whenever the
-// process blocks on a simulation call, which keeps simulations fully
-// deterministic.
+// Simulated processes are coroutines (iter.Pull) scheduled cooperatively:
+// exactly one process runs at a time and control returns to the kernel
+// whenever the process blocks on a simulation call, which keeps simulations
+// fully deterministic.
 //
 // # Kernel performance notes
 //
@@ -56,6 +56,12 @@
 //     reference path and TestLazyRescheduleMatchesEager pins the
 //     equivalence. Events that do move are sifted in place
 //     (eventq.Queue.Update) instead of removed and re-pushed.
+//
+//   - Processes switch as coroutines: the kernel resumes a process with the
+//     coroutine's next and the process hands control back with its yield,
+//     a direct goroutine switch that bypasses the Go scheduler (no channel
+//     operation, no run-queue wake-up). Every blocking simulation call pays
+//     one such round trip, so it bounds the per-action cost of a replay.
 //
 //   - Activities, queue events and communication handles are pooled on free
 //     lists, mailboxes are interned behind dense IDs (MailboxID) so the
@@ -242,15 +248,18 @@ func (e *DeadlockError) Error() string {
 
 // Run executes the simulation until no process can progress. It returns the
 // final simulated time (the makespan) and a non-nil *DeadlockError if
-// processes remained blocked when the event queue drained.
+// processes remained blocked when the event queue drained. Before returning
+// a deadlock or a process panic it releases every unfinished process, so an
+// aborted simulation leaves no coroutine behind.
 func (k *Kernel) Run() (float64, error) {
 	for {
 		for !k.runq.Empty() {
 			p := k.runq.Pop()
 			k.step(p)
 			if k.procPanic != nil {
-				// A process body panicked: abort the simulation. Blocked
-				// process goroutines are abandoned (the kernel is dead).
+				// A process body panicked: abort the simulation, unwinding
+				// every unfinished process (the kernel is dead).
+				k.release()
 				return k.now, k.procPanic
 			}
 		}
@@ -281,6 +290,7 @@ func (k *Kernel) Run() (float64, error) {
 			}
 		}
 		sort.Strings(blocked)
+		k.release()
 		return k.now, &DeadlockError{Time: k.now, Blocked: blocked}
 	}
 	return k.now, nil

@@ -5,8 +5,8 @@ import "tireplay/internal/fifo"
 // MailboxID is an interned mailbox handle: a dense index into the kernel's
 // mailbox table. Resolving a name costs one map lookup (plus the caller's
 // string formatting); the ID-based operations skip both, which is why the
-// replay tool interns its per-(src,dst) mailboxes once at rank spawn time
-// and addresses every rendezvous by ID afterwards.
+// replay tool addresses every rendezvous by ID, keeping one anonymous
+// mailbox per (src,dst) pair in tables of its own.
 type MailboxID int32
 
 // Mailbox is a rendezvous point matching sends and receives in FIFO order,
@@ -133,8 +133,9 @@ func (k *Kernel) internMailbox(name string, register bool) *Mailbox {
 func (k *Kernel) MailboxID(name string) MailboxID { return k.mailbox(name).id }
 
 // NewMailbox creates an anonymous mailbox reachable only through the
-// returned ID — no name is formatted or hashed. The replay tool derives one
-// per collective round and peer from its round counter.
+// returned ID — no name is formatted or hashed. The replay tool creates one
+// per rank pair that exchanges point-to-point messages, and one per pair
+// and collective round.
 func (k *Kernel) NewMailbox() MailboxID { return k.internMailbox("", false).id }
 
 // mailboxAt resolves an interned ID.

@@ -1,21 +1,24 @@
 package simx
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procState tracks where a process is in its life-cycle.
 type procState uint8
 
 const (
-	stateCreated procState = iota
-	stateRunnable
+	stateRunnable procState = iota
 	stateRunning
 	stateBlocked
 	stateFinished
 )
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// kernel. All simulation calls (Execute, Send, Recv, ...) must be made from
-// the process's own body function.
+// Proc is a simulated process: a coroutine (iter.Pull) that the kernel
+// resumes and that yields back to the kernel whenever it blocks on a
+// simulation call. All simulation calls (Execute, Send, Recv, ...) must be
+// made from the process's own body function.
 type Proc struct {
 	k    *Kernel
 	name string
@@ -36,14 +39,19 @@ type Proc struct {
 	failed   *FailedError
 	opFailed *FailedError
 
-	// hand is the kernel <-> process handoff channel. Control strictly
-	// ping-pongs (the kernel sends to resume the process, the process sends
-	// back to yield), so one unbuffered channel serves both directions —
-	// the direction is implied by whose turn it is.
-	hand chan struct{}
-
-	body func(*Proc)
+	// next resumes the coroutine until the process blocks or finishes;
+	// yield, called from inside it, hands control back to the kernel; stop
+	// unwinds a process the kernel will never resume again (see release).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 }
+
+// releaseSignal is the panic payload unwinding a process the kernel stopped
+// because Run ended with it unfinished (deadlock or another process's
+// panic). It is not a killSignal, so FailureOf ignores it and bodies that
+// re-raise foreign panics pass it on to Proc.run, which absorbs it.
+type releaseSignal struct{}
 
 // Spawn creates a process named name running body on host. Processes start
 // in spawn order when Run is called. The host must already be declared.
@@ -51,44 +59,42 @@ func (k *Kernel) Spawn(name string, host *Host, body func(*Proc)) *Proc {
 	if host == nil {
 		panic("simx: Spawn with nil host")
 	}
-	p := &Proc{
-		k:     k,
-		name:  name,
-		host:  host,
-		state: stateCreated,
-		hand:  make(chan struct{}),
-		body:  body,
-	}
+	p := &Proc{k: k, name: name, host: host}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// Park before the body: Spawn runs the coroutine up to here, so its
+		// set-up allocations count against Spawn rather than Run, and a
+		// process released before its first step never runs its body.
+		if yield(struct{}{}) {
+			p.run(body)
+		}
+		p.state = stateFinished
+		k.living--
+	})
 	k.procs = append(k.procs, p)
 	k.living++
 	k.runq.Push(p)
-	p.state = stateRunnable
-	go func() {
-		<-p.hand
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, killed := r.(killSignal); killed {
-						// A fail-stop kill unwinding the body is a normal
-						// death, not a bug: the process is gone, the
-						// simulation carries on. Bodies that want to record
-						// the failure recover it themselves via FailureOf.
-						return
-					}
-					// Surface the panic as a Run error instead of killing
-					// the whole program; the kernel aborts the simulation.
-					if p.k.procPanic == nil {
-						p.k.procPanic = fmt.Errorf("simx: process %q panicked: %v", p.name, r)
-					}
-				}
-			}()
-			p.body(p)
-		}()
-		p.state = stateFinished
-		p.k.living--
-		p.hand <- struct{}{}
-	}()
+	p.next()
 	return p
+}
+
+// run executes the body, absorbing the panics that end a process normally.
+func (p *Proc) run(body func(*Proc)) {
+	defer func() {
+		switch r := recover().(type) {
+		case nil, killSignal, releaseSignal:
+			// A fail-stop kill or a release unwinding the body is a normal
+			// death, not a bug: the process is gone. Bodies that want to
+			// record a failure recover it themselves via FailureOf.
+		default:
+			// Surface the panic as a Run error instead of killing the whole
+			// program; the kernel aborts the simulation.
+			if p.k.procPanic == nil {
+				p.k.procPanic = fmt.Errorf("simx: process %q panicked: %v", p.name, r)
+			}
+		}
+	}()
+	body(p)
 }
 
 // step runs p until it blocks or finishes.
@@ -97,10 +103,18 @@ func (k *Kernel) step(p *Proc) {
 		panic("simx: stepping process that is not runnable: " + p.name)
 	}
 	p.state = stateRunning
-	p.hand <- struct{}{}
-	<-p.hand
-	if p.state == stateRunning {
-		panic("simx: process yielded without blocking or finishing: " + p.name)
+	p.next()
+}
+
+// release stops every unfinished process, so a Run that ends early leaves
+// no coroutine behind: a blocked or runnable process unwinds its body
+// (running its defers) through releaseSignal, a process never stepped
+// returns without running its body.
+func (k *Kernel) release() {
+	for _, p := range k.procs {
+		if p.state != stateFinished {
+			p.stop()
+		}
 	}
 }
 
@@ -115,16 +129,19 @@ const (
 	blockComm
 )
 
-// block suspends the calling process until the kernel wakes it. Must be
-// called from the process goroutine. A wake-up caused by a fail-stop raises
-// the kill signal instead of returning: the blocked operation can never
-// complete, so the process unwinds (see FailureOf).
+// block suspends the calling process until the kernel wakes it: it yields
+// the process's coroutine back to the kernel, which resumes it with next.
+// Must be called from the process's own body. A wake-up caused by a
+// fail-stop raises the kill signal instead of returning: the blocked
+// operation can never complete, so the process unwinds (see FailureOf). A
+// process the kernel released unwinds with the release signal.
 func (p *Proc) block(kind blockKind) {
 	p.state = stateBlocked
 	p.blockKind = kind
 	p.k.blocked++
-	p.hand <- struct{}{}
-	<-p.hand
+	if !p.yield(struct{}{}) {
+		panic(releaseSignal{})
+	}
 	if p.failed != nil {
 		panic(killSignal{p.failed})
 	}

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tireplay/internal/npb"
 	"tireplay/internal/platform"
@@ -173,6 +174,38 @@ func TestSweepFaultAxisDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("rendered table misses %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestSweepFaultCellReleasesRanks: an abort-policy fault cell ends with the
+// surviving ranks blocked on their dead peers. Once the sweep returns its
+// diagnosed row, neither a pool worker nor any of those ranks may still be
+// alive.
+func TestSweepFaultCellReleasesRanks(t *testing.T) {
+	ts := luTraces(t, npb.ClassS, 4)
+	fault, err := platform.ParseFaultSpec("host:1@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	res, err := Run(context.Background(), &Config{
+		Platform: platform.BordereauWithCores(4, 1),
+		Grid:     Grid{Faults: []*platform.FaultSpec{fault}},
+		Traces:   ts,
+		Workers:  2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Scenarios) != 1 || !strings.Contains(res.Scenarios[0].Err, "lost to fail-stop faults") {
+		t.Fatalf("fault cell rows = %+v, want one abort diagnosis", res.Scenarios)
+	}
+	for i := 0; i < 50; i++ {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
 }
 
 // TestSweepPanickingScenarioIsIsolated wires a handler that deliberately
