@@ -22,8 +22,10 @@ import (
 
 // ErrForkUnsafe reports that a forked replay could not be proven equivalent
 // to a from-scratch run: a post-divergence activity overlapped a resource
-// the prefix was still using, or an exact completion-time tie made the
-// merged timed-trace order ambiguous. Callers rerun the member from scratch.
+// the prefix was still using, an exact completion-time tie made the merged
+// timed-trace order ambiguous, or the member's platform numbers its
+// resources differently from the donor's. Callers rerun the member from
+// scratch.
 var ErrForkUnsafe = errors.New("replay: forked run not provably equivalent")
 
 // Forkable reports whether a replay configuration may participate in a
@@ -156,69 +158,110 @@ type forkRecord struct {
 	start, end float64
 }
 
+func (rec *forkRecord) emit(tr simx.Tracer) {
+	if rec.comm {
+		tr.Comm(rec.a, rec.b, rec.vol, rec.start, rec.end)
+	} else {
+		tr.Compute(rec.a, rec.b, rec.vol, rec.start, rec.end)
+	}
+}
+
 // forkRecorder observes a fork-group run. On the donor it accumulates the
 // per-resource usage horizon (the last instant the prefix used each host and
 // link) and, when the group needs timed output, the records themselves plus
 // the set of exact completion instants. On a member it checks each completed
-// activity against the donor's horizon on the fly.
+// activity against the donor's horizon on the fly and streams the merged
+// donor and member records to the member's tracer.
+//
+// Resources are numbered densely: hosts by Host.ID, then the route walk's
+// link indices (declared links, then one loopback per host) offset by the
+// host count. Builds of one platform description number identically, so a
+// donor's horizons index a member's kernel directly.
 type forkRecorder struct {
-	k      *simx.Kernel
-	hostOf map[string]string // proc name -> host name, from the deployment
-	keep   bool              // retain records (timed traces / profiles)
-	recs   []forkRecord
+	k     *simx.Kernel
+	procs map[string]*simx.Host // deployment proc name -> its host
+	nh    int32                 // host count: link indices start after it
 
 	// Donor side.
-	lastEnd map[string]float64
+	keep    bool // retain records (timed traces, profiles, metrics)
+	recs    []forkRecord
+	lastEnd []float64
 	ends    map[float64]struct{} // populated when tieCheck
 
-	// Member side: donor horizons to validate against.
-	donorLast map[string]float64
-	donorEnds map[float64]struct{}
-	unsafe    bool
+	// Member side: the donor whose horizons it validates against and whose
+	// records it merges into out, next being the first donor record not yet
+	// emitted.
+	donor  *forkRecorder
+	out    simx.Tracer
+	next   int
+	unsafe bool
 
-	scratch []string
+	scratch []int32
 }
 
-// resources appends the keys of the resources an activity occupied:
-// "h:<host>" for computes, "l:<link>" per crossed link for transfers (the
-// host-private loopback when source and destination ranks share a host).
-func (t *forkRecorder) resources(comm bool, a, b string, names []string) []string {
-	if !comm {
-		return append(names, "h:"+b)
+// newForkRecorder resolves every deployment process to its host once, so
+// observing an activity builds no string.
+func newForkRecorder(k *simx.Kernel, depl *platform.Deployment) *forkRecorder {
+	procs := make(map[string]*simx.Host, len(depl.Processes))
+	for _, pd := range depl.Processes {
+		procs[pd.Function] = k.Host(pd.Host) // nil for an unknown host: newRun rejects it
 	}
-	sh, ok1 := t.hostOf[a]
-	dh, ok2 := t.hostOf[b]
-	if !ok1 || !ok2 {
+	return &forkRecorder{k: k, procs: procs, nh: int32(k.Hosts())}
+}
+
+// resourceCount is the size of the kernel's resource numbering.
+func resourceCount(k *simx.Kernel) int { return 2*k.Hosts() + k.Links() }
+
+// resources appends the numbers of the resources an activity occupied: the
+// host for computes, every crossed link for transfers (the host-private
+// loopback when source and destination ranks share a host).
+func (t *forkRecorder) resources(comm bool, a, b string, ids []int32) []int32 {
+	if !comm {
+		return append(ids, int32(t.k.Host(b).ID()))
+	}
+	sh, dh := t.procs[a], t.procs[b]
+	if sh == nil || dh == nil {
 		// A proc outside the deployment cannot be attributed; refuse the fork.
 		t.unsafe = true
-		return names
+		return ids
 	}
-	n := len(names)
-	names = t.k.RouteLinks(sh, dh, names)
-	for i := n; i < len(names); i++ {
-		names[i] = "l:" + names[i]
+	n := len(ids)
+	ids = t.k.AppendRouteLinks(sh, dh, ids)
+	for i := n; i < len(ids); i++ {
+		ids[i] += t.nh
 	}
-	return names
+	return ids
 }
 
 func (t *forkRecorder) observe(comm bool, a, b string, vol, start, end float64) {
-	if t.keep {
-		t.recs = append(t.recs, forkRecord{comm, a, b, vol, start, end})
-	}
+	rec := forkRecord{comm, a, b, vol, start, end}
 	t.scratch = t.resources(comm, a, b, t.scratch[:0])
-	if t.donorLast != nil {
+	if d := t.donor; d != nil {
+		if t.out != nil {
+			// Donor records completing strictly earlier come first; an equal
+			// instant goes to the member, the order a two-way merge of the
+			// two completion-ordered streams gives.
+			for t.next < len(d.recs) && d.recs[t.next].end < end {
+				d.recs[t.next].emit(t.out)
+				t.next++
+			}
+			rec.emit(t.out)
+		}
 		// Member: every resumed activity must start at or after the donor
 		// stopped using each of its resources, or the contention the prefix
 		// run saw is not the contention a from-scratch run would see.
-		if _, tie := t.donorEnds[end]; tie {
+		if _, tie := d.ends[end]; tie {
 			t.unsafe = true
 		}
 		for _, res := range t.scratch {
-			if start < t.donorLast[res] {
+			if start < d.lastEnd[res] {
 				t.unsafe = true
 			}
 		}
 		return
+	}
+	if t.keep {
+		t.recs = append(t.recs, rec)
 	}
 	for _, res := range t.scratch {
 		if end > t.lastEnd[res] {
@@ -243,7 +286,8 @@ type PrefixOptions struct {
 	// Cuts is the per-rank shared-action count from PlanPrefix.
 	Cuts []int
 	// RecordTrace retains the prefix's per-activity records so members can
-	// merge them into byte-identical timed traces and profiles.
+	// stream them, merged with their own, into byte-identical timed traces,
+	// profiles and metrics.
 	RecordTrace bool
 	// TieCheck additionally rejects forked activities completing at an
 	// instant the prefix also completed one — the merged trace order would
@@ -287,8 +331,9 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 	if !cfg.Forkable() {
 		return nil, fmt.Errorf("replay: configuration not forkable")
 	}
-	rec := &forkRecorder{k: b.Kernel, hostOf: procHosts(depl), keep: opt.RecordTrace,
-		lastEnd: make(map[string]float64)}
+	rec := newForkRecorder(b.Kernel, depl)
+	rec.keep = opt.RecordTrace
+	rec.lastEnd = make([]float64, resourceCount(b.Kernel))
 	if opt.TieCheck {
 		rec.ends = make(map[float64]struct{})
 	}
@@ -335,15 +380,6 @@ func (r *run) spawnRankPrefix(slot, cut int, pr *PrefixRun) {
 	})
 }
 
-// procHosts maps deployment process names to their hosts.
-func procHosts(depl *platform.Deployment) map[string]string {
-	m := make(map[string]string, len(depl.Processes))
-	for _, pd := range depl.Processes {
-		m[pd.Function] = pd.Host
-	}
-	return m
-}
-
 // ClaimDonorBuild hands out the donor's own quiesced kernel, restored to a
 // fresh state, exactly once; every other caller gets nil and builds its own
 // platform. Members run concurrently and a kernel serves one run at a time,
@@ -363,8 +399,14 @@ func (pr *PrefixRun) ClaimDonorBuild() *platform.Build {
 // park time on a fresh (or donor-restored) kernel, and replays the rest. The
 // member's own collective algorithm and analytic checkpoint policy apply;
 // everything the prefix simulated is inherited from the donor, including its
-// timed-trace records, which are merged with the member's own in completion
-// order and streamed to cfg.TimedTracer.
+// timed-trace records.
+//
+// When the donor recorded its trace, cfg.TimedTracer receives one
+// completion-ordered stream as the run goes: each member record as it
+// completes, preceded by the donor records that completed strictly earlier,
+// and the donor's remaining records once the run ends — byte for byte what a
+// from-scratch run would have emitted. On any error the tracer may hold a
+// partial stream; callers discard it along with the run.
 //
 // An error wrapping ErrForkUnsafe means the equivalence proof failed for
 // this member and it must be replayed from scratch; the donor run and its
@@ -373,8 +415,14 @@ func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) 
 	if !cfg.Forkable() {
 		return nil, fmt.Errorf("replay: configuration not forkable")
 	}
-	rec := &forkRecorder{k: b.Kernel, hostOf: procHosts(pr.depl), keep: pr.opt.RecordTrace,
-		donorLast: pr.rec.lastEnd, donorEnds: pr.rec.ends}
+	if got, want := resourceCount(b.Kernel), len(pr.rec.lastEnd); got != want {
+		return nil, fmt.Errorf("%w: member platform numbers %d resources, donor %d", ErrForkUnsafe, got, want)
+	}
+	rec := newForkRecorder(b.Kernel, pr.depl)
+	rec.donor = pr.rec
+	if pr.opt.RecordTrace {
+		rec.out = cfg.TimedTracer
+	}
 	r, err := newRun(b, pr.depl, cfg, sources, rec)
 	if err != nil {
 		return nil, err
@@ -397,8 +445,10 @@ func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) 
 	if rec.unsafe {
 		return nil, fmt.Errorf("%w: post-divergence activity overlapped the prefix", ErrForkUnsafe)
 	}
-	if cfg.TimedTracer != nil && pr.opt.RecordTrace {
-		replayRecords(cfg.TimedTracer, pr.rec.recs, rec.recs)
+	if rec.out != nil {
+		for i := rec.next; i < len(pr.rec.recs); i++ {
+			pr.rec.recs[i].emit(rec.out)
+		}
 	}
 	return r.result(makespan, pr.Actions+r.actions(), wall)
 }
@@ -420,28 +470,4 @@ func (r *run) spawnRankResumed(slot, cut int, park float64) {
 		for r.stepAction(p, src, slot) {
 		}
 	})
-}
-
-// replayRecords streams the donor's and the member's activity records, each
-// already in completion order, into a tracer as one merged completion-ordered
-// sequence — reproducing byte-for-byte what a from-scratch run would have
-// emitted (exact cross-stream ties were rejected by the safety check).
-func replayRecords(tr simx.Tracer, donor, member []forkRecord) {
-	emit := func(rec forkRecord) {
-		if rec.comm {
-			tr.Comm(rec.a, rec.b, rec.vol, rec.start, rec.end)
-		} else {
-			tr.Compute(rec.a, rec.b, rec.vol, rec.start, rec.end)
-		}
-	}
-	di, mi := 0, 0
-	for di < len(donor) || mi < len(member) {
-		if mi == len(member) || (di < len(donor) && donor[di].end < member[mi].end) {
-			emit(donor[di])
-			di++
-		} else {
-			emit(member[mi])
-			mi++
-		}
-	}
 }

@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"tireplay/internal/coll"
@@ -405,6 +406,76 @@ p1 compute 1e4
 	_, err = pr.RunForked(mb, Config{}, sliceSources(perRank))
 	if !errors.Is(err, ErrForkUnsafe) {
 		t.Fatalf("overlapping forked run accepted (err=%v)", err)
+	}
+}
+
+// TestForkRecorderResourceNumbering pins the horizon numbering: hosts by
+// ID, then the route walk's declared links, then one loopback per host, so a
+// host, a link and a loopback never share a slot.
+func TestForkRecorderResourceNumbering(t *testing.T) {
+	b, err := platform.BuildBordereau(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depl, err := platform.RoundRobin(b.HostNames, 3, 2) // p0, p1 share a host
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := b.Kernel
+	rec := newForkRecorder(k, depl)
+	nh, nl := int32(k.Hosts()), int32(k.Links())
+	if got := resourceCount(k); got != int(2*nh+nl) {
+		t.Fatalf("resourceCount = %d, want %d", got, 2*nh+nl)
+	}
+	h0 := k.Host(depl.Processes[0].Host)
+	if got := rec.resources(false, "p0", h0.Name, nil); !slices.Equal(got, []int32{int32(h0.ID())}) {
+		t.Errorf("compute on %s: %v, want its host ID", h0.Name, got)
+	}
+	if got := rec.resources(true, "p0", "p1", nil); !slices.Equal(got, []int32{nh + nl + int32(h0.ID())}) {
+		t.Errorf("same-host transfer: %v, want the loopback of host %d", got, h0.ID())
+	}
+	got := rec.resources(true, "p0", "p2", nil)
+	if len(got) == 0 {
+		t.Fatal("cross-host transfer crossed no link")
+	}
+	for _, id := range got {
+		if id < nh || id >= nh+nl {
+			t.Errorf("cross-host transfer: resource %d outside the declared links [%d,%d)", id, nh, nh+nl)
+		}
+	}
+	if rec.unsafe {
+		t.Fatal("deployment procs refused")
+	}
+}
+
+// TestForkedRunRefusesMismatchedPlatform: the donor's usage horizons are
+// indexed by resource number, so a member built from a platform that numbers
+// a different resource count is refused as unsafe before it runs, never
+// indexed out of range.
+func TestForkedRunRefusesMismatchedPlatform(t *testing.T) {
+	perRank := perRankActions(t, forkGroupTrace, 4)
+	plan, ok, err := PlanPrefix(4, true, visitOf(perRank))
+	if err != nil || !ok {
+		t.Fatalf("PlanPrefix: ok=%v err=%v", ok, err)
+	}
+	donorB, depl := paperSetup(t, 4)
+	pr, err := RunPrefix(donorB, depl, Config{}, sliceSources(perRank),
+		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true, TieCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bigger, err := platform.BuildBordereau(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	tw := NewTimedTraceWriter(&buf)
+	_, err = pr.RunForked(bigger, Config{TimedTracer: tw}, sliceSources(perRank))
+	if !errors.Is(err, ErrForkUnsafe) {
+		t.Fatalf("member on a 5-host platform accepted (err=%v)", err)
+	}
+	if tw.Lines() != 0 {
+		t.Fatalf("refused member streamed %d records", tw.Lines())
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,7 +16,17 @@ import (
 // TimedTraceWriter renders the timed trace of a simulated execution: one
 // line per completed activity with its simulated start and end times. This
 // is the "timed trace" output of Figure 4, which downstream profile analysis
-// tools could consume.
+// tools could consume. A compute record reads
+//
+//	<end> <proc> compute <flops> start=<start> host=<host>
+//
+// and a transfer record
+//
+//	<end> <src> send <dst> <bytes> start=<start>
+//
+// with times in fmt's %.9f layout and volumes in its %g layout, byte for
+// byte. The writer formats each line into one reused buffer without fmt, so
+// a record costs no allocation.
 //
 // Write errors are sticky: the first failure (typically a short write to a
 // full disk) is retained, every later record is dropped rather than
@@ -24,6 +36,7 @@ import (
 type TimedTraceWriter struct {
 	mu    sync.Mutex
 	bw    *bufio.Writer
+	line  []byte // the record being formatted; reused across records
 	lines int64
 	err   error // first write error; sticky
 }
@@ -37,11 +50,16 @@ func NewTimedTraceWriter(w io.Writer) *TimedTraceWriter {
 func (t *TimedTraceWriter) Compute(proc, host string, flops, start, end float64) {
 	t.mu.Lock()
 	if t.err == nil {
-		if _, err := fmt.Fprintf(t.bw, "%.9f %s compute %g start=%.9f host=%s\n", end, proc, flops, start, host); err != nil {
-			t.err = err
-		} else {
-			t.lines++
-		}
+		b := appendSeconds(t.line[:0], end)
+		b = append(b, ' ')
+		b = append(b, proc...)
+		b = append(b, " compute "...)
+		b = strconv.AppendFloat(b, flops, 'g', -1, 64)
+		b = append(b, " start="...)
+		b = appendSeconds(b, start)
+		b = append(b, " host="...)
+		b = append(b, host...)
+		t.writeLine(b)
 	}
 	t.mu.Unlock()
 }
@@ -50,13 +68,92 @@ func (t *TimedTraceWriter) Compute(proc, host string, flops, start, end float64)
 func (t *TimedTraceWriter) Comm(src, dst string, bytes, start, end float64) {
 	t.mu.Lock()
 	if t.err == nil {
-		if _, err := fmt.Fprintf(t.bw, "%.9f %s send %s %g start=%.9f\n", end, src, dst, bytes, start); err != nil {
-			t.err = err
-		} else {
-			t.lines++
-		}
+		b := appendSeconds(t.line[:0], end)
+		b = append(b, ' ')
+		b = append(b, src...)
+		b = append(b, " send "...)
+		b = append(b, dst...)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, bytes, 'g', -1, 64)
+		b = append(b, " start="...)
+		b = appendSeconds(b, start)
+		t.writeLine(b)
 	}
 	t.mu.Unlock()
+}
+
+// writeLine terminates the formatted record and hands it to the buffered
+// writer, keeping the (possibly grown) buffer for the next record. The
+// caller holds mu.
+func (t *TimedTraceWriter) writeLine(b []byte) {
+	b = append(b, '\n')
+	t.line = b
+	if _, err := t.bw.Write(b); err != nil {
+		t.err = err
+	} else {
+		t.lines++
+	}
+}
+
+// appendSeconds appends v exactly as fmt's %.9f prints it. A finite v with
+// |v| < 9e9 is mant*2^-k; |v|*1e9 rounded half to even is then the 128-bit
+// product mant*1e9 shifted right by k, and fits a uint64 (below 9e18), so
+// the digits come from integer arithmetic instead of strconv's
+// multiprecision path for fixed precision. Everything else (huge
+// magnitudes, infinities, NaN) takes strconv, which is what fmt uses.
+func appendSeconds(b []byte, v float64) []byte {
+	u := math.Float64bits(v)
+	exp := int(u>>52) & 0x7ff
+	if exp == 0x7ff || math.Abs(v) >= 9e9 {
+		return strconv.AppendFloat(b, v, 'f', 9, 64)
+	}
+	mant := u & (1<<52 - 1)
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		mant |= 1 << 52
+	}
+	// v = ±mant * 2^-k with k >= 19: |v| < 9e9 < 2^34 and mant >= 2^52
+	// for every normal v.
+	n := nanosRoundHalfEven(mant, uint(1075-exp))
+	if u>>63 != 0 {
+		b = append(b, '-') // fmt keeps the sign of -0 and of tiny negatives
+	}
+	b = strconv.AppendUint(b, n/1e9, 10)
+	var frac [10]byte
+	frac[0] = '.'
+	for i, f := 9, n%1e9; i > 0; i-- {
+		frac[i] = byte('0' + f%10)
+		f /= 10
+	}
+	return append(b, frac[:]...)
+}
+
+// nanosRoundHalfEven returns mant*1e9 / 2^k rounded half to even, for
+// mant < 2^53, k >= 1 and a quotient below 2^63 (appendSeconds' 9e9 bound).
+// The product is below 2^83, so any k >= 84 rounds to 0.
+func nanosRoundHalfEven(mant uint64, k uint) uint64 {
+	if k >= 84 {
+		return 0
+	}
+	hi, lo := bits.Mul64(mant, 1e9)
+	// q2 = product >> (k-1): the quotient with the rounding bit below it;
+	// sticky reports whether any lower bit is set.
+	s := k - 1
+	var q2 uint64
+	var sticky bool
+	if s < 64 {
+		q2 = hi<<(64-s) | lo>>s
+		sticky = lo&(1<<s-1) != 0
+	} else {
+		q2 = hi >> (s - 64)
+		sticky = lo != 0 || hi&(1<<(s-64)-1) != 0
+	}
+	q := q2 >> 1
+	if q2&1 != 0 && (sticky || q&1 != 0) {
+		q++
+	}
+	return q
 }
 
 // Lines reports the number of records successfully written.

@@ -70,6 +70,12 @@
 //     performs no per-action heap allocation at all (see
 //     TestPostMatchCompleteZeroAllocs and BenchmarkReplaySteadyState).
 //
+//   - Links carry their declaration index, and AppendRouteLinks walks a
+//     route as dense link indices (host loopbacks numbered after the
+//     declared links), so observers that account per-resource usage — the
+//     replay fork recorder — index slices instead of building and hashing
+//     link names.
+//
 // SetGlobalReshare(true) restores the reference full-reshare path, which is
 // useful to cross-check simulations and benchmark the gain.
 package simx

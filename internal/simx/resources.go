@@ -62,6 +62,11 @@ type Link struct {
 	Bandwidth float64
 	Latency   float64
 	Sharing   Sharing
+	// id is the link's declaration index (AddLink order), stored in the
+	// padding after Sharing so the struct the solver walks on every reshare
+	// stays 96 bytes. Host loopbacks are not declared and carry none; the
+	// route walk numbers them after the declared links (AppendRouteLinks).
+	id int32
 
 	// baseBandwidth is the nominal bandwidth declared at AddLink time.
 	// Degradation windows scale Bandwidth in place; Restore rewinds to this.
@@ -202,7 +207,8 @@ func (k *Kernel) AddLink(name string, bandwidth, latency float64) *Link {
 	if _, dup := k.links[name]; dup {
 		panic("simx: duplicate link " + name)
 	}
-	l := &Link{Name: name, Bandwidth: bandwidth, baseBandwidth: bandwidth, Latency: latency}
+	l := &Link{Name: name, Bandwidth: bandwidth, baseBandwidth: bandwidth, Latency: latency,
+		id: int32(len(k.linkList))}
 	k.links[name] = l
 	k.linkList = append(k.linkList, l)
 	return l
@@ -210,6 +216,9 @@ func (k *Kernel) AddLink(name string, bandwidth, latency float64) *Link {
 
 // Link returns the named link or nil.
 func (k *Kernel) Link(name string) *Link { return k.links[name] }
+
+// Links returns the number of declared links.
+func (k *Kernel) Links() int { return len(k.linkList) }
 
 // SetRouter installs the route resolver consulted for host pairs without a
 // cached route. The default is a dense-keyed TableRouter fed by AddRoute;
@@ -244,21 +253,23 @@ func (k *Kernel) AddRoute(src, dst string, links []*Link) {
 	delete(s.routeTo, d)
 }
 
-// RouteLinks resolves the route a transfer between the named hosts crosses
-// and appends the traversed link names to names, returning the extended
-// slice. Coinciding source and destination resolve to the host-private
-// loopback, exactly as the transfer itself would. The replay fork safety
-// check uses it to map a recorded transfer back to the physical links whose
-// sharing it influenced.
-func (k *Kernel) RouteLinks(src, dst string, names []string) []string {
-	s, d := k.hosts[src], k.hosts[dst]
-	if s == nil || d == nil {
-		panic(fmt.Sprintf("simx: RouteLinks between undeclared hosts %q -> %q", src, dst))
+// AppendRouteLinks resolves the route a transfer from src to dst crosses and
+// appends the indices of its links to idx, in route order, returning the
+// extended slice. Indices number every link of the platform densely:
+// declared links by declaration index (0 to Links()-1), then each host's
+// private loopback at Links()+Host.ID() — the route a transfer takes when
+// source and destination coincide, exactly as the transfer itself resolves
+// it. Routes must be built from links declared with AddLink. The replay fork
+// safety check uses the walk to map a recorded transfer back to the
+// physical links whose sharing it influenced, without touching a name.
+func (k *Kernel) AppendRouteLinks(src, dst *Host, idx []int32) []int32 {
+	if src == dst {
+		return append(idx, int32(len(k.linkList)+src.id))
 	}
-	for _, l := range k.routeBetween(s, d).Links {
-		names = append(names, l.Name)
+	for _, l := range k.routeBetween(src, dst).Links {
+		idx = append(idx, l.id)
 	}
-	return names
+	return idx
 }
 
 // routeBetween resolves the route for a transfer, falling back to the

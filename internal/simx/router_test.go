@@ -2,7 +2,9 @@ package simx
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // buildRouterKernel populates k with a small two-"cluster" platform: hosts
@@ -93,6 +95,34 @@ func TestTableRouterMatchesStringTable(t *testing.T) {
 
 // TestAddRouteRejectsNonAdderRouter: a router without explicit-route support
 // must make AddRoute panic instead of silently dropping the route.
+// TestAppendRouteLinksNumbering pins the route walk's dense link numbering:
+// declared links by declaration index in route order, a coinciding pair as
+// the source host's loopback after every declared link.
+func TestAppendRouteLinksNumbering(t *testing.T) {
+	k := New()
+	buildRouterKernel(k)
+	cases := []struct {
+		src, dst string
+		want     []int32
+	}{
+		{"a0", "b1", []int32{0, 4, 6, 5, 3}}, // a0_up bbA wan bbB b1_up
+		{"b0", "b1", []int32{2, 5, 3}},
+		{"a1", "a1", []int32{7 + 1}}, // Links() + a1's ID
+	}
+	ids := []int32{-9} // appended to, not overwritten
+	for _, tc := range cases {
+		got := k.AppendRouteLinks(k.Host(tc.src), k.Host(tc.dst), ids[:1])
+		if want := append([]int32{-9}, tc.want...); !slices.Equal(got, want) {
+			t.Errorf("%s->%s: %v, want %v", tc.src, tc.dst, got, want)
+		}
+	}
+	// The index lives in the padding after Sharing: the solver walks links
+	// on every reshare, so the struct must not grow.
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Link{}) != 96 {
+		t.Errorf("Link is %d bytes, want 96", unsafe.Sizeof(Link{}))
+	}
+}
+
 func TestAddRouteRejectsNonAdderRouter(t *testing.T) {
 	k := New()
 	k.AddHost("a", 1e9, 1)

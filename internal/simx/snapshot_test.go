@@ -109,15 +109,22 @@ func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkR
 	if serr != nil {
 		return 0, nil, false, nil // prefix left rendezvous state behind
 	}
-	lastEnd := map[string]float64{}
+	// Horizons over the production numbering: hosts by ID, then the route
+	// walk's link indices (declared links, then loopbacks).
+	nh := int32(k.Hosts())
+	lastEnd := make([]float64, 2*k.Hosts()+k.Links())
 	donorEnds := map[float64]bool{}
-	use := func(rec forkRec, names []string) []string {
-		if rec.comm {
-			return k.RouteLinks(procHost(rec.a), procHost(rec.b), names[:0])
+	use := func(rec forkRec, ids []int32) []int32 {
+		if !rec.comm {
+			return append(ids[:0], int32(k.Host(rec.b).ID()))
 		}
-		return append(names[:0], rec.b)
+		ids = k.AppendRouteLinks(k.Host(procHost(rec.a)), k.Host(procHost(rec.b)), ids[:0])
+		for i := range ids {
+			ids[i] += nh
+		}
+		return ids
 	}
-	var scratch []string
+	var scratch []int32
 	for _, rec := range donor.recs {
 		donorEnds[rec.end] = true
 		for _, res := range use(rec, scratch) {

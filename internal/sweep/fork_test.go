@@ -92,11 +92,24 @@ func countForked(r *Result) int {
 	return n
 }
 
+// metricsJSON renders a sweep's deterministic -metrics-json view.
+func metricsJSON(t *testing.T, r *Result) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := r.WriteMetricsJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestSweepForkMatchesScratch is the tentpole's acceptance gate at the sweep
 // level: a -coll x -ckpt grid replayed with forking on must be bit-equal
-// (makespans) and byte-identical (timed traces) to the same grid with forking
-// off, at one worker and at NumCPU workers — and forking must actually
-// engage, not silently fall back everywhere.
+// (makespans) and byte-identical (timed traces, the metrics JSON view) to
+// the same grid with forking off, at one worker and at NumCPU workers — and
+// forking must actually engage, not silently fall back everywhere. Forked
+// members stream their records into the metrics sink as they run; the ring
+// members fall back after streaming part of theirs, so the fallback must
+// start from a clean sink.
 func TestSweepForkMatchesScratch(t *testing.T) {
 	ts := forkTraces(t, forkSweepTrace, 4)
 	ck, err := replay.ParseCkpt("60/5")
@@ -111,7 +124,7 @@ func TestSweepForkMatchesScratch(t *testing.T) {
 	run := func(fork bool, workers int) *Result {
 		res, err := Run(context.Background(), &Config{
 			Platform: base, Grid: grid, Traces: ts,
-			Workers: workers, Timed: true, Profile: true, Fork: fork,
+			Workers: workers, Timed: true, Profile: true, Metrics: true, Fork: fork,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,6 +140,13 @@ func TestSweepForkMatchesScratch(t *testing.T) {
 	forkedN := run(true, workers)
 	compareSweeps(t, "fork=on vs fork=off", scratch, forked1)
 	compareSweeps(t, "fork workers=1 vs N", forked1, forkedN)
+	want := metricsJSON(t, scratch)
+	if got := metricsJSON(t, forked1); !bytes.Equal(got, want) {
+		t.Errorf("fork=on metrics JSON differs from fork=off:\n%s\nvs\n%s", got, want)
+	}
+	if got := metricsJSON(t, forkedN); !bytes.Equal(got, want) {
+		t.Errorf("fork=on at %d workers: metrics JSON differs from fork=off", workers)
+	}
 
 	if n := countForked(scratch); n != 0 {
 		t.Fatalf("fork=off marked %d scenarios forked", n)
