@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"tireplay/internal/smpi"
 )
 
 // LiveConfig parameterises the live (goroutine) engine.
@@ -17,9 +19,6 @@ type LiveConfig struct {
 	Latency float64
 	// Bandwidth is the point-to-point bandwidth in B/s (default 1.25e8).
 	Bandwidth float64
-	// EagerThreshold is the message size (bytes) above which sends use the
-	// synchronous rendezvous protocol (default 64 KiB).
-	EagerThreshold float64
 	// Rate modulates the flop rate per burst (nil = constant rate).
 	Rate RateMultiplier
 }
@@ -33,9 +32,6 @@ func (c *LiveConfig) setDefaults() {
 	}
 	if c.Bandwidth == 0 {
 		c.Bandwidth = 1.25e8
-	}
-	if c.EagerThreshold == 0 {
-		c.EagerThreshold = 64 * 1024
 	}
 }
 
@@ -200,7 +196,7 @@ func (c *liveComm) sendRaw(dst int, bytes float64) {
 	if dst == c.me {
 		panic("mpi: self message")
 	}
-	if bytes <= c.w.cfg.EagerThreshold {
+	if bytes <= smpi.EagerThreshold {
 		// Eager: the sender only pays the injection overhead; the message
 		// completes on the receiver side from its own send clock.
 		c.clock += c.w.cfg.Latency
@@ -227,7 +223,7 @@ func (c *liveComm) Send(dst int, bytes float64) { c.sendRaw(dst, bytes) }
 
 func (c *liveComm) Isend(dst int, bytes float64) Request {
 	validRank("isend to", dst, c.Size())
-	if bytes <= c.w.cfg.EagerThreshold {
+	if bytes <= smpi.EagerThreshold {
 		c.clock += c.w.cfg.Latency
 		c.w.postSend(c.me, dst, &liveMsg{bytes: bytes, sendClock: c.clock})
 		return &liveRequest{peer: dst, bytes: bytes, done: true}

@@ -6,15 +6,13 @@ import (
 
 	"tireplay/internal/platform"
 	"tireplay/internal/simx"
+	"tireplay/internal/smpi"
 )
 
 // SimConfig parameterises the simulation engine.
 type SimConfig struct {
 	// Rate modulates the flop rate per burst (nil = constant host speed).
 	Rate RateMultiplier
-	// EagerThreshold is the size (bytes) under which sends are buffered
-	// (fire-and-forget); above it sends are synchronous. Default 64 KiB.
-	EagerThreshold float64
 	// MessageCPUTime is the CPU time one message endpoint costs (protocol
 	// processing in the MPI stack), in seconds of exclusive host use.
 	// Under folding this work shares the CPU like any computation — the
@@ -25,9 +23,6 @@ type SimConfig struct {
 }
 
 func (c *SimConfig) setDefaults() {
-	if c.EagerThreshold == 0 {
-		c.EagerThreshold = 64 * 1024
-	}
 	switch {
 	case c.MessageCPUTime == 0:
 		c.MessageCPUTime = 8e-6
@@ -146,7 +141,7 @@ func (c *simComm) chargeMessageCPU() {
 func (c *simComm) sendRaw(dst int, bytes float64) {
 	validRank("send to", dst, c.n)
 	c.chargeMessageCPU()
-	if bytes <= c.cfg.EagerThreshold {
+	if bytes <= smpi.EagerThreshold {
 		c.p.ISendDetachedID(c.sendMbox(dst), bytes, bytes)
 		return
 	}
@@ -166,7 +161,7 @@ func (c *simComm) Send(dst int, bytes float64) { c.sendRaw(dst, bytes) }
 func (c *simComm) Isend(dst int, bytes float64) Request {
 	validRank("isend to", dst, c.n)
 	c.chargeMessageCPU()
-	if bytes <= c.cfg.EagerThreshold {
+	if bytes <= smpi.EagerThreshold {
 		c.p.ISendDetachedID(c.sendMbox(dst), bytes, bytes)
 		return &simRequest{peer: dst, bytes: bytes}
 	}

@@ -27,21 +27,12 @@ func benchCluster(n int) *Platform {
 // layer: instantiating a 1024-host cluster must allocate O(n) route state —
 // no per-pair tables. Besides the -benchmem counters that cmd/benchdiff
 // gates (any allocs/op increase fails the build), it reports bytes/host so
-// a route-memory regression is visible as a per-host cost. The table
-// variant measures the eager reference at a size it can still afford, for
-// the comparison table in the README.
+// a route-memory regression is visible as a per-host cost. The
+// "routing=computed" suffix keeps the names of the committed baseline.
 func BenchmarkPlatformBuild(b *testing.B) {
-	cases := []struct {
-		hosts   int
-		routing Routing
-	}{
-		{1024, RoutingComputed},
-		{256, RoutingComputed},
-		{256, RoutingTable},
-	}
-	for _, tc := range cases {
-		b.Run(fmt.Sprintf("hosts=%d/routing=%s", tc.hosts, tc.routing), func(b *testing.B) {
-			p := benchCluster(tc.hosts)
+	for _, hosts := range []int{1024, 256} {
+		b.Run(fmt.Sprintf("hosts=%d/routing=computed", hosts), func(b *testing.B) {
+			p := benchCluster(hosts)
 			var sink *Build
 			b.ReportAllocs()
 			runtime.GC()
@@ -49,7 +40,7 @@ func BenchmarkPlatformBuild(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bd, err := InstantiateRouting(p, tc.routing)
+				bd, err := Instantiate(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -57,45 +48,42 @@ func BenchmarkPlatformBuild(b *testing.B) {
 			}
 			b.StopTimer()
 			runtime.ReadMemStats(&after)
-			if sink == nil || len(sink.HostNames) != tc.hosts {
+			if sink == nil || len(sink.HostNames) != hosts {
 				b.Fatalf("bad build: %v", sink)
 			}
-			perHost := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N) / float64(tc.hosts)
+			perHost := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N) / float64(hosts)
 			b.ReportMetric(perHost, "bytes/host")
 		})
 	}
 }
 
-// BenchmarkRouteResolution measures raw router resolution: the computed
-// router composes the route on every call here, the table router is one
-// dense-key map hit. A replay pays the composed cost once per communicating
-// pair — the kernel caches the resolution under a host-pointer key — so the
-// gap is a per-pair constant, not a per-message one.
+// BenchmarkRouteResolution measures raw router resolution: the zone router
+// composes the route on every call here. A replay pays that cost once per
+// communicating pair — the kernel caches the resolution under a
+// host-pointer key — so it is a per-pair constant, not a per-message one.
 func BenchmarkRouteResolution(b *testing.B) {
-	for _, routing := range []Routing{RoutingComputed, RoutingTable} {
-		b.Run(fmt.Sprintf("routing=%s", routing), func(b *testing.B) {
-			bd, err := InstantiateRouting(benchCluster(64), routing)
-			if err != nil {
-				b.Fatal(err)
+	b.Run("routing=computed", func(b *testing.B) {
+		bd, err := Instantiate(benchCluster(64))
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := bd.Kernel
+		hosts := make([]*simx.Host, len(bd.HostNames))
+		for i, n := range bd.HostNames {
+			hosts[i] = k.Host(n)
+		}
+		r := k.Router()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src := hosts[i%len(hosts)]
+			dst := hosts[(i*7+1)%len(hosts)]
+			if src == dst {
+				dst = hosts[(i*7+2)%len(hosts)]
 			}
-			k := bd.Kernel
-			hosts := make([]*simx.Host, len(bd.HostNames))
-			for i, n := range bd.HostNames {
-				hosts[i] = k.Host(n)
+			if r.Route(src, dst) == nil {
+				b.Fatal("route missing")
 			}
-			r := k.Router()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src := hosts[i%len(hosts)]
-				dst := hosts[(i*7+1)%len(hosts)]
-				if src == dst {
-					dst = hosts[(i*7+2)%len(hosts)]
-				}
-				if r.Route(src, dst) == nil {
-					b.Fatal("route missing")
-				}
-			}
-		})
-	}
+		}
+	})
 }

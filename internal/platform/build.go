@@ -9,26 +9,6 @@ import (
 	"tireplay/internal/units"
 )
 
-// Routing selects how an instantiated platform resolves host-pair routes.
-type Routing int
-
-const (
-	// RoutingComputed (the default) composes routes on demand from a zone
-	// hierarchy: O(hosts + zones²) route state, see zones.go.
-	RoutingComputed Routing = iota
-	// RoutingTable eagerly materializes a route for every host pair — the
-	// historical reference implementation, O(n²·pathlen) memory, kept for
-	// the equivalence tests and cross-checks.
-	RoutingTable
-)
-
-func (r Routing) String() string {
-	if r == RoutingTable {
-		return "table"
-	}
-	return "computed"
-}
-
 // Build is an instantiated platform: a simulation kernel populated with the
 // platform's hosts, links and routes, plus the host naming information the
 // deployment step needs.
@@ -37,22 +17,14 @@ type Build struct {
 	HostNames []string // all hosts in declaration order
 	byCluster map[string][]string
 
-	routing Routing
-	zones   *ZoneRouter // non-nil in computed mode
+	zones *ZoneRouter // nil for wrapped kernels and routers of generated topologies
 }
 
-// Routing reports which route-resolution mode the build was instantiated
-// with.
-func (b *Build) Routing() Routing { return b.routing }
-
-// newBuild creates an empty build in the given routing mode; computed mode
-// installs a ZoneRouter on the fresh kernel.
-func newBuild(r Routing) *Build {
-	b := &Build{Kernel: simx.New(), byCluster: make(map[string][]string), routing: r}
-	if r == RoutingComputed {
-		b.zones = NewZoneRouter()
-		b.Kernel.SetRouter(b.zones)
-	}
+// newBuild creates an empty build whose kernel composes routes from a zone
+// hierarchy (see zones.go).
+func newBuild() *Build {
+	b := &Build{Kernel: simx.New(), byCluster: make(map[string][]string), zones: NewZoneRouter()}
+	b.Kernel.SetRouter(b.zones)
 	return b
 }
 
@@ -63,20 +35,7 @@ func (b *Build) ClusterHosts(id string) []string { return b.byCluster[id] }
 // WrapKernel adapts a manually constructed kernel into a Build, for callers
 // assembling custom platforms programmatically instead of from XML.
 func WrapKernel(k *simx.Kernel, hostNames []string) *Build {
-	return &Build{Kernel: k, HostNames: hostNames, byCluster: make(map[string][]string),
-		routing: RoutingTable}
-}
-
-// clusterInst carries what inter-cluster routing needs about a built
-// cluster: for every host, the ordered links from the host up to the cluster
-// core (its private link, then any intermediate switches), the core backbone
-// itself, and (in computed mode) the cluster's routing zone.
-type clusterInst struct {
-	id       string
-	hosts    []string
-	uplink   map[string][]*simx.Link
-	backbone *simx.Link
-	zone     *Zone
+	return &Build{Kernel: k, HostNames: hostNames, byCluster: make(map[string][]string)}
 }
 
 // Instantiate populates a fresh simulation kernel from the platform
@@ -84,34 +43,58 @@ type clusterInst struct {
 // the cluster backbone (so two nodes of a cluster communicate through two
 // links and one switch, the topology behind the paper's latency/3 rule), and
 // AS routes join clusters through the declared wide-area links. Routes are
-// composed on demand from the zone hierarchy; InstantiateRouting selects the
-// eager reference tables instead.
+// composed on demand from the zone hierarchy. A description naming a host or
+// link twice, or routing between undeclared hosts, is an error.
 func Instantiate(p *Platform) (*Build, error) {
-	return InstantiateRouting(p, RoutingComputed)
-}
-
-// InstantiateRouting is Instantiate with an explicit route-resolution mode.
-func InstantiateRouting(p *Platform, r Routing) (*Build, error) {
-	b := newBuild(r)
-	var clusters []*clusterInst
+	b := newBuild()
+	var clusters []*Zone
 	if err := b.walkAS(&p.AS, &clusters); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-func (b *Build) walkAS(a *AS, clusters *[]*clusterInst) error {
+// addHost declares a host, refusing a name the kernel already holds.
+func (b *Build) addHost(name string, power float64, cores int) (*simx.Host, error) {
+	if b.Kernel.Host(name) != nil {
+		return nil, fmt.Errorf("platform: duplicate host %q", name)
+	}
+	b.HostNames = append(b.HostNames, name)
+	return b.Kernel.AddHost(name, power, cores), nil
+}
+
+// addLink declares a link, refusing an id the kernel already holds.
+func (b *Build) addLink(id string, bw, lat float64, sharing simx.Sharing) (*simx.Link, error) {
+	if b.Kernel.Link(id) != nil {
+		return nil, fmt.Errorf("platform: duplicate link %q", id)
+	}
+	l := b.Kernel.AddLink(id, bw, lat)
+	l.Sharing = sharing
+	return l, nil
+}
+
+// reversed returns the links in reverse order: the way back of a
+// symmetrical route.
+func reversed(links []*simx.Link) []*simx.Link {
+	rev := make([]*simx.Link, len(links))
+	for i, l := range links {
+		rev[len(links)-1-i] = l
+	}
+	return rev
+}
+
+func (b *Build) walkAS(a *AS, clusters *[]*Zone) error {
 	k := b.Kernel
 	localLinks := make(map[string]*simx.Link)
-	localClusters := make(map[string]*clusterInst)
+	localClusters := make(map[string]*Zone)
 
 	for i := range a.Clusters {
-		ci, err := b.buildCluster(&a.Clusters[i])
+		z, err := b.buildCluster(&a.Clusters[i])
 		if err != nil {
 			return err
 		}
-		*clusters = append(*clusters, ci)
-		localClusters[ci.id] = ci
+		*clusters = append(*clusters, z)
+		localClusters[z.Name()] = z
 	}
 	for _, h := range a.Hosts {
 		power, err := units.ParseQuantity(h.Power)
@@ -122,8 +105,9 @@ func (b *Build) walkAS(a *AS, clusters *[]*clusterInst) error {
 		if err != nil {
 			return fmt.Errorf("platform: host %q: %w", h.ID, err)
 		}
-		k.AddHost(h.ID, power, cores)
-		b.HostNames = append(b.HostNames, h.ID)
+		if _, err := b.addHost(h.ID, power, cores); err != nil {
+			return err
+		}
 	}
 	for _, l := range a.Links {
 		bw, err := units.ParseQuantity(l.Bandwidth)
@@ -138,30 +122,33 @@ func (b *Build) walkAS(a *AS, clusters *[]*clusterInst) error {
 		if err != nil {
 			return fmt.Errorf("platform: link %q: %w", l.ID, err)
 		}
-		lk := k.AddLink(l.ID, bw, lat)
-		lk.Sharing = sharing
-		localLinks[l.ID] = lk
+		if localLinks[l.ID], err = b.addLink(l.ID, bw, lat, sharing); err != nil {
+			return err
+		}
 	}
 	for _, r := range a.Routes {
 		links, err := resolveLinks(r.Links, localLinks)
 		if err != nil {
 			return err
 		}
+		if k.Host(r.Src) == nil || k.Host(r.Dst) == nil {
+			return fmt.Errorf("platform: route %q -> %q names an undeclared host", r.Src, r.Dst)
+		}
+		sym, err := parseSymmetrical(r.Symmetrical)
+		if err != nil {
+			return fmt.Errorf("platform: route %q -> %q: %w", r.Src, r.Dst, err)
+		}
 		k.AddRoute(r.Src, r.Dst, links)
-		if r.Symmetrical != "NO" && r.Symmetrical != "no" {
-			rev := make([]*simx.Link, len(links))
-			for i, l := range links {
-				rev[len(links)-1-i] = l
-			}
-			k.AddRoute(r.Dst, r.Src, rev)
+		if sym {
+			k.AddRoute(r.Dst, r.Src, reversed(links))
 		}
 	}
 	for i := range a.Subs {
 		if err := b.walkAS(&a.Subs[i], clusters); err != nil {
 			return err
 		}
-		for _, ci := range (*clusters)[len(*clusters)-len(a.Subs[i].Clusters):] {
-			localClusters[ci.id] = ci
+		for _, z := range (*clusters)[len(*clusters)-len(a.Subs[i].Clusters):] {
+			localClusters[z.Name()] = z
 		}
 	}
 	// Sub-AS ids can themselves be route endpoints when a sub-AS holds a
@@ -169,8 +156,8 @@ func (b *Build) walkAS(a *AS, clusters *[]*clusterInst) error {
 	for i := range a.Subs {
 		sub := &a.Subs[i]
 		if len(sub.Clusters) == 1 {
-			if ci, ok := localClusters[sub.Clusters[0].ID]; ok {
-				localClusters[sub.ID] = ci
+			if z, ok := localClusters[sub.Clusters[0].ID]; ok {
+				localClusters[sub.ID] = z
 			}
 		}
 	}
@@ -187,23 +174,24 @@ func (b *Build) walkAS(a *AS, clusters *[]*clusterInst) error {
 		if err != nil {
 			return err
 		}
-		b.connectClusters(src, dst, wan)
-		if ar.Symmetrical != "NO" && ar.Symmetrical != "no" {
-			rev := make([]*simx.Link, len(wan))
-			for i, l := range wan {
-				rev[len(wan)-1-i] = l
-			}
-			b.connectClusters(dst, src, rev)
+		sym, err := parseSymmetrical(ar.Symmetrical)
+		if err != nil {
+			return fmt.Errorf("platform: ASroute %q -> %q: %w", ar.Src, ar.Dst, err)
+		}
+		// Traffic between the clusters crosses the source uplink and
+		// backbone, the wide-area links, then the destination backbone and
+		// downlink: one inter-zone declaration.
+		b.zones.ConnectZones(src, dst, wan...)
+		if sym {
+			b.zones.ConnectZones(dst, src, reversed(wan)...)
 		}
 	}
 	return nil
 }
 
 // buildCluster creates the hosts, private links and backbone of one cluster
-// element, wiring its intra-cluster routing either as a routing zone
-// (computed mode) or as eagerly materialized per-pair routes (table mode).
-func (b *Build) buildCluster(c *Cluster) (*clusterInst, error) {
-	k := b.Kernel
+// element as a routing zone named after the cluster.
+func (b *Build) buildCluster(c *Cluster) (*Zone, error) {
 	idx, err := ParseRadical(c.Radical)
 	if err != nil {
 		return nil, err
@@ -246,64 +234,27 @@ func (b *Build) buildCluster(c *Cluster) (*clusterInst, error) {
 		}
 	}
 
-	ci := &clusterInst{
-		id:       c.ID,
-		uplink:   make(map[string][]*simx.Link),
-		backbone: k.AddLink(c.ID+"_backbone", bbBw, bbLat),
+	backbone, err := b.addLink(c.ID+"_backbone", bbBw, bbLat, bbSharing)
+	if err != nil {
+		return nil, err
 	}
-	ci.backbone.Sharing = bbSharing
-	if b.zones != nil {
-		ci.zone = b.zones.NewZone(c.ID, nil, ci.backbone)
-	}
+	zone := b.zones.NewZone(c.ID, nil, backbone)
+	hosts := make([]string, 0, len(idx))
 	for _, i := range idx {
 		name := fmt.Sprintf("%s%d%s", c.Prefix, i, c.Suffix)
-		h := k.AddHost(name, power, cores)
-		hl := k.AddLink(fmt.Sprintf("%s_link_%d", c.ID, i), bw, lat)
-		hl.Sharing = sharing
-		ci.uplink[name] = []*simx.Link{hl}
-		ci.hosts = append(ci.hosts, name)
-		b.HostNames = append(b.HostNames, name)
-		if ci.zone != nil {
-			b.zones.Attach(h, ci.zone, hl)
+		h, err := b.addHost(name, power, cores)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if ci.zone == nil {
-		for _, src := range ci.hosts {
-			for _, dst := range ci.hosts {
-				if src == dst {
-					continue
-				}
-				k.AddRoute(src, dst, []*simx.Link{ci.uplink[src][0], ci.backbone, ci.uplink[dst][0]})
-			}
+		hl, err := b.addLink(fmt.Sprintf("%s_link_%d", c.ID, i), bw, lat, sharing)
+		if err != nil {
+			return nil, err
 		}
+		b.zones.Attach(h, zone, hl)
+		hosts = append(hosts, name)
 	}
-	b.byCluster[c.ID] = ci.hosts
-	return ci, nil
-}
-
-// connectClusters joins two clusters through their uplinks, both backbones
-// and the wide-area links: one inter-zone declaration in computed mode, a
-// route for every host pair in table mode.
-func (b *Build) connectClusters(src, dst *clusterInst, wan []*simx.Link) {
-	if src.zone != nil && dst.zone != nil {
-		b.zones.ConnectZones(src.zone, dst.zone, wan...)
-		return
-	}
-	k := b.Kernel
-	for _, s := range src.hosts {
-		for _, d := range dst.hosts {
-			up, down := src.uplink[s], dst.uplink[d]
-			links := make([]*simx.Link, 0, len(wan)+len(up)+len(down)+2)
-			links = append(links, up...)
-			links = append(links, src.backbone)
-			links = append(links, wan...)
-			links = append(links, dst.backbone)
-			for i := len(down) - 1; i >= 0; i-- {
-				links = append(links, down[i])
-			}
-			k.AddRoute(s, d, links)
-		}
-	}
+	b.byCluster[c.ID] = hosts
+	return zone, nil
 }
 
 func resolveLinks(refs []LinkRef, links map[string]*simx.Link) ([]*simx.Link, error) {
@@ -328,6 +279,19 @@ func parseSharing(s string) (simx.Sharing, error) {
 		return simx.SharingFatpipe, nil
 	}
 	return 0, fmt.Errorf("unknown sharing_policy %q (want SHARED or FATPIPE)", s)
+}
+
+// parseSymmetrical reads a route's symmetrical attribute, YES or NO in any
+// case: whether the reverse route is declared too. Absent means YES, per
+// the SimGrid DTD.
+func parseSymmetrical(s string) (bool, error) {
+	switch strings.ToUpper(strings.TrimSpace(s)) {
+	case "", "YES":
+		return true, nil
+	case "NO":
+		return false, nil
+	}
+	return false, fmt.Errorf("bad symmetrical %q (want YES or NO)", s)
 }
 
 func parseCores(s string) (int, error) {

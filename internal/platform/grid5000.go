@@ -112,24 +112,16 @@ func BuildGdx(nodes int) (*Build, error) {
 
 // BuildGdxWithCores instantiates gdx with an explicit per-node core count.
 func BuildGdxWithCores(nodes, cores int) (*Build, error) {
-	return buildGdxRouting(nodes, cores, RoutingComputed)
-}
-
-// buildGdxRouting instantiates gdx in the given routing mode.
-func buildGdxRouting(nodes, cores int, r Routing) (*Build, error) {
-	b := newBuild(r)
-	if _, err := b.buildGdxInto(nodes, cores); err != nil {
-		return nil, err
-	}
+	b := newBuild()
+	b.buildGdxInto(nodes, cores)
 	return b, nil
 }
 
 // buildGdxInto constructs the gdx topology in the Build's kernel and returns
-// its clusterInst for inter-site routing. In computed mode the cabinet pairs
-// behind each first-level switch become nested zones of the gdx zone, so a
-// composed same-switch route crosses one switch and a distant-cabinet route
-// three — the exact paths the table mode materializes.
-func (b *Build) buildGdxInto(nodes, cores int) (*clusterInst, error) {
+// its zone for inter-site routing. The cabinet pairs behind each
+// first-level switch are nested zones of the gdx zone, so a composed
+// same-switch route crosses one switch and a distant-cabinet route three.
+func (b *Build) buildGdxInto(nodes, cores int) *Zone {
 	if nodes <= 0 || nodes > GdxNodes {
 		nodes = GdxNodes
 	}
@@ -137,60 +129,29 @@ func (b *Build) buildGdxInto(nodes, cores int) (*clusterInst, error) {
 		cores = 1
 	}
 	k := b.Kernel
-	ci := &clusterInst{
-		id:       "gdx",
-		uplink:   make(map[string][]*simx.Link),
-		backbone: k.AddLink("gdx_backbone", GigaEthernetBw, ClusterLatency),
-	}
+	zone := b.zones.NewZone("gdx", nil, k.AddLink("gdx_backbone", GigaEthernetBw, ClusterLatency))
 	perCabinet := (nodes + GdxCabinets - 1) / GdxCabinets
 	nSwitch := (GdxCabinets + 1) / 2
 	switches := make([]*simx.Link, nSwitch)
 	for i := range switches {
 		switches[i] = k.AddLink(fmt.Sprintf("gdx_switch_%d", i), GigaEthernetBw, ClusterLatency)
 	}
-	var groupZones []*Zone
-	if b.zones != nil {
-		ci.zone = b.zones.NewZone("gdx", nil, ci.backbone)
-		groupZones = make([]*Zone, nSwitch)
-		for i, sw := range switches {
-			groupZones[i] = b.zones.NewZone(fmt.Sprintf("gdx_group_%d", i), ci.zone, sw)
-		}
+	groupZones := make([]*Zone, nSwitch)
+	for i, sw := range switches {
+		groupZones[i] = b.zones.NewZone(fmt.Sprintf("gdx_group_%d", i), zone, sw)
 	}
-	group := make([]int, nodes) // host index -> first-level switch index
+	hosts := make([]string, 0, nodes)
 	for i := 0; i < nodes; i++ {
-		cabinet := i / perCabinet
-		group[i] = cabinet / 2
 		name := fmt.Sprintf("gdx-%d.orsay.grid5000.fr", i)
 		h := k.AddHost(name, GdxPower, cores)
 		hl := k.AddLink(fmt.Sprintf("gdx_link_%d", i), GigaEthernetBw, ClusterLatency)
-		ci.uplink[name] = []*simx.Link{hl, switches[group[i]]}
-		ci.hosts = append(ci.hosts, name)
+		hosts = append(hosts, name)
 		b.HostNames = append(b.HostNames, name)
-		if groupZones != nil {
-			b.zones.Attach(h, groupZones[group[i]], hl)
-		}
+		// Two cabinets share a first-level switch.
+		b.zones.Attach(h, groupZones[i/perCabinet/2], hl)
 	}
-	if ci.zone == nil {
-		for i, src := range ci.hosts {
-			for j, dst := range ci.hosts {
-				if i == j {
-					continue
-				}
-				hlS, hlD := ci.uplink[src][0], ci.uplink[dst][0]
-				if group[i] == group[j] {
-					// Same first-level switch: one switch on the path.
-					k.AddRoute(src, dst, []*simx.Link{hlS, switches[group[i]], hlD})
-				} else {
-					// Distant cabinets: three switches on the path.
-					k.AddRoute(src, dst, []*simx.Link{
-						hlS, switches[group[i]], ci.backbone, switches[group[j]], hlD,
-					})
-				}
-			}
-		}
-	}
-	b.byCluster["gdx"] = ci.hosts
-	return ci, nil
+	b.byCluster["gdx"] = hosts
+	return zone
 }
 
 // BuildGrid5000 instantiates both sites in one kernel, interconnected by the
@@ -203,27 +164,19 @@ func BuildGrid5000(bordereauNodes, gdxNodes int) (*Build, error) {
 // BuildGrid5000WithCores instantiates both sites with an explicit per-node
 // core count (0 keeps each cluster's physical count).
 func BuildGrid5000WithCores(bordereauNodes, gdxNodes, cores int) (*Build, error) {
-	return buildGrid5000Routing(bordereauNodes, gdxNodes, cores, RoutingComputed)
-}
-
-// buildGrid5000Routing instantiates both sites in the given routing mode.
-func buildGrid5000Routing(bordereauNodes, gdxNodes, cores int, r Routing) (*Build, error) {
-	b := newBuild(r)
+	b := newBuild()
 	bCores, gCores := BordereauCores, GdxCores
 	if cores > 0 {
 		bCores, gCores = cores, cores
 	}
 	bp := BordereauWithCores(bordereauNodes, bCores)
-	bi, err := b.buildCluster(&bp.AS.Clusters[0])
+	bz, err := b.buildCluster(&bp.AS.Clusters[0])
 	if err != nil {
 		return nil, err
 	}
-	gi, err := b.buildGdxInto(gdxNodes, gCores)
-	if err != nil {
-		return nil, err
-	}
+	gz := b.buildGdxInto(gdxNodes, gCores)
 	wan := b.Kernel.AddLink("wan_bordeaux_orsay", TenGigabitBw, WANLatency)
-	b.connectClusters(bi, gi, []*simx.Link{wan})
-	b.connectClusters(gi, bi, []*simx.Link{wan})
+	b.zones.ConnectZones(bz, gz, wan)
+	b.zones.ConnectZones(gz, bz, wan)
 	return b, nil
 }

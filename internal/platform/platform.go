@@ -80,7 +80,8 @@ type RouteDef struct {
 	Src   string    `xml:"src,attr"`
 	Dst   string    `xml:"dst,attr"`
 	Links []LinkRef `xml:"link_ctn"`
-	// Symmetrical defaults to YES per the SimGrid DTD.
+	// Symmetrical is YES or NO in any case; empty means YES, per the
+	// SimGrid DTD.
 	Symmetrical string `xml:"symmetrical,attr"`
 }
 
@@ -152,6 +153,16 @@ func (a *AS) validate() error {
 	for _, l := range a.Links {
 		if l.ID == "" || l.Bandwidth == "" || l.Latency == "" {
 			return fmt.Errorf("platform: link needs id, bandwidth and latency in AS %q", a.ID)
+		}
+	}
+	for _, r := range a.Routes {
+		if _, err := parseSymmetrical(r.Symmetrical); err != nil {
+			return fmt.Errorf("platform: route %q -> %q: %w", r.Src, r.Dst, err)
+		}
+	}
+	for _, r := range a.ASRoutes {
+		if _, err := parseSymmetrical(r.Symmetrical); err != nil {
+			return fmt.Errorf("platform: ASroute %q -> %q: %w", r.Src, r.Dst, err)
 		}
 	}
 	for i := range a.Subs {

@@ -98,6 +98,8 @@ func TestParseRejectsInvalid(t *testing.T) {
 		`<platform version="3"><AS id="a" routing="Full"><host id="h"/></AS></platform>`,
 		`<platform version="3"><AS id="a" routing="Full"><link id="l" bandwidth="1e8"/></AS></platform>`,
 		`not xml at all`,
+		`<platform version="3"><AS id="a" routing="Full"><host id="x" power="1e9"/><host id="y" power="1e9"/><route src="x" dst="y" symmetrical="maybe"/></AS></platform>`,
+		`<platform version="3"><AS id="a" routing="Full"><ASroute src="c" dst="d" symmetrical="NOPE"/></AS></platform>`,
 	}
 	for i, s := range bad {
 		if _, err := Parse(strings.NewReader(s)); err == nil {
@@ -258,20 +260,58 @@ func TestExplicitHostsLinksRoutes(t *testing.T) {
 	}
 }
 
-func TestRouteUnknownLinkRejected(t *testing.T) {
-	const xmlDoc = `<platform version="3">
-  <AS id="AS0" routing="Full">
-    <host id="a" power="1E9"/>
-    <host id="b" power="1E9"/>
-    <route src="a" dst="b"><link_ctn id="nope"/></route>
-  </AS>
-</platform>`
-	p, err := Parse(strings.NewReader(xmlDoc))
-	if err != nil {
-		t.Fatal(err)
+// TestInstantiateRejectsMalformed: descriptions that parse but cannot be
+// instantiated — a route over an unknown link or between undeclared hosts,
+// a link or host declared twice — fail with a platform error naming the
+// culprit, not a kernel panic.
+func TestInstantiateRejectsMalformed(t *testing.T) {
+	const hosts = `<host id="a" power="1E9"/><host id="b" power="1E9"/>`
+	for _, tc := range []struct{ name, as, want string }{
+		{"unknown link", hosts + `<route src="a" dst="b"><link_ctn id="nope"/></route>`,
+			`unknown link "nope"`},
+		{"undeclared host", hosts + `<link id="l" bandwidth="1E8" latency="1E-5"/>
+			<route src="a" dst="ghost"><link_ctn id="l"/></route>`, `undeclared host`},
+		{"duplicate link", `<link id="l" bandwidth="1E8" latency="1E-5"/>
+			<link id="l" bandwidth="1E9" latency="1E-6"/>`, `duplicate link "l"`},
+		{"cluster link reused", `<cluster id="c" prefix="n" suffix="" radical="0-1" power="1E9" bw="1E8" lat="1E-5"/>
+			<link id="c_link_0" bandwidth="1E8" latency="1E-5"/>`, `duplicate link "c_link_0"`},
+		{"duplicate host", `<cluster id="c" prefix="n" suffix="" radical="0-1" power="1E9" bw="1E8" lat="1E-5"/>
+			<host id="n1" power="1E9"/>`, `duplicate host "n1"`},
+	} {
+		doc := `<platform version="3"><AS id="AS0" routing="Full">` + tc.as + `</AS></platform>`
+		p, err := Parse(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		if _, err := Instantiate(p); err == nil || !strings.Contains(err.Error(), tc.want) ||
+			!strings.HasPrefix(err.Error(), "platform: ") {
+			t.Errorf("%s: err = %v, want a platform error containing %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := Instantiate(p); err == nil {
-		t.Fatal("expected error for unknown link reference")
+}
+
+// TestRouteSymmetricalAnyCase: symmetrical="No" suppresses the reverse
+// route whatever its case, and absent or "yes" adds it.
+func TestRouteSymmetricalAnyCase(t *testing.T) {
+	for attr, reverse := range map[string]bool{
+		"": true, `symmetrical="yes"`: true, `symmetrical="No"`: false, `symmetrical="NO"`: false,
+	} {
+		doc := `<platform version="3"><AS id="AS0" routing="Full">
+			<host id="a" power="1E9"/><host id="b" power="1E9"/>
+			<link id="l" bandwidth="1E8" latency="1E-5"/>
+			<route src="a" dst="b" ` + attr + `><link_ctn id="l"/></route></AS></platform>`
+		p, err := Parse(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%q: %v", attr, err)
+		}
+		b, err := Instantiate(p)
+		if err != nil {
+			t.Fatalf("%q: %v", attr, err)
+		}
+		k := b.Kernel
+		if got := k.Router().Route(k.Host("b"), k.Host("a")) != nil; got != reverse {
+			t.Errorf("%q: reverse route present = %v, want %v", attr, got, reverse)
+		}
 	}
 }
 

@@ -317,7 +317,7 @@ func (t TopoSpec) Build() (*Build, error) {
 // edge uplink, (K/2)² per pod uplink), which keeps full bisection bandwidth
 // while the host links bound any single flow at the base rate.
 func (t TopoSpec) buildFatTree() (*Build, error) {
-	b := newBuild(RoutingComputed)
+	b := newBuild()
 	k := b.Kernel
 	half := t.K / 2
 	hostsPerEdge, edgesPerPod := half, half
@@ -403,7 +403,7 @@ func (t *torusRouter) Route(src, dst *simx.Host) *simx.Route {
 // buildTorus creates the grid hosts, one host link each, and the per-axis
 // neighbor links, then installs the dimension-ordered computed router.
 func (t TopoSpec) buildTorus() (*Build, error) {
-	b := &Build{Kernel: simx.New(), byCluster: make(map[string][]string), routing: RoutingComputed}
+	b := &Build{Kernel: simx.New(), byCluster: make(map[string][]string)}
 	k := b.Kernel
 	n := t.HostCount()
 	tr := &torusRouter{dims: t.Dims, hostLink: make([]*simx.Link, n),
@@ -481,7 +481,7 @@ func (d *dragonflyRouter) Route(src, dst *simx.Host) *simx.Route {
 // minimal-routing computed router. Router crossbars are fatpipes; local and
 // global cables are shared links.
 func (t TopoSpec) buildDragonfly() (*Build, error) {
-	b := &Build{Kernel: simx.New(), byCluster: make(map[string][]string), routing: RoutingComputed}
+	b := &Build{Kernel: simx.New(), byCluster: make(map[string][]string)}
 	k := b.Kernel
 	n := t.HostCount()
 	dr := &dragonflyRouter{groups: t.Groups, routers: t.Routers, hostsPer: t.HostsPer,

@@ -6,16 +6,15 @@ import (
 	"tireplay/internal/simx"
 )
 
-// This file is the computed routing layer: instead of eagerly materializing
-// a route for every host pair (O(n²·pathlen) memory, the historical
-// reference kept behind RoutingTable), the platform builds a hierarchy of
-// routing zones — host → cluster → wider systems — and composes each route
-// on demand from the host's uplink, the zone backbones along the way, and
-// the inter-zone segment joining two independent systems. Route state is
-// O(hosts + zones²): per host the few links up to its zone core, per zone
-// pair one cached middle segment. The kernel caches each composed route
-// under a host-pointer key the first time a pair communicates, so steady-
-// state resolution costs one map hit, exactly like the eager table.
+// This file is the computed routing layer: instead of materializing a route
+// for every host pair (O(n²·pathlen) memory), the platform builds a
+// hierarchy of routing zones — host → cluster → wider systems — and
+// composes each route on demand from the host's uplink, the zone backbones
+// along the way, and the inter-zone segment joining two independent
+// systems. Route state is O(hosts + zones²): per host the few links up to
+// its zone core, per zone pair one cached middle segment. The kernel caches
+// each composed route under a host-pointer key the first time a pair
+// communicates, so steady-state resolution costs one map hit.
 
 // Zone is one node of the routing hierarchy. Hosts attach to a zone; zones
 // nest (a switch group inside a cluster, a cluster inside a site). Traffic
@@ -58,8 +57,7 @@ type spineSeg struct {
 
 // ZoneRouter composes host-pair routes from a zone hierarchy. It implements
 // simx.Router (resolution on demand) and simx.RouteAdder (explicit per-pair
-// overrides, used for XML <route> declarations), so a kernel using it
-// behaves exactly like one with an eager table — without the table.
+// overrides, used for XML <route> declarations).
 type ZoneRouter struct {
 	zones  []*Zone
 	attach []hostAttach // indexed by dense simx host ID
@@ -124,7 +122,7 @@ func (zr *ZoneRouter) ConnectZones(src, dst *Zone, via ...*simx.Link) {
 }
 
 // AddRoute installs an explicit per-pair override (simx.RouteAdder); XML
-// <route> declarations between named hosts land here in computed mode.
+// <route> declarations between named hosts land here.
 func (zr *ZoneRouter) AddRoute(src, dst *simx.Host, r *simx.Route) {
 	zr.explicit[hostPairKey(src, dst)] = r
 }

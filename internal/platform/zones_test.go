@@ -1,49 +1,47 @@
 package platform
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"tireplay/internal/simx"
 )
 
-// This file pins the computed routing layer against the eager reference
-// tables: on every platform description the repo ships — the paper's radical
-// cluster file, a two-cluster ASroute description, the hierarchical gdx
-// interconnect and the combined Grid'5000 build — every host pair must
-// resolve to the same links in the same order with the same latency under
-// both modes.
+// This file pins the computed routing layer against a route table written
+// out in the tests: on every platform description the repo ships — the
+// paper's radical cluster file, a two-cluster ASroute description, the
+// hierarchical gdx interconnect and the combined Grid'5000 build — every
+// host pair must resolve to the uplink, backbone(s) and wide-area links the
+// description implies, in that order, with their summed latency.
 
-// routesEqual resolves every ordered host pair through both kernels' routers
-// and compares links (by name, since the kernels hold distinct instances)
-// and latency exactly.
-func routesEqual(t *testing.T, computed, table *Build) {
+// routesMatch resolves every ordered host pair of b and compares the route
+// with want's link names and with the latency of those links summed in
+// route order.
+func routesMatch(t *testing.T, b *Build, want func(src, dst string) []string) {
 	t.Helper()
-	if len(computed.HostNames) != len(table.HostNames) {
-		t.Fatalf("host counts differ: %d vs %d", len(computed.HostNames), len(table.HostNames))
-	}
-	ck, tk := computed.Kernel, table.Kernel
-	for _, s := range computed.HostNames {
-		for _, d := range computed.HostNames {
+	k := b.Kernel
+	for _, s := range b.HostNames {
+		for _, d := range b.HostNames {
 			if s == d {
 				continue
 			}
-			rc := ck.Router().Route(ck.Host(s), ck.Host(d))
-			rt := tk.Router().Route(tk.Host(s), tk.Host(d))
-			if rc == nil || rt == nil {
-				t.Fatalf("%s->%s: computed=%v table=%v (route missing)", s, d, rc, rt)
+			r := k.Router().Route(k.Host(s), k.Host(d))
+			if r == nil {
+				t.Fatalf("%s->%s: route missing", s, d)
 			}
-			if rc.Latency != rt.Latency {
-				t.Fatalf("%s->%s: computed latency %g != table %g", s, d, rc.Latency, rt.Latency)
-			}
-			if len(rc.Links) != len(rt.Links) {
-				t.Fatalf("%s->%s: computed %s != table %s", s, d, linkNames(rc), linkNames(rt))
-			}
-			for i := range rc.Links {
-				if rc.Links[i].Name != rt.Links[i].Name {
-					t.Fatalf("%s->%s: link %d: computed %s != table %s",
-						s, d, i, linkNames(rc), linkNames(rt))
+			names := want(s, d)
+			links := make([]*simx.Link, len(names))
+			for i, n := range names {
+				if links[i] = k.Link(n); links[i] == nil {
+					t.Fatalf("%s->%s: expected link %q not declared", s, d, n)
 				}
+			}
+			if got, exp := linkNames(r), "["+strings.Join(names, " ")+"]"; got != exp {
+				t.Fatalf("%s->%s: route %s, want %s", s, d, got, exp)
+			}
+			if exp := simx.NewRoute(links).Latency; r.Latency != exp {
+				t.Fatalf("%s->%s: latency %g, want %g", s, d, r.Latency, exp)
 			}
 		}
 	}
@@ -57,23 +55,65 @@ func linkNames(r *simx.Route) string {
 	return "[" + strings.Join(names, " ") + "]"
 }
 
+// clusterRoutes is the expected route function of a description made of
+// radical clusters joined by the wan link: a host's private link and its
+// cluster backbone, then (between clusters) the wan link and the other
+// cluster's backbone, then the destination's private link.
+func clusterRoutes(t *testing.T, p *Platform) func(src, dst string) []string {
+	t.Helper()
+	up, cluster := make(map[string]string), make(map[string]string)
+	for _, c := range p.AS.Clusters {
+		idx, err := ParseRadical(c.Radical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range idx {
+			name := fmt.Sprintf("%s%d%s", c.Prefix, i, c.Suffix)
+			up[name] = fmt.Sprintf("%s_link_%d", c.ID, i)
+			cluster[name] = c.ID
+		}
+	}
+	return func(s, d string) []string {
+		if cluster[s] == cluster[d] {
+			return []string{up[s], cluster[s] + "_backbone", up[d]}
+		}
+		return []string{up[s], cluster[s] + "_backbone", "wan", cluster[d] + "_backbone", up[d]}
+	}
+}
+
+// gdxUplinks maps each of the first nodes gdx hosts to its uplink chain,
+// host side first: its private link, then the first-level switch its
+// cabinet pair shares.
+func gdxUplinks(nodes int) map[string][]string {
+	perCabinet := (nodes + GdxCabinets - 1) / GdxCabinets
+	up := make(map[string][]string)
+	for i := 0; i < nodes; i++ {
+		up[fmt.Sprintf("gdx-%d.orsay.grid5000.fr", i)] = []string{
+			fmt.Sprintf("gdx_link_%d", i), fmt.Sprintf("gdx_switch_%d", i/perCabinet/2)}
+	}
+	return up
+}
+
+// gdxRoute is the expected route between two gdx hosts: one switch behind
+// a shared first-level switch, three (through the gdx backbone) otherwise.
+func gdxRoute(up map[string][]string, s, d string) []string {
+	us, ud := up[s], up[d]
+	if us[1] == ud[1] {
+		return []string{us[0], us[1], ud[0]}
+	}
+	return []string{us[0], us[1], "gdx_backbone", ud[1], ud[0]}
+}
+
 func TestComputedRoutesMatchTableOnRadicalCluster(t *testing.T) {
 	p, err := Parse(strings.NewReader(paperPlatformXML))
 	if err != nil {
 		t.Fatal(err)
 	}
-	computed, err := InstantiateRouting(p, RoutingComputed)
+	b, err := Instantiate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if computed.Routing() != RoutingComputed {
-		t.Fatalf("routing mode = %v", computed.Routing())
-	}
-	table, err := InstantiateRouting(p, RoutingTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routesEqual(t, computed, table)
+	routesMatch(t, b, clusterRoutes(t, p))
 }
 
 // twoClusterXML joins two radical clusters through an ASroute over a WAN
@@ -96,44 +136,51 @@ func TestComputedRoutesMatchTableOnASRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	computed, err := InstantiateRouting(p, RoutingComputed)
+	b, err := Instantiate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := InstantiateRouting(p, RoutingTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routesEqual(t, computed, table)
+	routesMatch(t, b, clusterRoutes(t, p))
 }
 
 func TestComputedRoutesMatchTableOnGdx(t *testing.T) {
-	computed, err := buildGdxRouting(40, GdxCores, RoutingComputed)
+	b, err := BuildGdx(40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := buildGdxRouting(40, GdxCores, RoutingTable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	routesEqual(t, computed, table)
+	up := gdxUplinks(40)
+	routesMatch(t, b, func(s, d string) []string { return gdxRoute(up, s, d) })
 }
 
 func TestComputedRoutesMatchTableOnGrid5000(t *testing.T) {
-	computed, err := buildGrid5000Routing(6, 12, 0, RoutingComputed)
+	b, err := BuildGrid5000WithCores(6, 12, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := buildGrid5000Routing(6, 12, 0, RoutingTable)
-	if err != nil {
-		t.Fatal(err)
+	up := gdxUplinks(12)
+	for i := 0; i < 6; i++ {
+		up[fmt.Sprintf("bordereau-%d.bordeaux.grid5000.fr", i)] = []string{
+			fmt.Sprintf("bordereau_link_%d", i)}
 	}
-	routesEqual(t, computed, table)
+	site := func(h string) string { return strings.SplitN(h, "-", 2)[0] }
+	routesMatch(t, b, func(s, d string) []string {
+		switch {
+		case site(s) != site(d):
+			links := append([]string(nil), up[s]...)
+			links = append(links, site(s)+"_backbone", "wan_bordeaux_orsay", site(d)+"_backbone")
+			for i := len(up[d]) - 1; i >= 0; i-- {
+				links = append(links, up[d][i])
+			}
+			return links
+		case site(s) == "gdx":
+			return gdxRoute(up, s, d)
+		}
+		return []string{up[s][0], "bordereau_backbone", up[d][0]}
+	})
 }
 
 // TestExplicitRouteOverridesZones: an XML <route> between cluster hosts must
-// win over the composed zone route in computed mode, exactly as it replaces
-// the table entry in table mode.
+// win over the composed zone route.
 func TestExplicitRouteOverridesZones(t *testing.T) {
 	const doc = `<platform version="3">
   <AS id="AS0" routing="Full">
@@ -147,21 +194,19 @@ func TestExplicitRouteOverridesZones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Routing{RoutingComputed, RoutingTable} {
-		b, err := InstantiateRouting(p, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := b.Kernel
-		r := k.Router().Route(k.Host("n0"), k.Host("n1"))
-		if r == nil || len(r.Links) != 1 || r.Links[0].Name != "short" {
-			t.Fatalf("%v: override not applied: %+v", mode, r)
-		}
-		// The reverse direction is symmetrical by default.
-		rr := k.Router().Route(k.Host("n1"), k.Host("n0"))
-		if rr == nil || len(rr.Links) != 1 || rr.Links[0].Name != "short" {
-			t.Fatalf("%v: symmetric override not applied: %+v", mode, rr)
-		}
+	b, err := Instantiate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := b.Kernel
+	r := k.Router().Route(k.Host("n0"), k.Host("n1"))
+	if r == nil || len(r.Links) != 1 || r.Links[0].Name != "short" {
+		t.Fatalf("override not applied: %+v", r)
+	}
+	// The reverse direction is symmetrical by default.
+	rr := k.Router().Route(k.Host("n1"), k.Host("n0"))
+	if rr == nil || len(rr.Links) != 1 || rr.Links[0].Name != "short" {
+		t.Fatalf("symmetric override not applied: %+v", rr)
 	}
 }
 
@@ -172,14 +217,11 @@ func TestExplicitRouteOverridesZones(t *testing.T) {
 func TestZoneRouterMemoryScalesLinearly(t *testing.T) {
 	p := BordereauCustom(64, 1, BordereauPower)
 	p.AS.Clusters[0].Radical = FormatRadical(64)
-	b, err := InstantiateRouting(p, RoutingComputed)
+	b, err := Instantiate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	zr := b.zones
-	if zr == nil {
-		t.Fatal("computed build has no zone router")
-	}
 	if got := len(zr.explicit); got != 0 {
 		t.Fatalf("explicit overrides = %d, want 0", got)
 	}

@@ -25,16 +25,15 @@ func collectiveDoc(n int, lines ...string) string {
 
 // replayCollectives runs the doc under the given collective config and
 // returns makespan plus timed trace.
-func replayCollectives(t *testing.T, doc string, n int, cc coll.Config, stringMailboxes bool) (float64, []byte) {
+func replayCollectives(t *testing.T, doc string, n int, cc coll.Config) (float64, []byte) {
 	t.Helper()
 	b, d := paperSetup(t, n)
 	var buf bytes.Buffer
 	tw := NewTimedTraceWriter(&buf)
-	cfg := Config{Model: smpi.Default(), TimedTracer: tw,
-		Collectives: cc, StringMailboxes: stringMailboxes}
+	cfg := Config{Model: smpi.Default(), TimedTracer: tw, Collectives: cc}
 	res, err := RunActions(b, d, cfg, perRankActions(t, doc, n))
 	if err != nil {
-		t.Fatalf("coll=%s stringMailboxes=%v: %v", cc, stringMailboxes, err)
+		t.Fatalf("coll=%s: %v", cc, err)
 	}
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
@@ -57,44 +56,12 @@ func TestNewCollectiveActionsReplay(t *testing.T) {
 	)
 	for _, spec := range []string{"", "linear", "binomial", "ring", "auto"} {
 		cc := coll.MustParseSpec(spec)
-		simTime, timed := replayCollectives(t, doc, n, cc, false)
+		simTime, timed := replayCollectives(t, doc, n, cc)
 		if simTime <= 0 {
 			t.Fatalf("coll=%q: non-positive simulated time", spec)
 		}
 		if len(timed) == 0 {
 			t.Fatalf("coll=%q: empty timed trace", spec)
-		}
-	}
-}
-
-// TestCollectiveAlgorithmsMatchStringKeyedPath extends the interning
-// equivalence to every algorithm, including the multi-round ones: whatever
-// the schedule, the interned round-mailbox fast path and the string-keyed
-// reference path must produce byte-identical timed traces.
-func TestCollectiveAlgorithmsMatchStringKeyedPath(t *testing.T) {
-	const n = 6
-	doc := collectiveDoc(n,
-		"compute 1e6",
-		"bcast 1e5",
-		"reduce 1e5 2e5",
-		"allReduce 1e5 2e5",
-		"gather 4096",
-		"allGather 4096",
-		"allToAll 2048",
-		"scatter 8192",
-		"barrier",
-		"bcast 2e6",
-	)
-	for _, spec := range []string{"", "binomial", "allReduce=rdb", "allReduce=ring",
-		"barrier=tree", "allGather=ring", "auto"} {
-		cc := coll.MustParseSpec(spec)
-		timeI, traceI := replayCollectives(t, doc, n, cc, false)
-		timeS, traceS := replayCollectives(t, doc, n, cc, true)
-		if timeI != timeS {
-			t.Fatalf("coll=%q: interned %v != string-keyed %v", spec, timeI, timeS)
-		}
-		if !bytes.Equal(traceI, traceS) {
-			t.Fatalf("coll=%q: timed traces differ between mailbox paths", spec)
 		}
 	}
 }
@@ -105,8 +72,8 @@ func TestCollectiveAlgorithmsMatchStringKeyedPath(t *testing.T) {
 func TestBinomialBcastBeatsLinearStar(t *testing.T) {
 	const n = 8
 	doc := collectiveDoc(n, "comm_size 8", "bcast 1e6")
-	linTime, _ := replayCollectives(t, doc, n, coll.Config{}, false)
-	binTime, _ := replayCollectives(t, doc, n, coll.MustParseSpec("bcast=binomial"), false)
+	linTime, _ := replayCollectives(t, doc, n, coll.Config{})
+	binTime, _ := replayCollectives(t, doc, n, coll.MustParseSpec("bcast=binomial"))
 	if binTime >= linTime {
 		t.Fatalf("binomial bcast (%g) not faster than linear star (%g)", binTime, linTime)
 	}
@@ -119,8 +86,8 @@ func TestCollectiveConfigDeterministic(t *testing.T) {
 	doc := collectiveDoc(n, "allReduce 5e4 1e5", "barrier", "allGather 1024")
 	for _, spec := range []string{"binomial", "allReduce=ring", "auto"} {
 		cc := coll.MustParseSpec(spec)
-		t1, b1 := replayCollectives(t, doc, n, cc, false)
-		t2, b2 := replayCollectives(t, doc, n, cc, false)
+		t1, b1 := replayCollectives(t, doc, n, cc)
+		t2, b2 := replayCollectives(t, doc, n, cc)
 		if t1 != t2 || !bytes.Equal(b1, b2) {
 			t.Fatalf("coll=%q: non-deterministic replay (%g vs %g)", spec, t1, t2)
 		}
@@ -128,20 +95,51 @@ func TestCollectiveConfigDeterministic(t *testing.T) {
 }
 
 // TestRecycledRoundTableGrowth: pairwise allToAll rounds use a different
-// n-pair set per round, so recycled round structs accumulate distinct keys
-// until their pair tables grow. After growth the interned path must still
-// agree byte-for-byte with the string-keyed reference.
+// n-pair set per round, and a one-round bcast between them rotates which
+// round a recycled struct serves next, so recycled round structs accumulate
+// distinct keys until their pair tables grow. A growth that lost or moved
+// an entry would hand one side of a pair a fresh mailbox and deadlock the
+// replay; after growth the replay must still complete, identically on a
+// repeat.
 func TestRecycledRoundTableGrowth(t *testing.T) {
 	const n = 8
-	doc := collectiveDoc(n,
-		"allToAll 4096", "allReduce 1e4 0", "allToAll 4096",
-		"allReduce 1e4 0", "allToAll 4096", "allGather 2048",
-	)
-	cc := coll.MustParseSpec("allReduce=ring,allGather=ring")
-	timeI, traceI := replayCollectives(t, doc, n, cc, false)
-	timeS, traceS := replayCollectives(t, doc, n, cc, true)
-	if timeI != timeS || !bytes.Equal(traceI, traceS) {
-		t.Fatalf("interned path diverges after round-table growth: %v vs %v", timeI, timeS)
+	var lines []string
+	for i := 0; i < 6; i++ {
+		lines = append(lines, "allToAll 4096", "bcast 1e4")
+	}
+	doc := collectiveDoc(n, append(lines, "allGather 2048")...)
+	cc := coll.MustParseSpec("allGather=ring")
+	var captured *Proc
+	reg := Default()
+	base, _ := reg.Lookup(trace.AllToAll)
+	reg.Register("allToAll", func(p *Proc, a trace.Action) error {
+		captured = p
+		return base(p, a)
+	})
+	run := func() (float64, []byte) {
+		b, d := paperSetup(t, n)
+		var buf bytes.Buffer
+		tw := NewTimedTraceWriter(&buf)
+		cfg := Config{Model: smpi.Default(), Registry: reg, TimedTracer: tw, Collectives: cc}
+		res, err := RunActions(b, d, cfg, perRankActions(t, doc, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return res.SimulatedTime, buf.Bytes()
+	}
+	t1, tr1 := run()
+	grown := false
+	for _, r := range captured.world.free {
+		grown = grown || len(r.pairs.keys) > 64
+	}
+	if !grown {
+		t.Fatal("no recycled round table grew past its initial 64 slots")
+	}
+	if t2, tr2 := run(); t1 != t2 || !bytes.Equal(tr1, tr2) {
+		t.Fatalf("replay after round-table growth not deterministic: %v vs %v", t1, t2)
 	}
 }
 

@@ -2,44 +2,26 @@ package replay
 
 import (
 	"fmt"
-	"strconv"
 
 	"tireplay/internal/coll"
 	"tireplay/internal/simx"
+	"tireplay/internal/smpi"
 	"tireplay/internal/trace"
 )
 
-// p2pMbox names the mailbox of point-to-point traffic between two ranks on
-// the string-keyed reference path (Config.StringMailboxes), which formats
-// it on every action.
-func p2pMbox(src, dst int) string {
-	return "replay:" + strconv.Itoa(src) + ">" + strconv.Itoa(dst)
-}
-
-// collMbox names the mailbox of one collective round. Every process
-// executes the same sequence of collective actions (an MPI requirement), so
-// a per-process collective counter identifies matching rounds globally.
-func collMbox(seq int64, src, dst int) string {
-	return "replay:coll" + strconv.FormatInt(seq, 10) + ":" + strconv.Itoa(src) + ">" + strconv.Itoa(dst)
-}
-
-// p2pMboxID resolves the mailbox of src-to-dst point-to-point traffic. On
-// the interned path the ID comes from the world's pair table, created on
-// the pair's first message with no name formatted or hashed.
+// p2pMboxID resolves the mailbox of src-to-dst point-to-point traffic from
+// the world's pair table, created on the pair's first message with no name
+// formatted or hashed.
 func (p *Proc) p2pMboxID(src, dst int) simx.MailboxID {
-	if p.world.stringMailboxes {
-		return p.Sim.Kernel().MailboxID(p2pMbox(src, dst))
-	}
 	return p.world.pairMbox(&p.world.p2p, src, dst)
 }
 
 // collMbox resolves the mailbox of the (src,dst) leg of collective round
-// seq. On the interned path the ID comes from the world's round table,
-// derived from the sequence counter with no name formatted or hashed.
+// seq from the world's round table. Every process executes the same
+// sequence of collective actions (an MPI requirement), so the per-process
+// sequence counter identifies matching rounds globally and the ID derives
+// from it with no name formatted or hashed.
 func (p *Proc) collMbox(seq int64, src, dst int) simx.MailboxID {
-	if p.world.stringMailboxes {
-		return p.Sim.Kernel().MailboxID(collMbox(seq, src, dst))
-	}
 	return p.world.pairMbox(&p.world.round(seq).pairs, src, dst)
 }
 
@@ -73,12 +55,10 @@ func (p *Proc) runCollective(kind coll.Kind, vcomm, vcomp float64) error {
 			p.Sim.Execute(s.Volume)
 		}
 	}
-	if !p.world.stringMailboxes {
-		// All of this rank's transfers in [base, base+rounds) have
-		// completed (every step above blocks); once the last rank passes
-		// here the rounds' mailboxes are drained and recycle.
-		p.world.release(base, rounds)
-	}
+	// All of this rank's transfers in [base, base+rounds) have completed
+	// (every step above blocks); once the last rank passes here the rounds'
+	// mailboxes are drained and recycle.
+	p.world.release(base, rounds)
 	return nil
 }
 
@@ -92,8 +72,8 @@ func handleCompute(p *Proc, a trace.Action) error {
 // checkPeer rejects peers outside the deployment: the run loop does not
 // re-validate actions (a custom Source can hand over anything), and the pair
 // table keys src*n+dst alias across ranks for an out-of-range peer, so such
-// a peer — in either direction — must fail with a diagnostic (on both
-// mailbox paths) rather than meet a stranger's traffic or a bare deadlock.
+// a peer — in either direction — must fail with a diagnostic rather than
+// meet a stranger's traffic or a bare deadlock.
 func (p *Proc) checkPeer(peer int) error {
 	if peer < 0 || peer >= p.N {
 		return fmt.Errorf("replay: p%d names peer p%d but deployment has %d processes",
@@ -102,8 +82,9 @@ func (p *Proc) checkPeer(peer int) error {
 	return nil
 }
 
-// handleSend simulates a blocking send: synchronous above the eager
-// threshold (the sender waits for the transfer), buffered below it.
+// handleSend simulates a blocking send: synchronous above
+// smpi.EagerThreshold (the sender waits for the transfer), buffered up to
+// it.
 func handleSend(p *Proc, a trace.Action) error {
 	if a.Peer == p.Rank {
 		return fmt.Errorf("replay: p%d sends to itself", p.Rank)
@@ -111,7 +92,7 @@ func handleSend(p *Proc, a trace.Action) error {
 	if err := p.checkPeer(a.Peer); err != nil {
 		return err
 	}
-	if a.Volume <= p.cfg.EagerThreshold {
+	if a.Volume <= smpi.EagerThreshold {
 		p.Sim.ISendDetachedID(p.p2pMboxID(p.Rank, a.Peer), a.Volume, nil)
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tireplay/internal/npb"
 	"tireplay/internal/platform"
 	"tireplay/internal/smpi"
 	"tireplay/internal/trace"
@@ -26,6 +27,17 @@ p3 recv p2
 p3 compute 1e6
 p3 send p0 1e6
 `
+
+// npbTraces records one NPB program's class S per-rank action lists
+// ("LU", "CG").
+func npbTraces(t *testing.T, name string, procs int) [][]trace.Action {
+	t.Helper()
+	perRank, err := npb.RecordAll(strings.ToLower(name), "S", procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return perRank
+}
 
 // paperSetup builds the Figure 5 platform and deployment for n processes.
 func paperSetup(t *testing.T, n int) (*platform.Build, *platform.Deployment) {
@@ -195,20 +207,26 @@ func TestReplayForeignRankActionFails(t *testing.T) {
 }
 
 func TestReplayEagerAvoidsHeadToHeadDeadlock(t *testing.T) {
-	// Two ranks both send first: with eager (buffered) small sends this
-	// completes; with fully synchronous sends it deadlocks.
-	const doc = `p0 send p1 1024
+	// Two ranks both send first: small sends are buffered (eager) and
+	// complete; sends above smpi.EagerThreshold are synchronous and
+	// deadlock head to head.
+	const eager = `p0 send p1 1024
 p0 recv p1
 p1 send p0 1024
 p1 recv p0
 `
 	b, d := paperSetup(t, 2)
-	if _, err := RunActions(b, d, Config{}, perRankActions(t, doc, 2)); err != nil {
+	if _, err := RunActions(b, d, Config{}, perRankActions(t, eager, 2)); err != nil {
 		t.Fatalf("eager replay failed: %v", err)
 	}
 
+	const synchronous = `p0 send p1 1e6
+p0 recv p1
+p1 send p0 1e6
+p1 recv p0
+`
 	b2, d2 := paperSetup(t, 2)
-	_, err := RunActions(b2, d2, Config{EagerThreshold: -1}, perRankActions(t, doc, 2))
+	_, err := RunActions(b2, d2, Config{}, perRankActions(t, synchronous, 2))
 	if err == nil || !strings.Contains(err.Error(), "stalled") {
 		t.Fatalf("synchronous head-to-head should deadlock, got %v", err)
 	}

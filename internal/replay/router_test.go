@@ -6,77 +6,7 @@ import (
 
 	"tireplay/internal/platform"
 	"tireplay/internal/smpi"
-	"tireplay/internal/trace"
 )
-
-// This file pins the zone-based computed routing layer at the replay level:
-// the same NPB traces replayed on a platform instantiated with composed
-// routes and with the eager per-pair reference tables must produce
-// byte-identical timed traces and bit-equal makespans. Routes that are
-// link-for-link identical (the platform-level equivalence tests) feed the
-// same max-min constraints in the same order, so any divergence here means
-// the computed layer changed semantics, not just representation.
-
-// timedReplayRouting replays perRank on an n-host bordereau instantiated in
-// the given routing mode.
-func timedReplayRouting(t *testing.T, perRank [][]trace.Action, r platform.Routing) (float64, []byte) {
-	t.Helper()
-	n := len(perRank)
-	b, err := platform.InstantiateRouting(platform.Bordereau(n), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := platform.RoundRobin(b.HostNames, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tw := NewTimedTraceWriter(&buf)
-	cfg := Config{Model: smpi.Default(), TimedTracer: tw}
-	res, err := RunActions(b, d, cfg, perRank)
-	if err != nil {
-		t.Fatalf("routing=%v: %v", r, err)
-	}
-	if err := tw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return res.SimulatedTime, buf.Bytes()
-}
-
-// TestComputedRoutingMatchesTableOnNPB is the end-to-end half of the
-// routing-refactor acceptance: an 8-rank LU (and CG) replay must emit the
-// byte-identical timed trace under the computed zone router and the eager
-// reference table.
-func TestComputedRoutingMatchesTableOnNPB(t *testing.T) {
-	const procs = 8
-	for _, fixture := range []string{"LU", "CG"} {
-		perRank := npbTraces(t, fixture, procs)
-		timeC, traceC := timedReplayRouting(t, perRank, platform.RoutingComputed)
-		timeT, traceT := timedReplayRouting(t, perRank, platform.RoutingTable)
-		if timeC != timeT {
-			t.Fatalf("%s: computed makespan %v != table %v", fixture, timeC, timeT)
-		}
-		if !bytes.Equal(traceC, traceT) {
-			t.Fatalf("%s: timed traces differ (%d vs %d bytes)",
-				fixture, len(traceC), len(traceT))
-		}
-		if len(traceC) == 0 {
-			t.Fatalf("%s: empty timed trace — tracer not wired", fixture)
-		}
-	}
-}
-
-// TestComputedRoutingMatchesTableOnStressTrace extends the check to the
-// interning stress trace (rendezvous queues, eager sends, collectives).
-func TestComputedRoutingMatchesTableOnStressTrace(t *testing.T) {
-	perRank := perRankActions(t, internStressTrace, 4)
-	timeC, traceC := timedReplayRouting(t, perRank, platform.RoutingComputed)
-	timeT, traceT := timedReplayRouting(t, perRank, platform.RoutingTable)
-	if timeC != timeT || !bytes.Equal(traceC, traceT) {
-		t.Fatalf("computed path diverges from table (makespan %v vs %v, traces %d vs %d bytes)",
-			timeC, timeT, len(traceC), len(traceT))
-	}
-}
 
 // TestReplayOnGeneratedTopology replays the stress trace on each zoo member:
 // the computed routers must carry a full replay (rendezvous, collectives,

@@ -22,19 +22,9 @@ type Config struct {
 	Model *smpi.Model
 	// Registry binds action keywords to handlers; nil means Default().
 	Registry *Registry
-	// EagerThreshold is the message size (bytes) under which send actions
-	// are buffered instead of synchronous. Zero means 64 KiB; negative
-	// forces every send to be synchronous.
-	EagerThreshold float64
 	// TimedTracer, when non-nil, receives the timed trace of the simulated
 	// execution (the secondary output of Figure 4).
 	TimedTracer simx.Tracer
-	// StringMailboxes switches the handlers back to formatting and hashing
-	// a mailbox name on every rendezvous instead of the anonymous mailbox
-	// IDs of the world's pair tables. This is the reference path kept for
-	// the interning equivalence tests; both paths pair the same sends with
-	// the same receives and produce identical timed traces.
-	StringMailboxes bool
 	// Collectives selects the algorithm decomposing each collective action
 	// into point-to-point schedules (see internal/coll). The zero value
 	// replays every collective as the paper's linear star through rank 0;
@@ -66,12 +56,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Registry == nil {
 		c.Registry = Default()
-	}
-	switch {
-	case c.EagerThreshold == 0:
-		c.EagerThreshold = 64 * 1024
-	case c.EagerThreshold < 0:
-		c.EagerThreshold = 0
 	}
 }
 
@@ -130,9 +114,8 @@ func (p *Proc) reserveColl(rounds int) int64 {
 // world is the replay state shared by every rank of one run. The kernel
 // schedules at most one rank at a time, so no locking is needed.
 type world struct {
-	k               *simx.Kernel
-	n               int
-	stringMailboxes bool
+	k *simx.Kernel
+	n int
 
 	// p2p holds the point-to-point mailbox of every (src,dst) pair that has
 	// exchanged a message, created on first use: a rank pair's traffic
@@ -405,7 +388,7 @@ func newRun(b *platform.Build, depl *platform.Deployment, cfg Config, sources []
 		depl:        depl,
 		hosts:       hosts,
 		sources:     sources,
-		world:       &world{k: k, n: n, stringMailboxes: cfg.StringMailboxes},
+		world:       &world{k: k, n: n},
 		errs:        make([]error, n),
 		rankActions: make([]int64, n),
 		failed:      make([]*simx.FailedError, n),

@@ -49,9 +49,6 @@ type activity struct {
 	pos int
 	// mark is the kernel's visit epoch during component traversal.
 	mark uint64
-	// rateEpoch is the kernel reshare pass that last changed rate; the lazy
-	// rescheduling path leaves the completion event alone between epochs.
-	rateEpoch uint64
 
 	host  *Host   // compute only
 	links []*Link // route links (comm), cached for the solver

@@ -391,11 +391,6 @@ func (k *Kernel) reshareLink(l *Link) {
 	if len(l.flows) == 0 {
 		return
 	}
-	if k.globalReshare {
-		k.settleFlows(k.flows)
-		k.reshareFlows(k.flows)
-		return
-	}
 	k.epoch++
 	e := k.epoch
 	l.mark = e

@@ -40,21 +40,17 @@
 //     connected component of the changed flow (via per-link flow lists),
 //     settles and re-solves those flows, and leaves every other component's
 //     rates and completion events untouched. The fair shares are
-//     bit-identical to a global re-solve (the solver processes the
-//     component's flows in the same relative order with the same link
-//     capacities); simulated times agree to the ulp, exactly when every
-//     transition touches one component and otherwise up to floating-point
-//     reassociation of the untouched components' progress updates (see
-//     TestPartialReshareMatchesGlobal and its Ring variant).
+//     bit-identical to a solve of the whole flow set: the solver processes
+//     the component's flows in the same relative order with the same link
+//     capacities (the invariant tests in reshare_test.go check every rate
+//     against such a solve after every event).
 //
 //   - Rescheduling is lazy. After a component is re-solved, a flow whose
 //     fair share came out unchanged keeps its pending completion event: the
 //     event time is a mathematically equal expression of the same completion
-//     instant, so the cancel+push round-trip (and its heap churn) is skipped.
-//     Activities stamp the reshare epoch that last changed their rate
-//     (rateEpoch); SetEagerReschedule(true) restores the cancel+push
-//     reference path and TestLazyRescheduleMatchesEager pins the
-//     equivalence. Events that do move are sifted in place
+//     instant (within a few ulps of lastUpdate + remaining/rate), so the
+//     cancel+push round-trip (and its heap churn) is skipped and LazySkips
+//     counts it. Events that do move are sifted in place
 //     (eventq.Queue.Update) instead of removed and re-pushed.
 //
 //   - Processes switch as coroutines: the kernel resumes a process with the
@@ -76,8 +72,8 @@
 //     replay fork recorder — index slices instead of building and hashing
 //     link names.
 //
-// SetGlobalReshare(true) restores the reference full-reshare path, which is
-// useful to cross-check simulations and benchmark the gain.
+// The golden corpus (internal/sweep, TestGoldenCorpus) pins the simulated
+// times and timed traces these paths produce, bit for bit.
 package simx
 
 import (
@@ -144,27 +140,8 @@ type Kernel struct {
 	rateModel RateModel
 	tracer    Tracer
 
-	// globalReshare disables partial resharing: every flow transition
-	// settles and re-solves the full flow set. This is the reference path
-	// used by equivalence tests and benchmarks.
-	globalReshare bool
-
-	// eagerResched disables lazy rescheduling: every reshare cancels and
-	// re-pushes the completion event of every touched activity even when
-	// its rate did not change. The lazy path skips that event-queue churn
-	// by comparing the freshly solved rate against the current one (the
-	// activity's rateEpoch records the last reshare that actually changed
-	// it). globalReshare implies eager, so the reference path stays the
-	// paper-style full re-solve.
-	eagerResched bool
-
-	// rateEpoch counts reshare passes; an activity is stamped with the pass
-	// that last changed its rate. The skip decision itself compares the
-	// freshly solved rate against the current one; the epoch is the
-	// auditable record that a skipped activity's completion event was left
-	// in place (see TestRateEpochStamping).
-	rateEpoch uint64
-	// lazySkips counts completion events left in place by the lazy path.
+	// lazySkips counts completion events left in place because a reshare
+	// handed the activity the rate it already progressed at.
 	lazySkips uint64
 
 	// Partial-reshare scratch: BFS epoch, frontier stack and the collected
@@ -218,23 +195,6 @@ func (k *Kernel) SetRateModel(m RateModel) { k.rateModel = m }
 
 // SetTracer installs an observer of completed activities.
 func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
-
-// SetGlobalReshare switches the kernel to the reference sharing path that
-// re-solves the complete flow set on every transition. The default partial
-// path produces bit-identical simulated times; this switch exists to verify
-// that claim and to measure the speedup.
-func (k *Kernel) SetGlobalReshare(on bool) { k.globalReshare = on }
-
-// SetEagerReschedule switches the kernel back to the reference rescheduling
-// path that cancels and re-pushes every touched activity's completion event
-// on each reshare, even when the solved rate is unchanged. The default lazy
-// path leaves events of rate-stable activities in place; this switch exists
-// for the lazy-vs-eager equivalence tests and to measure the gain.
-func (k *Kernel) SetEagerReschedule(on bool) { k.eagerResched = on }
-
-// eager reports whether rescheduling must be unconditional; the global
-// reference path is always eager.
-func (k *Kernel) eager() bool { return k.eagerResched || k.globalReshare }
 
 // LazySkips reports how many completion-event reschedules the lazy path
 // elided because the activity's solved rate was unchanged.
@@ -422,20 +382,18 @@ func (k *Kernel) reshareHost(h *Host) {
 	if n == 0 {
 		return
 	}
-	k.rateEpoch++
 	share := h.Speed
 	if n > h.Cores {
 		share = h.Speed * float64(h.Cores) / float64(n)
 	}
 	for _, a := range h.computes {
-		if a.rate == share && a.doneEv != nil && !k.eager() {
+		if a.rate == share && a.doneEv != nil {
 			// The fair share did not move (e.g. a burst joined a host with
 			// spare cores): the pending completion event is still exact.
 			k.lazySkips++
 			continue
 		}
 		a.rate = share
-		a.rateEpoch = k.rateEpoch
 		k.reschedule(a, a.remaining/a.rate)
 	}
 }
@@ -479,17 +437,6 @@ func (k *Kernel) removeFlow(a *activity) {
 // contended set: it settles and re-solves only the connected component of
 // flows sharing links with a, leaving disjoint components untouched.
 func (k *Kernel) reshareTransition(a *activity, joining bool) {
-	if k.globalReshare {
-		k.settleFlows(k.flows)
-		if joining {
-			k.addFlow(a)
-		} else {
-			k.removeFlow(a)
-		}
-		k.reshareFlows(k.flows)
-		return
-	}
-
 	// Mark the connected component reachable from a through shared links.
 	k.epoch++
 	e := k.epoch
@@ -556,7 +503,6 @@ func (k *Kernel) reshareFlows(flows []*activity) {
 	if len(flows) == 0 {
 		return
 	}
-	k.rateEpoch++
 	k.maxmin.solve(flows)
 	for _, a := range flows {
 		// The bandwidth factor models protocol efficiency: the flow occupies
@@ -565,17 +511,16 @@ func (k *Kernel) reshareFlows(flows []*activity) {
 		if rate <= 0 {
 			rate = math.SmallestNonzeroFloat64
 		}
-		if rate == a.rate && a.doneEv != nil && !k.eager() {
-			// Rate-epoch lazy rescheduling: the solver handed the flow the
-			// same share it already progresses at, so its pending completion
-			// event is still exact — skip the cancel+push churn. (Settling
-			// above only moved progress bookkeeping to now; it does not move
-			// the completion instant.)
+		if rate == a.rate && a.doneEv != nil {
+			// Lazy rescheduling: the solver handed the flow the same share
+			// it already progresses at, so its pending completion event is
+			// still exact — skip the cancel+push churn. (Settling above only
+			// moved progress bookkeeping to now; it does not move the
+			// completion instant.)
 			k.lazySkips++
 			continue
 		}
 		a.rate = rate
-		a.rateEpoch = k.rateEpoch
 		k.reschedule(a, a.remaining/a.rate)
 	}
 }

@@ -146,30 +146,6 @@ func (t *TableRouter) Route(src, dst *Host) *Route {
 	return t.routes[pairKey(src, dst)]
 }
 
-// StringTableRouter is the reference route table keyed by the historical
-// "src|dst" name concatenation. It exists to pin the dense-keyed TableRouter
-// against the original semantics (see TestTableRouterMatchesStringTable);
-// nothing on a hot path formats or hashes a string through it unless it is
-// explicitly installed.
-type StringTableRouter struct {
-	routes map[string]*Route
-}
-
-// NewStringTableRouter returns an empty string-keyed reference table.
-func NewStringTableRouter() *StringTableRouter {
-	return &StringTableRouter{routes: make(map[string]*Route)}
-}
-
-// AddRoute declares the route from src to dst, replacing any previous one.
-func (t *StringTableRouter) AddRoute(src, dst *Host, r *Route) {
-	t.routes[src.Name+"|"+dst.Name] = r
-}
-
-// Route returns the declared route or nil.
-func (t *StringTableRouter) Route(src, dst *Host) *Route {
-	return t.routes[src.Name+"|"+dst.Name]
-}
-
 // AddHost declares a host. Speed is per-core flop/s.
 func (k *Kernel) AddHost(name string, speed float64, cores int) *Host {
 	if _, dup := k.hosts[name]; dup {

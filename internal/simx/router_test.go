@@ -10,8 +10,9 @@ import (
 // buildRouterKernel populates k with a small two-"cluster" platform: hosts
 // a0,a1 behind backbone A, hosts b0,b1 behind backbone B, a wan link between
 // them, and full pairwise routes. Routes are added through k.AddRoute, so
-// they land in whatever router is installed.
-func buildRouterKernel(k *Kernel) {
+// they land in whatever router is installed; the declared links are
+// returned per (src, dst) pair.
+func buildRouterKernel(k *Kernel) map[[2]string][]*Link {
 	hosts := []string{"a0", "a1", "b0", "b1"}
 	up := make(map[string]*Link)
 	for _, h := range hosts {
@@ -27,69 +28,56 @@ func buildRouterKernel(k *Kernel) {
 		}
 		return bbB
 	}
+	declared := make(map[[2]string][]*Link)
 	for _, s := range hosts {
 		for _, d := range hosts {
 			if s == d {
 				continue
 			}
+			links := []*Link{up[s], bb(s), wan, bb(d), up[d]}
 			if s[0] == d[0] {
-				k.AddRoute(s, d, []*Link{up[s], bb(s), up[d]})
-			} else {
-				k.AddRoute(s, d, []*Link{up[s], bb(s), wan, bb(d), up[d]})
+				links = []*Link{up[s], bb(s), up[d]}
 			}
+			k.AddRoute(s, d, links)
+			declared[[2]string{s, d}] = links
 		}
 	}
+	return declared
 }
 
-// TestTableRouterMatchesStringTable pins the dense pair-keyed default table
-// against the historical "src|dst" string-keyed reference: every pair must
-// resolve to the same links and latency, and a simulation driven through
-// either router must finish at the bit-identical instant.
-func TestTableRouterMatchesStringTable(t *testing.T) {
-	dense := New()
-	buildRouterKernel(dense)
-	ref := New()
-	ref.SetRouter(NewStringTableRouter())
-	buildRouterKernel(ref)
-
-	hosts := []string{"a0", "a1", "b0", "b1"}
-	for _, s := range hosts {
-		for _, d := range hosts {
-			if s == d {
-				continue
-			}
-			rd := dense.Router().Route(dense.Host(s), dense.Host(d))
-			rs := ref.Router().Route(ref.Host(s), ref.Host(d))
-			if rd == nil || rs == nil {
-				t.Fatalf("%s->%s: route missing (dense=%v ref=%v)", s, d, rd, rs)
-			}
-			if rd.Latency != rs.Latency {
-				t.Fatalf("%s->%s: latency %g != %g", s, d, rd.Latency, rs.Latency)
-			}
-			if len(rd.Links) != len(rs.Links) {
-				t.Fatalf("%s->%s: %d links != %d", s, d, len(rd.Links), len(rs.Links))
-			}
-			for i := range rd.Links {
-				if rd.Links[i].Name != rs.Links[i].Name {
-					t.Fatalf("%s->%s link %d: %q != %q", s, d, i, rd.Links[i].Name, rs.Links[i].Name)
-				}
-			}
+// TestTableRouterMatchesDeclaredRoutes pins the dense pair-keyed default
+// table: every pair resolves to exactly the links AddRoute declared for it,
+// in order, with their summed latency, and a simulation routed through it
+// sees the declared bottleneck.
+func TestTableRouterMatchesDeclaredRoutes(t *testing.T) {
+	k := New()
+	declared := buildRouterKernel(k)
+	if len(declared) != 12 {
+		t.Fatalf("%d declared routes, want 12", len(declared))
+	}
+	for pair, links := range declared {
+		r := k.Router().Route(k.Host(pair[0]), k.Host(pair[1]))
+		if r == nil {
+			t.Fatalf("%s->%s: route missing", pair[0], pair[1])
+		}
+		if !slices.Equal(r.Links, links) {
+			t.Fatalf("%s->%s: %d links resolved, %d declared", pair[0], pair[1], len(r.Links), len(links))
+		}
+		if want := NewRoute(links).Latency; r.Latency != want {
+			t.Fatalf("%s->%s: latency %g != %g", pair[0], pair[1], r.Latency, want)
 		}
 	}
 
-	run := func(k *Kernel) float64 {
-		k.Spawn("s0", k.Host("a0"), func(p *Proc) { p.Send("m0", 5e6, nil) })
-		k.Spawn("r0", k.Host("b1"), func(p *Proc) { p.Recv("m0") })
-		k.Spawn("s1", k.Host("a1"), func(p *Proc) { p.Send("m1", 3e6, nil) })
-		k.Spawn("r1", k.Host("b0"), func(p *Proc) { p.Recv("m1") })
-		end, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return end
+	// a0 -> b1 crosses both 1.25e8 uplinks and the 1e-3 wan: latency
+	// 1e-5 + 1e-5 + 1e-3 + 1e-5 + 1e-5, then 5e6 bytes at 1.25e8.
+	k.Spawn("s0", k.Host("a0"), func(p *Proc) { p.Send("m0", 5e6, nil) })
+	k.Spawn("r0", k.Host("b1"), func(p *Proc) { p.Recv("m0") })
+	end, err := k.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if td, ts := run(dense), run(ref); td != ts {
-		t.Fatalf("dense router makespan %v != string-keyed %v", td, ts)
+	if want := NewRoute(declared[[2]string{"a0", "b1"}]).Latency + 5e6/1.25e8; ulpsApart(end, want) > 4 {
+		t.Fatalf("makespan %v, want %v", end, want)
 	}
 }
 

@@ -17,6 +17,13 @@ import (
 	"sort"
 )
 
+// EagerThreshold is the message size (bytes) up to which an MPI send is
+// buffered (the eager protocol: the sender does not wait for the receiver);
+// larger sends are synchronous (rendezvous). It is the 64 KiB boundary of
+// Default's middle segment, shared by the replay handlers and both MPI
+// engines.
+const EagerThreshold = 64 * 1024
+
 // Segment is one linear piece of the model, applying to message sizes
 // strictly below MaxBytes (the last segment uses +Inf).
 type Segment struct {
