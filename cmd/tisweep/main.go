@@ -29,7 +29,7 @@
 // Scenario results are deterministic: the same grid produces byte-identical
 // per-scenario timed traces whatever -workers is set to. Scenarios differing
 // only in their collective algorithm or checkpoint policy replay their common
-// trace prefix once and fork from a kernel snapshot (-fork=off disables the
+// trace prefix once and resume from its park times (-fork=off disables the
 // optimisation); results are provably identical either way.
 package main
 

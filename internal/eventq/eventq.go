@@ -129,22 +129,6 @@ func (q *Queue) Recycle(ev *Event) {
 	q.free = append(q.free, ev)
 }
 
-// Reset drains the queue, moving every pending event to the free list and
-// rewinding the sequence counter to zero, so the next Push behaves exactly as
-// on a fresh queue. Handles of previously pending events must not be used
-// afterwards. The kernel's Restore uses it to rewind a quiesced simulation to
-// the state of a newly built one without giving up pooled storage.
-func (q *Queue) Reset() {
-	for i, ev := range q.heap {
-		ev.pos = -1
-		ev.Payload = nil
-		q.free = append(q.free, ev)
-		q.heap[i] = nil
-	}
-	q.heap = q.heap[:0]
-	q.seq = 0
-}
-
 func (q *Queue) removeAt(i int) {
 	last := len(q.heap) - 1
 	if i != last {

@@ -22,24 +22,6 @@ func (f *Queue[T]) Empty() bool { return f.head == len(f.q) }
 // Push appends v.
 func (f *Queue[T]) Push(v T) { f.q = append(f.q, v) }
 
-// Reset drops every queued element, zeroing the live region for the garbage
-// collector while keeping the backing capacity for reuse.
-func (f *Queue[T]) Reset() {
-	var zero T
-	for i := f.head; i < len(f.q); i++ {
-		f.q[i] = zero
-	}
-	f.q = f.q[:0]
-	f.head = 0
-}
-
-// CloneInto copies the live elements of f into dst in FIFO order, reusing
-// dst's backing array. Whatever dst held before is dropped.
-func (f *Queue[T]) CloneInto(dst *Queue[T]) {
-	dst.Reset()
-	dst.q = append(dst.q, f.q[f.head:]...)
-}
-
 // Pop removes and returns the oldest element. It panics on an empty queue
 // (callers check Empty first).
 func (f *Queue[T]) Pop() T {

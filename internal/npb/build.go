@@ -7,9 +7,6 @@ import (
 	"tireplay/internal/trace"
 )
 
-// Apps lists the benchmark names Build accepts.
-func Apps() []string { return []string{"lu", "cg", "ep", "mg"} }
-
 // Build constructs an NPB benchmark program by name — the single dispatch
 // point shared by the acquisition CLI, tigen's ground-truth mode and the
 // differential tests.

@@ -17,7 +17,7 @@ type Build struct {
 	HostNames []string // all hosts in declaration order
 	byCluster map[string][]string
 
-	zones *ZoneRouter // nil for wrapped kernels and routers of generated topologies
+	zones *ZoneRouter // nil for generated topologies, which install their own routers
 }
 
 // newBuild creates an empty build whose kernel composes routes from a zone
@@ -31,12 +31,6 @@ func newBuild() *Build {
 // ClusterHosts returns the host names of a cluster in index order, or nil
 // for an unknown cluster id.
 func (b *Build) ClusterHosts(id string) []string { return b.byCluster[id] }
-
-// WrapKernel adapts a manually constructed kernel into a Build, for callers
-// assembling custom platforms programmatically instead of from XML.
-func WrapKernel(k *simx.Kernel, hostNames []string) *Build {
-	return &Build{Kernel: k, HostNames: hostNames, byCluster: make(map[string][]string)}
-}
 
 // Instantiate populates a fresh simulation kernel from the platform
 // description: cluster hosts are connected through their private link and

@@ -74,13 +74,3 @@ func (b *BuiltinSpec) Build() (*Platform, error) {
 	}
 	return BordereauWithCores(b.Nodes, b.Cores), nil
 }
-
-// CanonicalBuiltin parses and re-renders a built-in platform spec in one
-// step — the canonical cache key of the spec.
-func CanonicalBuiltin(spec string) (string, error) {
-	b, err := ParseBuiltin(spec)
-	if err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}

@@ -12,11 +12,11 @@ func TestParseBuiltinCanonicalizes(t *testing.T) {
 		{" bordereau:93x4 ", "bordereau:93x4"},
 	}
 	for _, c := range cases {
-		got, err := CanonicalBuiltin(c.in)
+		b, err := ParseBuiltin(c.in)
 		if err != nil {
 			t.Fatalf("%q: %v", c.in, err)
 		}
-		if got != c.want {
+		if got := b.String(); got != c.want {
 			t.Fatalf("%q canonicalized to %q, want %q", c.in, got, c.want)
 		}
 	}

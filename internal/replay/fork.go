@@ -3,7 +3,6 @@ package replay
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"tireplay/internal/platform"
@@ -13,17 +12,18 @@ import (
 
 // This file implements shared-prefix forking: a group of replays that agree
 // on the platform, the fault stream and an action prefix runs that prefix
-// once on a donor kernel, parks every rank at its divergence point, snapshots
-// the quiesced kernel (simx.KernelSnapshot) and resumes each member from the
-// recorded park times. The time-independence of the traces is what makes the
-// result provably identical to a from-scratch run — and a post-hoc safety
-// check falls back to from-scratch whenever the proof obligations don't
-// hold, so forking is an optimisation, never a semantic change.
+// once on a donor kernel, parks every rank at its divergence point, checks
+// that the donor quiesced (simx.Kernel.Quiescent) and resumes each member,
+// on a kernel of its own, from the recorded park times. The
+// time-independence of the traces is what makes the result provably
+// identical to a from-scratch run — and a post-hoc safety check falls back
+// to from-scratch whenever the proof obligations don't hold, so forking is
+// an optimisation, never a semantic change.
 
 // ErrForkUnsafe reports that a forked replay could not be proven equivalent
 // to a from-scratch run: a post-divergence activity overlapped a resource
 // the prefix was still using, an exact completion-time tie made the merged
-// timed-trace order ambiguous, or the member's platform numbers its
+// trace order ambiguous, or the member's platform numbers its
 // resources differently from the donor's. Callers rerun the member from
 // scratch.
 var ErrForkUnsafe = errors.New("replay: forked run not provably equivalent")
@@ -58,9 +58,6 @@ type PrefixPlan struct {
 	Cuts []int
 	// Actions is the total number of shared actions (sum of Cuts).
 	Actions int64
-	// Full reports that the prefix covers every rank's entire trace — the
-	// shape of a group that diverges only in analytic (checkpoint) state.
-	Full bool
 }
 
 // PlanPrefix streams each rank's trace once and computes the shared prefix
@@ -77,7 +74,7 @@ type PrefixPlan struct {
 // would park with outstanding Irecv requests its resumed half expects to
 // wait on. A false plan simply means the group replays from scratch.
 func PlanPrefix(n int, collCut bool, visit func(rank int, yield func(trace.Action) bool) error) (plan *PrefixPlan, ok bool, err error) {
-	plan = &PrefixPlan{Cuts: make([]int, n), Full: true}
+	plan = &PrefixPlan{Cuts: make([]int, n)}
 	// balance[s*n+d] counts prefix sends s->d minus prefix recvs of d from s;
 	// every pair must come out zero or the rendezvous state straddles the cut.
 	balance := make([]int64, n*n)
@@ -86,7 +83,6 @@ func PlanPrefix(n int, collCut bool, visit func(rank int, yield func(trace.Actio
 		parkable := true
 		err := visit(r, func(a trace.Action) bool {
 			if collCut && CollectiveDependent(a.Type) {
-				plan.Full = false
 				return false
 			}
 			switch a.Type {
@@ -168,10 +164,10 @@ func (rec *forkRecord) emit(tr simx.Tracer) {
 
 // forkRecorder observes a fork-group run. On the donor it accumulates the
 // per-resource usage horizon (the last instant the prefix used each host and
-// link) and, when the group needs timed output, the records themselves plus
-// the set of exact completion instants. On a member it checks each completed
-// activity against the donor's horizon on the fly and streams the merged
-// donor and member records to the member's tracer.
+// link) and, when the group needs traced output, the records themselves. On
+// a member it checks each completed activity against the donor's horizon and
+// completion instants on the fly and streams the merged donor and member
+// records to the member's tracer.
 //
 // Resources are numbered densely: hosts by Host.ID, then the route walk's
 // link indices (declared links, then one loopback per host) offset by the
@@ -186,11 +182,10 @@ type forkRecorder struct {
 	keep    bool // retain records (timed traces, profiles, metrics)
 	recs    []forkRecord
 	lastEnd []float64
-	ends    map[float64]struct{} // populated when tieCheck
 
-	// Member side: the donor whose horizons it validates against and whose
-	// records it merges into out, next being the first donor record not yet
-	// emitted.
+	// Member side: the donor whose horizons and completion instants it
+	// validates against and whose records it merges into out, next being the
+	// first donor record the merge has not yet passed.
 	donor  *forkRecorder
 	out    simx.Tracer
 	next   int
@@ -237,22 +232,25 @@ func (t *forkRecorder) observe(comm bool, a, b string, vol, start, end float64) 
 	rec := forkRecord{comm, a, b, vol, start, end}
 	t.scratch = t.resources(comm, a, b, t.scratch[:0])
 	if d := t.donor; d != nil {
-		if t.out != nil {
-			// Donor records completing strictly earlier come first; an equal
-			// instant goes to the member, the order a two-way merge of the
-			// two completion-ordered streams gives.
-			for t.next < len(d.recs) && d.recs[t.next].end < end {
+		// Donor records completing strictly earlier come first, the order a
+		// two-way merge of the two completion-ordered streams gives. A donor
+		// record completing at this very instant would make that order
+		// ambiguous, so the member refuses the tie.
+		for t.next < len(d.recs) && d.recs[t.next].end < end {
+			if t.out != nil {
 				d.recs[t.next].emit(t.out)
-				t.next++
 			}
+			t.next++
+		}
+		if t.next < len(d.recs) && d.recs[t.next].end == end {
+			t.unsafe = true
+		}
+		if t.out != nil {
 			rec.emit(t.out)
 		}
 		// Member: every resumed activity must start at or after the donor
 		// stopped using each of its resources, or the contention the prefix
 		// run saw is not the contention a from-scratch run would see.
-		if _, tie := d.ends[end]; tie {
-			t.unsafe = true
-		}
 		for _, res := range t.scratch {
 			if start < d.lastEnd[res] {
 				t.unsafe = true
@@ -267,9 +265,6 @@ func (t *forkRecorder) observe(comm bool, a, b string, vol, start, end float64) 
 		if end > t.lastEnd[res] {
 			t.lastEnd[res] = end
 		}
-	}
-	if t.ends != nil {
-		t.ends[end] = struct{}{}
 	}
 }
 
@@ -287,38 +282,31 @@ type PrefixOptions struct {
 	Cuts []int
 	// RecordTrace retains the prefix's per-activity records so members can
 	// stream them, merged with their own, into byte-identical timed traces,
-	// profiles and metrics.
+	// profiles and metrics. It also makes members reject an activity
+	// completing at an instant a prefix activity also completed: the merged
+	// order would be ambiguous, and every consumer of it is order-sensitive.
 	RecordTrace bool
-	// TieCheck additionally rejects forked activities completing at an
-	// instant the prefix also completed one — the merged trace order would
-	// be ambiguous. Only byte-identity of timed output needs it.
-	TieCheck bool
 }
 
 // PrefixRun is the shared product of replaying a fork group's common prefix
-// once: the quiesced donor kernel and its snapshot, the per-rank park times
-// and park order, the recorded activities and the per-resource usage
-// horizons. It is immutable after RunPrefix returns except for the one-shot
-// donor-kernel claim, so any number of members may fork from it concurrently.
+// once: the per-rank park times and park order, the recorded activities and
+// the per-resource usage horizons. It is immutable after RunPrefix returns,
+// so any number of members may fork from it concurrently.
 type PrefixRun struct {
-	build *platform.Build
-	depl  *platform.Deployment
-	opt   PrefixOptions
+	depl *platform.Deployment
+	opt  PrefixOptions
 
 	park  []float64
 	order []int
 	rec   *forkRecorder
-	snap  *simx.KernelSnapshot
 
 	// Actions is the number of trace actions the prefix replayed — work
 	// every forked member inherits without re-simulating it.
 	Actions int64
-
-	claimed atomic.Bool
 }
 
 // RunPrefix replays actions [0, opt.Cuts[r]) of every rank on the build's
-// kernel, parks the ranks, and captures the quiesced kernel. cfg is the
+// kernel, parks the ranks, and checks that the kernel quiesced. cfg is the
 // group's shared configuration; its Ckpt is ignored (members apply their own
 // analytic policies) and its fault spec must not fail-stop (Forkable rules
 // such groups out). Any error — including a donor that deadlocks or fails to
@@ -334,15 +322,11 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 	rec := newForkRecorder(b.Kernel, depl)
 	rec.keep = opt.RecordTrace
 	rec.lastEnd = make([]float64, resourceCount(b.Kernel))
-	if opt.TieCheck {
-		rec.ends = make(map[float64]struct{})
-	}
 	r, err := newRun(b, depl, cfg, sources, rec)
 	if err != nil {
 		return nil, err
 	}
-	pr := &PrefixRun{build: b, depl: depl, opt: opt,
-		park: make([]float64, len(r.hosts)), rec: rec}
+	pr := &PrefixRun{depl: depl, opt: opt, park: make([]float64, len(r.hosts)), rec: rec}
 	for slot := range r.hosts {
 		r.spawnRankPrefix(slot, opt.Cuts[slot], pr)
 	}
@@ -352,11 +336,9 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 	if err := r.rankErr(); err != nil {
 		return nil, err
 	}
-	snap, err := r.k.Snapshot(nil)
-	if err != nil {
+	if err := r.k.Quiescent(); err != nil {
 		return nil, fmt.Errorf("replay: prefix did not quiesce: %w", err)
 	}
-	pr.snap = snap
 	pr.Actions = r.actions()
 	return pr, nil
 }
@@ -380,26 +362,12 @@ func (r *run) spawnRankPrefix(slot, cut int, pr *PrefixRun) {
 	})
 }
 
-// ClaimDonorBuild hands out the donor's own quiesced kernel, restored to a
-// fresh state, exactly once; every other caller gets nil and builds its own
-// platform. Members run concurrently and a kernel serves one run at a time,
-// so only the first claimant can reuse the donor's pools and route caches.
-func (pr *PrefixRun) ClaimDonorBuild() *platform.Build {
-	if !pr.claimed.CompareAndSwap(false, true) {
-		return nil
-	}
-	if err := pr.build.Kernel.Restore(pr.snap); err != nil {
-		return nil
-	}
-	return pr.build
-}
-
-// RunForked replays one member of the fork group from the shared prefix: it
-// skips each rank's first Cuts[r] actions, advances the rank to its recorded
-// park time on a fresh (or donor-restored) kernel, and replays the rest. The
-// member's own collective algorithm and analytic checkpoint policy apply;
-// everything the prefix simulated is inherited from the donor, including its
-// timed-trace records.
+// RunForked replays one member of the fork group from the shared prefix on
+// b, a freshly built kernel of the group's platform: it skips each rank's
+// first Cuts[r] actions, advances the rank to its recorded park time, and
+// replays the rest. The member's own collective algorithm and analytic
+// checkpoint policy apply; everything the prefix simulated is inherited from
+// the donor, including its timed-trace records.
 //
 // When the donor recorded its trace, cfg.TimedTracer receives one
 // completion-ordered stream as the run goes: each member record as it
@@ -409,8 +377,8 @@ func (pr *PrefixRun) ClaimDonorBuild() *platform.Build {
 // partial stream; callers discard it along with the run.
 //
 // An error wrapping ErrForkUnsafe means the equivalence proof failed for
-// this member and it must be replayed from scratch; the donor run and its
-// snapshot stay valid for other members.
+// this member and it must be replayed from scratch; the donor run stays
+// valid for other members.
 func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) (*Result, error) {
 	if !cfg.Forkable() {
 		return nil, fmt.Errorf("replay: configuration not forkable")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"tireplay/internal/coll"
@@ -67,8 +68,8 @@ func TestPlanPrefixCollectiveCut(t *testing.T) {
 			t.Errorf("cut[%d] = %d, want 3 (first allReduce)", r, c)
 		}
 	}
-	if plan.Actions != 12 || plan.Full {
-		t.Fatalf("plan = %+v, want 12 shared actions, not full", plan)
+	if plan.Actions != 12 {
+		t.Fatalf("plan = %+v, want 12 of the trace's 20 actions shared", plan)
 	}
 }
 
@@ -78,7 +79,7 @@ func TestPlanPrefixFullWithoutCollCut(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("PlanPrefix: ok=%v err=%v", ok, err)
 	}
-	if !plan.Full || plan.Actions != 20 {
+	if plan.Actions != 20 {
 		t.Fatalf("plan = %+v, want the full 20-action trace", plan)
 	}
 	for r, c := range plan.Cuts {
@@ -201,7 +202,7 @@ func TestForkedRunMatchesScratch(t *testing.T) {
 	}
 	donorB, depl := paperSetup(t, 4)
 	pr, err := RunPrefix(donorB, depl, Config{}, sliceSources(perRank),
-		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true, TieCheck: true})
+		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,20 +213,7 @@ func TestForkedRunMatchesScratch(t *testing.T) {
 	for mi, cc := range members {
 		want, wantTimed := runScratch(t, Config{Collectives: cc}, perRank)
 
-		var mb *platform.Build
-		if claimed := pr.ClaimDonorBuild(); claimed != nil {
-			if mi != 0 {
-				t.Fatalf("donor kernel claimed twice (member %d)", mi)
-			}
-			mb = claimed
-		} else {
-			if mi == 0 {
-				t.Fatal("first member could not claim the donor kernel")
-			}
-			fresh, d2 := paperSetup(t, 4)
-			_ = d2
-			mb = fresh
-		}
+		mb, _ := paperSetup(t, 4)
 		var buf bytes.Buffer
 		tw := NewTimedTraceWriter(&buf)
 		got, err := pr.RunForked(mb, Config{Collectives: cc, TimedTracer: tw}, sliceSources(perRank))
@@ -262,7 +250,7 @@ func TestForkedRunRingFallsBackUnsafe(t *testing.T) {
 	}
 	donorB, depl := paperSetup(t, 4)
 	pr, err := RunPrefix(donorB, depl, Config{}, sliceSources(perRank),
-		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true, TieCheck: true})
+		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,13 +271,17 @@ func TestForkedRunCkptMembers(t *testing.T) {
 	// full trace: each member inherits the whole simulation and applies its
 	// own waste algebra.
 	perRank := perRankActions(t, figure1Trace, 4)
+	total := 0
+	for _, actions := range perRank {
+		total += len(actions)
+	}
 	plan, ok, err := PlanPrefix(4, false, visitOf(perRank))
-	if err != nil || !ok || !plan.Full {
-		t.Fatalf("PlanPrefix: ok=%v full=%v err=%v", ok, plan != nil && plan.Full, err)
+	if err != nil || !ok || plan.Actions != int64(total) {
+		t.Fatalf("PlanPrefix: ok=%v plan=%+v err=%v, want all %d actions", ok, plan, err, total)
 	}
 	donorB, depl := paperSetup(t, 4)
 	pr, err := RunPrefix(donorB, depl, Config{}, sliceSources(perRank),
-		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true, TieCheck: true})
+		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +294,7 @@ func TestForkedRunCkptMembers(t *testing.T) {
 			}
 		}
 		want, wantTimed := runScratch(t, Config{Ckpt: ck}, perRank)
-		var mb *platform.Build
-		if claimed := pr.ClaimDonorBuild(); claimed != nil {
-			mb = claimed
-		} else {
-			mb, _ = paperSetup(t, 4)
-		}
+		mb, _ := paperSetup(t, 4)
 		var buf bytes.Buffer
 		tw := NewTimedTraceWriter(&buf)
 		got, err := pr.RunForked(mb, Config{Ckpt: ck, TimedTracer: tw}, sliceSources(perRank))
@@ -347,18 +334,13 @@ func TestForkedRunDegradedPlatformMatchesScratch(t *testing.T) {
 	}
 	donorB, depl := paperSetup(t, 4)
 	pr, err := RunPrefix(donorB, depl, Config{Faults: fs}, sliceSources(perRank),
-		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true, TieCheck: true})
+		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for mi, cc := range []coll.Config{{}, coll.MustParseSpec("binomial")} {
 		want, wantTimed := runScratch(t, Config{Collectives: cc, Faults: fs}, perRank)
-		var mb *platform.Build
-		if claimed := pr.ClaimDonorBuild(); claimed != nil {
-			mb = claimed
-		} else {
-			mb, _ = paperSetup(t, 4)
-		}
+		mb, _ := paperSetup(t, 4)
 		var buf bytes.Buffer
 		tw := NewTimedTraceWriter(&buf)
 		got, err := pr.RunForked(mb, Config{Collectives: cc, Faults: fs, TimedTracer: tw}, sliceSources(perRank))
@@ -395,17 +377,42 @@ p1 compute 1e4
 		t.Fatal(err)
 	}
 	pr, err := RunPrefix(b, depl, Config{}, sliceSources(perRank),
-		PrefixOptions{Cuts: []int{1, 1}, RecordTrace: true, TieCheck: true})
+		PrefixOptions{Cuts: []int{1, 1}, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb := pr.ClaimDonorBuild()
-	if mb == nil {
-		t.Fatal("donor claim failed")
+	mb, err := platform.BuildBordereau(2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	_, err = pr.RunForked(mb, Config{}, sliceSources(perRank))
 	if !errors.Is(err, ErrForkUnsafe) {
 		t.Fatalf("overlapping forked run accepted (err=%v)", err)
+	}
+}
+
+// TestForkedRunRefusesCompletionTie: p1 replays its whole trace after the
+// cut, on its own host, and its compute completes at the very instant p0's
+// prefix compute did. No resource overlaps, but the merged record order at
+// that instant is ambiguous, so a member of a recording donor must refuse;
+// without records there is nothing to merge and the member forks.
+func TestForkedRunRefusesCompletionTie(t *testing.T) {
+	perRank := perRankActions(t, "p0 compute 1e9\np0 compute 1e6\np1 compute 1e9\n", 2)
+	for _, record := range []bool{true, false} {
+		b, depl := paperSetup(t, 2)
+		pr, err := RunPrefix(b, depl, Config{}, sliceSources(perRank),
+			PrefixOptions{Cuts: []int{1, 0}, RecordTrace: record})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mb, _ := paperSetup(t, 2)
+		_, err = pr.RunForked(mb, Config{}, sliceSources(perRank))
+		if record && !errors.Is(err, ErrForkUnsafe) {
+			t.Fatalf("recorded prefix: completion tie accepted (err=%v)", err)
+		}
+		if !record && err != nil {
+			t.Fatalf("unrecorded prefix: %v", err)
+		}
 	}
 }
 
@@ -460,7 +467,7 @@ func TestForkedRunRefusesMismatchedPlatform(t *testing.T) {
 	}
 	donorB, depl := paperSetup(t, 4)
 	pr, err := RunPrefix(donorB, depl, Config{}, sliceSources(perRank),
-		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true, TieCheck: true})
+		PrefixOptions{Cuts: plan.Cuts, RecordTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,5 +493,22 @@ func TestRunPrefixRejectsUnforkableConfig(t *testing.T) {
 		PrefixOptions{Cuts: []int{3, 3, 3, 3}})
 	if err == nil {
 		t.Fatal("custom-registry config accepted as donor")
+	}
+}
+
+// TestRunPrefixRefusesUnquiescedDonor bypasses the planner: with cuts {1, 0}
+// p0's eager send lands in the prefix but p1's matching recv does not, so
+// the donor parks with the send queued in the pair's anonymous mailbox. The
+// donor must refuse to quiesce, naming the mailbox by its ID.
+func TestRunPrefixRefusesUnquiescedDonor(t *testing.T) {
+	perRank := perRankActions(t, "p0 send p1 1e3\np1 recv p0\n", 2)
+	b, d := paperSetup(t, 2)
+	_, err := RunPrefix(b, d, Config{}, sliceSources(perRank), PrefixOptions{Cuts: []int{1, 0}})
+	if err == nil || !strings.Contains(err.Error(), "did not quiesce") {
+		t.Fatalf("unmatched prefix send accepted (err=%v)", err)
+	}
+	// The pair's mailbox is the first the kernel allocated.
+	if !strings.Contains(err.Error(), "mailbox 0") {
+		t.Fatalf("error %q does not name the mailbox", err)
 	}
 }

@@ -12,10 +12,6 @@ type Host struct {
 	Speed float64 // flop/s per core
 	Cores int
 
-	// baseSpeed is the nominal per-core power declared at AddHost time.
-	// Degradation windows scale Speed in place; Restore rewinds to this.
-	baseSpeed float64
-
 	// off marks a fail-stopped host (see Kernel.FailHostAt): its running
 	// activities were killed and any later operation touching it fails with
 	// a *FailedError.
@@ -64,13 +60,9 @@ type Link struct {
 	Sharing   Sharing
 	// id is the link's declaration index (AddLink order), stored in the
 	// padding after Sharing so the struct the solver walks on every reshare
-	// stays 96 bytes. Host loopbacks are not declared and carry none; the
+	// stays 88 bytes. Host loopbacks are not declared and carry none; the
 	// route walk numbers them after the declared links (AppendRouteLinks).
 	id int32
-
-	// baseBandwidth is the nominal bandwidth declared at AddLink time.
-	// Degradation windows scale Bandwidth in place; Restore rewinds to this.
-	baseBandwidth float64
 
 	// off marks a fail-stopped link (see Kernel.FailRouteAt): flows crossing
 	// it were killed and any later transfer routed over it fails with a
@@ -155,11 +147,10 @@ func (k *Kernel) AddHost(name string, speed float64, cores int) *Host {
 		cores = 1
 	}
 	h := &Host{
-		Name:      name,
-		Speed:     speed,
-		baseSpeed: speed,
-		Cores:     cores,
-		id:        len(k.hosts),
+		Name:  name,
+		Speed: speed,
+		Cores: cores,
+		id:    len(k.hosts),
 		loop: &Link{
 			Name:      name + "_loopback",
 			Bandwidth: k.LoopbackBandwidth,
@@ -183,8 +174,7 @@ func (k *Kernel) AddLink(name string, bandwidth, latency float64) *Link {
 	if _, dup := k.links[name]; dup {
 		panic("simx: duplicate link " + name)
 	}
-	l := &Link{Name: name, Bandwidth: bandwidth, baseBandwidth: bandwidth, Latency: latency,
-		id: int32(len(k.linkList))}
+	l := &Link{Name: name, Bandwidth: bandwidth, Latency: latency, id: int32(len(k.linkList))}
 	k.links[name] = l
 	k.linkList = append(k.linkList, l)
 	return l

@@ -106,8 +106,8 @@ func TestAppendRouteLinksNumbering(t *testing.T) {
 	}
 	// The index lives in the padding after Sharing: the solver walks links
 	// on every reshare, so the struct must not grow.
-	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Link{}) != 96 {
-		t.Errorf("Link is %d bytes, want 96", unsafe.Sizeof(Link{}))
+	if unsafe.Sizeof(uintptr(0)) == 8 && unsafe.Sizeof(Link{}) != 88 {
+		t.Errorf("Link is %d bytes, want 88", unsafe.Sizeof(Link{}))
 	}
 }
 

@@ -2,131 +2,53 @@ package simx
 
 import "fmt"
 
-// KernelSnapshot captures a kernel at a quiescent instant: no live process,
-// no runnable process, no in-flight activity, no pending rendezvous — the
-// state a simulation reaches when every process has parked (returned from its
-// body) and only fault timers may remain scheduled. At such an instant the
-// whole mutable state of the simulation collapses to the clock plus the
-// static platform, which is what makes a snapshot a handful of scalars
-// instead of a deep copy, and makes Restore deterministic: a restored kernel
-// is indistinguishable from a freshly built one.
+// Quiescent reports why the kernel is not at a quiescent instant, or nil. A
+// kernel is quiescent when no process is live, runnable or blocked, no
+// activity is in flight, no rendezvous is pending and no resource is
+// fail-stopped: the state a simulation reaches when every process has
+// parked (returned from its body). Pending fault timers are allowed — Run
+// itself terminates with them still queued when a fault is scheduled past
+// the natural end of the simulation.
 //
-// The sweep engine uses the pair to share work across scenarios that diverge
-// only late: a donor kernel replays the common prefix, parks, snapshots, and
-// forked runs resume from the recorded park times (Proc.SleepUntil).
-type KernelSnapshot struct {
-	// Time is the simulated instant at which the kernel quiesced — the
-	// completion time of the last prefix activity.
-	Time float64
-
-	// Platform shape captured for validation: Restore refuses a snapshot
-	// taken from a kernel with a different host/link census.
-	hosts, links int
-}
-
-// Snapshot validates that the kernel is quiescent and captures it. When
-// reuse is non-nil it is filled in and returned instead of a fresh
-// allocation, so steady-state snapshot/restore cycles allocate nothing
-// (see BenchmarkKernelSnapshotRestore).
-func (k *Kernel) Snapshot(reuse *KernelSnapshot) (*KernelSnapshot, error) {
-	if err := k.quiescent(); err != nil {
-		return nil, err
-	}
-	s := reuse
-	if s == nil {
-		s = new(KernelSnapshot)
-	}
-	s.Time = k.now
-	s.hosts = len(k.hostList)
-	s.links = len(k.linkList)
-	return s, nil
-}
-
-// Restore rewinds a quiescent kernel to the state of a freshly built one:
-// clock at zero, empty event queue (pooled storage kept), no processes, all
-// fault effects undone and every resource back at its declared capacity. The
-// platform (hosts, links, routes, interned mailboxes) is retained. The
-// caller re-spawns processes and re-injects fault schedules exactly as it
-// would on a new kernel; resumed processes advance to their recorded park
-// times with Proc.SleepUntil.
-//
-// The tracer is cleared — a forked run installs its own observer. Pool
-// free lists, route caches and the reshare epoch counters are deliberately
-// kept: epochs are monotonic markers on pooled objects and rewinding them
-// would let a stale mark alias a fresh traversal.
-func (k *Kernel) Restore(s *KernelSnapshot) error {
-	if s == nil {
-		return fmt.Errorf("simx: Restore of a nil snapshot")
-	}
-	if s.hosts != len(k.hostList) || s.links != len(k.linkList) {
-		return fmt.Errorf("simx: Restore of a snapshot from a different platform (%d hosts/%d links, kernel has %d/%d)",
-			s.hosts, s.links, len(k.hostList), len(k.linkList))
-	}
-	if err := k.quiescent(); err != nil {
-		return err
-	}
-	k.queue.Reset()
-	k.pendingTimers = 0
-	k.runq.Reset()
-	for i := range k.procs {
-		k.procs[i] = nil
-	}
-	k.procs = k.procs[:0]
-	k.blocked = 0
-	k.living = 0
-	k.procPanic = nil
-	k.flows = k.flows[:0]
-	k.faultsActive = false
-	for i := range k.doomed {
-		k.doomed[i] = nil
-	}
-	k.doomed = k.doomed[:0]
-	k.tracer = nil
-	for _, h := range k.hostList {
-		h.Speed = h.baseSpeed
-	}
-	for _, l := range k.linkList {
-		l.Bandwidth = l.baseBandwidth
-	}
-	k.now = 0
-	return nil
-}
-
-// quiescent reports why the kernel is not at a snapshotable instant, or nil.
-// Pending fault timers are allowed (Run itself terminates with them still
-// queued when a fault is scheduled past the natural end of the simulation);
-// everything else must be drained.
-func (k *Kernel) quiescent() error {
+// At such an instant the whole mutable state of the simulation collapses to
+// the clock plus the static platform. That is why a shared-prefix fork
+// donor must quiesce: its members then need nothing from it but the
+// per-process park times, and resume on kernels of their own
+// (Proc.SleepUntil).
+func (k *Kernel) Quiescent() error {
 	switch {
 	case k.living != 0:
-		return fmt.Errorf("simx: snapshot with %d live processes", k.living)
+		return fmt.Errorf("simx: not quiescent: %d live processes", k.living)
 	case k.blocked != 0:
-		return fmt.Errorf("simx: snapshot with %d blocked processes", k.blocked)
+		return fmt.Errorf("simx: not quiescent: %d blocked processes", k.blocked)
 	case !k.runq.Empty():
-		return fmt.Errorf("simx: snapshot with %d runnable processes", k.runq.Len())
+		return fmt.Errorf("simx: not quiescent: %d runnable processes", k.runq.Len())
 	case k.procPanic != nil:
-		return fmt.Errorf("simx: snapshot after process panic: %w", k.procPanic)
+		return fmt.Errorf("simx: not quiescent after process panic: %w", k.procPanic)
 	case len(k.flows) != 0:
-		return fmt.Errorf("simx: snapshot with %d in-flight transfers", len(k.flows))
+		return fmt.Errorf("simx: not quiescent: %d in-flight transfers", len(k.flows))
 	case k.queue.Len() != k.pendingTimers:
-		return fmt.Errorf("simx: snapshot with %d non-timer events pending", k.queue.Len()-k.pendingTimers)
+		return fmt.Errorf("simx: not quiescent: %d non-timer events pending", k.queue.Len()-k.pendingTimers)
 	}
 	for _, h := range k.hostList {
 		if h.off {
-			return fmt.Errorf("simx: snapshot with fail-stopped host %q", h.Name)
+			return fmt.Errorf("simx: not quiescent: fail-stopped host %q", h.Name)
 		}
 		if len(h.computes) != 0 {
-			return fmt.Errorf("simx: snapshot with %d running computes on %q", len(h.computes), h.Name)
+			return fmt.Errorf("simx: not quiescent: %d running computes on %q", len(h.computes), h.Name)
 		}
 	}
 	for _, l := range k.linkList {
 		if l.off {
-			return fmt.Errorf("simx: snapshot with fail-stopped link %q", l.Name)
+			return fmt.Errorf("simx: not quiescent: fail-stopped link %q", l.Name)
 		}
 	}
 	for _, mb := range k.mboxByID {
 		if !mb.sends.Empty() || !mb.recvs.Empty() {
-			return fmt.Errorf("simx: snapshot with pending rendezvous in mailbox %q", mb.name)
+			if mb.name == "" {
+				return fmt.Errorf("simx: not quiescent: pending rendezvous in anonymous mailbox %d", mb.id)
+			}
+			return fmt.Errorf("simx: not quiescent: pending rendezvous in mailbox %q", mb.name)
 		}
 	}
 	return nil

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The snapshot/fork tests drive a miniature replay: ranks execute op lists
+// The quiescence/fork tests drive a miniature replay: ranks execute op lists
 // over a clique platform whose inter-host routes all cross one shared
 // backbone link (maximal contention), sends are detached (fire-and-forget)
 // and receives block — matched generation below keeps per-pair counts equal,
@@ -81,12 +81,12 @@ func runForkFull(ops [][]forkOp) (float64, []forkRec, error) {
 // procHost maps the harness's "p<r>" process names back to "h<r>" hosts.
 func procHost(proc string) string { return "h" + proc[1:] }
 
-// runForkForked replays ops with a donor prefix run, a Snapshot/Restore, and
-// a resumed suffix run, mirroring the production fork path including its
-// post-hoc safety check. forkable is false when the cut is not shareable
-// (donor failed to quiesce, a suffix activity overlapped donor resource
-// usage, or an exact cross-side completion tie made the merge ambiguous) —
-// production falls back to a from-scratch run in those cases.
+// runForkForked replays ops with a donor prefix run, a quiescence check, and
+// a suffix run resumed on a fresh kernel, mirroring the production fork path
+// including its post-hoc safety check. forkable is false when the cut is not
+// shareable (donor failed to quiesce, a suffix activity overlapped donor
+// resource usage, or an exact cross-side completion tie made the merge
+// ambiguous) — production falls back to a from-scratch run in those cases.
 func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkRec, forkable bool, err error) {
 	n := len(ops)
 	k := forkPlatform(n)
@@ -105,8 +105,7 @@ func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkR
 	if _, err := k.Run(); err != nil {
 		return 0, nil, false, nil // unbalanced prefix deadlocked the donor
 	}
-	snap, serr := k.Snapshot(nil)
-	if serr != nil {
+	if k.Quiescent() != nil {
 		return 0, nil, false, nil // prefix left rendezvous state behind
 	}
 	// Horizons over the production numbering: hosts by ID, then the route
@@ -133,19 +132,17 @@ func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkR
 			}
 		}
 	}
-	if err := k.Restore(snap); err != nil {
-		return 0, nil, false, err
-	}
+	fk := forkPlatform(n)
 	fork := &forkTracer{}
-	k.SetTracer(fork)
+	fk.SetTracer(fork)
 	for _, r := range order {
 		r := r
-		k.Spawn(fmt.Sprintf("p%d", r), k.Host(fmt.Sprintf("h%d", r)), func(p *Proc) {
+		fk.Spawn(fmt.Sprintf("p%d", r), fk.Host(fmt.Sprintf("h%d", r)), func(p *Proc) {
 			p.SleepUntil(park[r])
 			runForkOps(p, r, ops[r][cuts[r]:])
 		})
 	}
-	if _, err := k.Run(); err != nil {
+	if _, err := fk.Run(); err != nil {
 		return 0, nil, false, fmt.Errorf("forked run: %w", err)
 	}
 	for _, rec := range fork.recs {
@@ -170,7 +167,7 @@ func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkR
 			fi++
 		}
 	}
-	return k.Now(), merged, true, nil
+	return fk.Now(), merged, true, nil
 }
 
 // forkWorkload decodes a byte string into a matched multi-rank program plus
@@ -263,7 +260,7 @@ func TestKernelForkMatchesFullRun(t *testing.T) {
 	if !checkForkEquivalence(t, ops2, []int{3, 3}) {
 		t.Fatal("full-length cut must be forkable")
 	}
-	// Zero cuts: the fork replays everything from a restored kernel.
+	// Zero cuts: the fork replays everything on its fresh kernel.
 	if !checkForkEquivalence(t, ops2, []int{0, 0}) {
 		t.Fatal("zero cut must be forkable")
 	}
@@ -272,7 +269,7 @@ func TestKernelForkMatchesFullRun(t *testing.T) {
 func TestKernelForkUnbalancedPrefixFallsBack(t *testing.T) {
 	// The send sits before rank 0's cut but the matching recv after rank
 	// 1's: the donor must refuse to quiesce rather than hand out a corrupt
-	// snapshot.
+	// prefix.
 	ops := [][]forkOp{
 		{{kind: 's', vol: 1e6, peer: 1}, {kind: 'c', vol: 2e8}},
 		{{kind: 'c', vol: 2e8}, {kind: 'r', peer: 0}},
@@ -289,69 +286,18 @@ func TestKernelForkUnbalancedPrefixFallsBack(t *testing.T) {
 func TestSnapshotRefusesBusyKernel(t *testing.T) {
 	k := forkPlatform(2)
 	k.Spawn("p0", k.Host("h0"), func(p *Proc) { p.Execute(1e9) })
-	if _, err := k.Snapshot(nil); err == nil {
-		t.Fatal("snapshot of a kernel with live processes must fail")
+	if err := k.Quiescent(); err == nil {
+		t.Fatal("a kernel with live processes must not be quiescent")
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Snapshot(nil); err != nil {
-		t.Fatalf("snapshot after quiesce: %v", err)
+	if err := k.Quiescent(); err != nil {
+		t.Fatalf("kernel not quiescent after its run: %v", err)
 	}
 }
 
-func TestRestoreRewindsFaultEffects(t *testing.T) {
-	k := forkPlatform(2)
-	h := k.Host("h0")
-	base := h.Speed
-	// A degradation window still open when the kernel quiesces: Speed is
-	// scaled at snapshot time and the closing timer is still queued.
-	k.DegradeHostAt("h0", 0.5, 1.0, 100.0)
-	k.Spawn("p0", h, func(p *Proc) { p.Sleep(2.0) })
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if h.Speed == base {
-		t.Fatal("degradation window did not scale the host")
-	}
-	snap, err := k.Snapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Time != 2.0 {
-		t.Fatalf("snapshot time %v, want 2", snap.Time)
-	}
-	if err := k.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if h.Speed != base {
-		t.Fatalf("restored speed %v, want base %v", h.Speed, base)
-	}
-	if k.Now() != 0 {
-		t.Fatalf("restored clock %v, want 0", k.Now())
-	}
-	// The restored kernel must behave exactly like a fresh one.
-	k.Spawn("p0", h, func(p *Proc) { p.Execute(1e9) })
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !close(k.Now(), 1.0) {
-		t.Fatalf("restored kernel makespan %v, want 1", k.Now())
-	}
-}
-
-func TestRestoreRejectsForeignSnapshot(t *testing.T) {
-	k2, k3 := forkPlatform(2), forkPlatform(3)
-	snap, err := k3.Snapshot(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k2.Restore(snap); err == nil {
-		t.Fatal("restore must reject a snapshot from a different platform")
-	}
-}
-
-// FuzzKernelFork cross-checks Snapshot→Restore→resume against a straight run
+// FuzzKernelFork cross-checks prefix→quiesce→resume against a straight run
 // on random matched programs and random cuts: whenever the cut is shareable,
 // the forked replay must be bit-identical.
 func FuzzKernelFork(f *testing.F) {
@@ -368,32 +314,10 @@ func FuzzKernelFork(f *testing.F) {
 	})
 }
 
-// BenchmarkKernelSnapshotRestore gates the steady-state cost of a
-// snapshot/restore round-trip; with a pooled snapshot buffer it must not
-// allocate at all.
-func BenchmarkKernelSnapshotRestore(b *testing.B) {
-	k := forkPlatform(4)
-	k.Spawn("p0", k.Host("h0"), func(p *Proc) { p.Execute(1e9) })
-	if _, err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-	snap := new(KernelSnapshot)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := k.Snapshot(snap)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := k.Restore(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestSnapshotQuiescenceRefusals: non-quiescent states that survive a
-// completed Run must still refuse a snapshot — a fork from any of them
-// could not be equivalent to a from-scratch replay.
+// completed Run must still be refused — a fork from any of them could not
+// be equivalent to a from-scratch replay — while pending fault timers alone
+// are not a refusal.
 func TestSnapshotQuiescenceRefusals(t *testing.T) {
 	t.Run("pending-rendezvous", func(t *testing.T) {
 		k := forkPlatform(2)
@@ -403,8 +327,8 @@ func TestSnapshotQuiescenceRefusals(t *testing.T) {
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Snapshot(nil); err == nil {
-			t.Fatal("snapshot with a queued unmatched send must fail")
+		if err := k.Quiescent(); err == nil {
+			t.Fatal("a queued unmatched send must not be quiescent")
 		}
 	})
 	t.Run("fail-stopped-host", func(t *testing.T) {
@@ -414,8 +338,8 @@ func TestSnapshotQuiescenceRefusals(t *testing.T) {
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Snapshot(nil); err == nil {
-			t.Fatal("snapshot with a fail-stopped host must fail")
+		if err := k.Quiescent(); err == nil {
+			t.Fatal("a fail-stopped host must not be quiescent")
 		}
 	})
 	t.Run("fail-stopped-link", func(t *testing.T) {
@@ -425,8 +349,26 @@ func TestSnapshotQuiescenceRefusals(t *testing.T) {
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := k.Snapshot(nil); err == nil {
-			t.Fatal("snapshot with a fail-stopped link must fail")
+		if err := k.Quiescent(); err == nil {
+			t.Fatal("a fail-stopped link must not be quiescent")
+		}
+	})
+	t.Run("pending-fault-timers", func(t *testing.T) {
+		k := forkPlatform(2)
+		h := k.Host("h0")
+		base := h.Speed
+		// A degradation window still open when the kernel quiesces: Speed
+		// is scaled and the closing timer is the only pending event.
+		k.DegradeHostAt("h0", 0.5, 1.0, 100.0)
+		k.Spawn("p0", h, func(p *Proc) { p.Sleep(2.0) })
+		if _, err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if h.Speed == base {
+			t.Fatal("degradation window did not scale the host")
+		}
+		if err := k.Quiescent(); err != nil {
+			t.Fatalf("only fault timers pending, yet not quiescent: %v", err)
 		}
 	})
 }

@@ -62,7 +62,8 @@ type Config struct {
 	MetricsWindows int
 	// Fork enables shared-prefix forking: scenarios differing only in their
 	// collective algorithm or checkpoint policy replay their common trace
-	// prefix once on a donor kernel and fork from its snapshot (see fork.go).
+	// prefix once on a donor kernel, and each resumes from the donor's park
+	// times on a kernel of its own (see fork.go).
 	// Results are provably identical either way — members that cannot be
 	// proven equivalent fall back to a from-scratch replay.
 	Fork bool

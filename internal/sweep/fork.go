@@ -16,10 +16,11 @@ import (
 // fork.go for the underlying machinery): scenarios that agree on the
 // platform, the deployment and the fault stream — differing only in their
 // collective algorithm or checkpoint policy — replay their common trace
-// prefix once on a donor kernel, then fork from its snapshot. Forking is an
-// optimisation with a proof obligation: every forked member is byte-identical
-// (timed traces) and bit-equal (makespans) to a from-scratch replay, and any
-// member that cannot be proven equivalent silently falls back to one.
+// prefix once on a donor kernel, then each resumes from the donor's park
+// times on a kernel of its own. Forking is an optimisation with a proof
+// obligation: every forked member is byte-identical (timed traces) and
+// bit-equal (makespans) to a from-scratch replay, and any member that cannot
+// be proven equivalent silently falls back to one.
 
 // groupKey identifies a fork group: the axes that shape the platform, the
 // deployment folding and the fault stream. Scenarios sharing a key replay an
@@ -59,10 +60,8 @@ type forkGroup struct {
 // per cut rule — whatever the grid size.
 func planForkGroups(cfg *Config, scenarios []Scenario) ([]*forkGroup, []*forkGroup, error) {
 	memberOf := make([]*forkGroup, len(scenarios))
-	if !cfg.Fork || cfg.Registry != nil || cfg.Traces == nil {
-		// Custom registries are opaque to the planner: a handler may keep
-		// state across the cut, so forking is disabled wholesale. An
-		// all-synthetic sweep has no shared trace set to plan a prefix on.
+	if !cfg.Fork || cfg.Traces == nil {
+		// An all-synthetic sweep has no shared trace set to plan a prefix on.
 		return nil, memberOf, nil
 	}
 	n := cfg.Traces.Ranks()
@@ -70,8 +69,8 @@ func planForkGroups(cfg *Config, scenarios []Scenario) ([]*forkGroup, []*forkGro
 	byKey := make(map[groupKey][]int)
 	for si := range scenarios {
 		sc := &scenarios[si]
-		if sc.Fault.FailStops() && sc.Ckpt == nil {
-			continue // fail-stops play out inside the kernel (abort policy)
+		if rcfg := replayConfig(cfg, nil, *sc); !rcfg.Forkable() {
+			continue // a custom registry, or fail-stops without a checkpoint protocol
 		}
 		if sc.World > 0 {
 			// Synthetic cells regenerate their own streams at their own
@@ -193,25 +192,20 @@ func (g *forkGroup) runDonor(ctx context.Context, cfg *Config, model *smpi.Model
 	g.pr, g.err = replay.RunPrefix(b, depl, replayConfig(cfg, model, sc), sources, replay.PrefixOptions{
 		Cuts:        g.cuts,
 		RecordTrace: cfg.Timed || cfg.Profile || cfg.Metrics,
-		TieCheck:    cfg.Timed,
 	})
 	g.wall = time.Since(start)
 }
 
-// runMember replays one member scenario from the shared prefix, falling back
-// to a from-scratch replay when the donor failed or the forked run could not
-// be proven equivalent (replay.ErrForkUnsafe). The first member to arrive
-// reuses the donor's own restored kernel; the rest instantiate fresh ones.
+// runMember replays one member scenario from the shared prefix on a freshly
+// built kernel, falling back to a from-scratch replay when the donor failed
+// or the forked run could not be proven equivalent (replay.ErrForkUnsafe).
 func runMember(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, g *forkGroup) outcome {
 	if g.err != nil || g.pr == nil {
 		return runTask(cfg, model, sc, depl)
 	}
-	b := g.pr.ClaimDonorBuild()
-	if b == nil {
-		var err error
-		if b, err = scenarioBuild(cfg, sc); err != nil {
-			return outcome{err: err}
-		}
+	b, err := scenarioBuild(cfg, sc)
+	if err != nil {
+		return outcome{err: err}
 	}
 	sources, err := scenarioSources(cfg, &sc, len(depl.Processes))
 	if err != nil {

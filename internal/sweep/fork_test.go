@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -51,7 +52,8 @@ func forkTraces(t *testing.T, doc string, n int) *TraceSet {
 }
 
 // compareSweeps requires two sweep results to agree scenario by scenario:
-// bit-equal makespans, equal action counts and byte-identical timed traces.
+// bit-equal makespans, equal action counts, byte-identical timed traces and
+// equal profiles.
 func compareSweeps(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if len(a.Scenarios) != len(b.Scenarios) {
@@ -73,6 +75,9 @@ func compareSweeps(t *testing.T, label string, a, b *Result) {
 		if !bytes.Equal(sa.TimedTrace, sb.TimedTrace) {
 			t.Errorf("%s: scenario %d (%s): timed traces differ (%d vs %d bytes)",
 				label, i, sa.Name, len(sa.TimedTrace), len(sb.TimedTrace))
+		}
+		if !reflect.DeepEqual(sa.Profile, sb.Profile) {
+			t.Errorf("%s: scenario %d (%s): profiles differ", label, i, sa.Name)
 		}
 		if (sa.Resilience == nil) != (sb.Resilience == nil) {
 			t.Errorf("%s: scenario %d: resilience presence differs", label, i)
@@ -121,10 +126,10 @@ func TestSweepForkMatchesScratch(t *testing.T) {
 		Ckpt: []*replay.Ckpt{nil, ck},
 	}
 	base := platform.BordereauWithCores(4, 1)
-	run := func(fork bool, workers int) *Result {
+	run := func(fork, timed bool, workers int) *Result {
 		res, err := Run(context.Background(), &Config{
 			Platform: base, Grid: grid, Traces: ts,
-			Workers: workers, Timed: true, Profile: true, Metrics: true, Fork: fork,
+			Workers: workers, Timed: timed, Profile: true, Metrics: true, Fork: fork,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -135,9 +140,9 @@ func TestSweepForkMatchesScratch(t *testing.T) {
 	if workers < 4 {
 		workers = 4
 	}
-	scratch := run(false, 1)
-	forked1 := run(true, 1)
-	forkedN := run(true, workers)
+	scratch := run(false, true, 1)
+	forked1 := run(true, true, 1)
+	forkedN := run(true, true, workers)
 	compareSweeps(t, "fork=on vs fork=off", scratch, forked1)
 	compareSweeps(t, "fork workers=1 vs N", forked1, forkedN)
 	want := metricsJSON(t, scratch)
@@ -165,6 +170,19 @@ func TestSweepForkMatchesScratch(t *testing.T) {
 		if s.Forked && s.PrefixActions != 12 {
 			t.Errorf("scenario %d (%s): prefix actions = %d, want 12", i, s.Name, s.PrefixActions)
 		}
+	}
+
+	// Without timed traces the merged records still feed the profile and
+	// the metrics sink, both order-sensitive folds: forking must engage on
+	// the same members and change neither.
+	untimed := run(false, false, 1)
+	untimedForked := run(true, false, workers)
+	compareSweeps(t, "untimed fork=on vs fork=off", untimed, untimedForked)
+	if got, want := metricsJSON(t, untimedForked), metricsJSON(t, untimed); !bytes.Equal(got, want) {
+		t.Errorf("untimed fork=on metrics JSON differs from fork=off:\n%s\nvs\n%s", got, want)
+	}
+	if f, fu := countForked(forked1), countForked(untimedForked); f != fu {
+		t.Fatalf("%d scenarios forked with timed traces, %d without", f, fu)
 	}
 }
 
