@@ -117,7 +117,7 @@ func main() {
 		fail(cli.Usage(err))
 	}
 	var tracers replay.Tee
-	var prof *replay.Profile
+	var prof *replay.MetricsSink
 	if *profile {
 		prof = replay.NewProfile()
 		tracers = append(tracers, prof)

@@ -11,7 +11,7 @@
 // Definitions, per analysis interval of length T over n ranks, with
 // useful[r] the time rank r spent computing and transfer[r] the time its
 // point-to-point transfers were in flight (a transfer occupies both
-// endpoints — the dual attribution the corrected Profile shares):
+// endpoints — the dual attribution the sink's per-process profile shares):
 //
 //	ParallelEff = avg(useful) / T          overall core utilisation
 //	LoadBalance = avg(useful) / max(useful)
@@ -25,7 +25,7 @@
 // time it was blocked with nothing in flight (serialization loss).
 // Efficiencies are clipped to [0, 1]; a clip beyond rounding means
 // overlapping activity (e.g. transfers progressing under compute) pushed
-// occupancy past wall time, which Profile.Render surfaces separately.
+// occupancy past wall time, which MetricsSink.Render surfaces separately.
 package metrics
 
 import (

@@ -207,7 +207,7 @@ func TestRankNaturalOrder(t *testing.T) {
 }
 
 // TestAnalyzeMatchesProfileOnLU pins, on a real NPB LU trace, that the
-// whole-run report agrees with the (fixed) legacy Profile: per-rank
+// whole-run report agrees with the per-process profile: per-rank
 // useful time equals ComputeTime bit-for-bit (same accumulator, same
 // event order), and transfer equals SendTime+RecvTime up to summation
 // rounding (the report folds both roles into one accumulator). The strict

@@ -128,6 +128,9 @@ func splitAt(val string) (string, float64, error) {
 	if err != nil || math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
 		return "", 0, fmt.Errorf("bad time %q", val[i+1:])
 	}
+	if t == 0 {
+		t = 0 // read -0 as 0: String would render its sign
+	}
 	return val[:i], t, nil
 }
 

@@ -75,9 +75,12 @@ type PrefixPlan struct {
 // wait on. A false plan simply means the group replays from scratch.
 func PlanPrefix(n int, collCut bool, visit func(rank int, yield func(trace.Action) bool) error) (plan *PrefixPlan, ok bool, err error) {
 	plan = &PrefixPlan{Cuts: make([]int, n)}
-	// balance[s*n+d] counts prefix sends s->d minus prefix recvs of d from s;
-	// every pair must come out zero or the rendezvous state straddles the cut.
-	balance := make([]int64, n*n)
+	// balance[pair(s, d)] counts prefix sends s->d minus prefix recvs of d
+	// from s; every pair must come out zero or the rendezvous state straddles
+	// the cut. Only the pairs the prefix uses get an entry: a dense n*n matrix
+	// would take 2 GiB at 16k ranks.
+	balance := make(map[int64]int64)
+	pair := func(s, d int) int64 { return int64(s)*int64(n) + int64(d) }
 	for r := 0; r < n; r++ {
 		pending := 0
 		parkable := true
@@ -88,15 +91,15 @@ func PlanPrefix(n int, collCut bool, visit func(rank int, yield func(trace.Actio
 			switch a.Type {
 			case trace.Send, trace.Isend:
 				if a.Peer >= 0 && a.Peer < n {
-					balance[r*n+a.Peer]++
+					balance[pair(r, a.Peer)]++
 				}
 			case trace.Recv:
 				if a.Peer >= 0 && a.Peer < n {
-					balance[a.Peer*n+r]--
+					balance[pair(a.Peer, r)]--
 				}
 			case trace.Irecv:
 				if a.Peer >= 0 && a.Peer < n {
-					balance[a.Peer*n+r]--
+					balance[pair(a.Peer, r)]--
 				}
 				pending++
 			case trace.Wait:

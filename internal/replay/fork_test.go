@@ -3,6 +3,7 @@ package replay
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -70,6 +71,27 @@ func TestPlanPrefixCollectiveCut(t *testing.T) {
 	}
 	if plan.Actions != 12 {
 		t.Fatalf("plan = %+v, want 12 of the trace's 20 actions shared", plan)
+	}
+}
+
+// TestPlanPrefixMemoryScalesWithPairs pins that the planner's send/recv
+// balance costs memory per communicating pair, not per rank pair: 4,096
+// compute-only ranks would need a 128 MiB matrix.
+func TestPlanPrefixMemoryScalesWithPairs(t *testing.T) {
+	const n = 4096
+	visit := func(r int, yield func(trace.Action) bool) error {
+		yield(trace.Action{Proc: r, Type: trace.Compute, Volume: 1e6, Peer: -1})
+		return nil
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	plan, ok, err := PlanPrefix(n, true, visit)
+	runtime.ReadMemStats(&after)
+	if err != nil || !ok || plan.Actions != n {
+		t.Fatalf("PlanPrefix: plan=%+v ok=%v err=%v", plan, ok, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Fatalf("PlanPrefix over %d ranks allocated %d MiB, want under 8", n, alloc>>20)
 	}
 }
 

@@ -4,29 +4,16 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
+
+	"tireplay/internal/simx"
 )
 
-// Profile accumulates a per-process breakdown of the simulated execution —
-// time spent computing vs communicating, volumes moved — from the timed
-// trace of a replay. It realises the third output sketched in Figure 4 of
-// the paper ("derive a profile of the application from this timed trace"),
-// which the authors left to external tools like TAU and Scalasca.
-//
-// A transfer occupies both of its endpoints: Comm charges the duration to
-// the sender (SendTime) and to the receiver (RecvTime), so receiver-side
-// communication is no longer folded into idle time. The columnar
-// MetricsSink shares the same attribution rule; TestSinkMatchesProfile pins
-// the two equal.
-//
-// Install it as the replay's TimedTracer (possibly chained with a
-// TimedTraceWriter via Tee).
-type Profile struct {
-	mu    sync.Mutex
-	procs map[string]*ProcProfile
-}
-
-// ProcProfile is the accumulated activity of one process.
+// ProcProfile is the accumulated activity of one process: a row of the
+// per-process breakdown of the simulated execution — time spent computing
+// vs communicating, volumes moved — that a MetricsSink folds from the
+// replay's timed events. It realises the third output sketched in Figure 4
+// of the paper ("derive a profile of the application from this timed
+// trace"), which the authors left to external tools like TAU and Scalasca.
 type ProcProfile struct {
 	Name        string
 	ComputeTime float64
@@ -45,54 +32,24 @@ func (pp *ProcProfile) Busy() float64 {
 	return pp.ComputeTime + pp.SendTime + pp.RecvTime
 }
 
-// NewProfile returns an empty profile collector.
-func NewProfile() *Profile {
-	return &Profile{procs: make(map[string]*ProcProfile)}
+// NewProfile returns a sink that keeps only the per-process totals
+// (Processes, Render) and records no event rows, so profiling a streamed
+// replay stays O(ranks) however long the trace.
+func NewProfile() *MetricsSink {
+	s := NewMetricsSink()
+	s.totalsOnly = true
+	return s
 }
 
-func (p *Profile) proc(name string) *ProcProfile {
-	pp := p.procs[name]
-	if pp == nil {
-		pp = &ProcProfile{Name: name}
-		p.procs[name] = pp
-	}
-	return pp
-}
-
-// Compute implements simx.Tracer.
-func (p *Profile) Compute(proc, host string, flops, start, end float64) {
-	p.mu.Lock()
-	pp := p.proc(proc)
-	pp.ComputeTime += end - start
-	pp.Flops += flops
-	pp.Computes++
-	p.mu.Unlock()
-}
-
-// Comm implements simx.Tracer. The transfer is attributed to both
-// endpoints: the sender's SendTime and the receiver's RecvTime each absorb
-// the full duration (a loopback transfer charges the same process twice,
-// once per role).
-func (p *Profile) Comm(src, dst string, bytes, start, end float64) {
-	p.mu.Lock()
-	pp := p.proc(src)
-	pp.SendTime += end - start
-	pp.SentBytes += bytes
-	pp.Sends++
-	pd := p.proc(dst)
-	pd.RecvTime += end - start
-	pd.RecvBytes += bytes
-	pd.Recvs++
-	p.mu.Unlock()
-}
-
-// Processes returns the per-process profiles sorted by name.
-func (p *Profile) Processes() []*ProcProfile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*ProcProfile, 0, len(p.procs))
-	for _, pp := range p.procs {
-		out = append(out, pp)
+// Processes returns the per-process totals sorted by name, one row per
+// process with at least one recorded activity: names interned through
+// RankID but idle throughout get none.
+func (s *MetricsSink) Processes() []*ProcProfile {
+	out := make([]*ProcProfile, 0, len(s.procs))
+	for _, pp := range s.procs {
+		if pp.Computes+pp.Sends+pp.Recvs > 0 {
+			out = append(out, &pp)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -113,11 +70,11 @@ const renderEpsilon = 1e-9
 // e.g. transfers progressing under a compute burst) keeps the clamped cell,
 // gains a trailing "!" marker, and contributes a returned warning rather
 // than being silently masked.
-func (p *Profile) Render(w io.Writer, makespan float64) []string {
+func (s *MetricsSink) Render(w io.Writer, makespan float64) []string {
 	var warnings []string
 	fmt.Fprintf(w, "%-8s | %12s %10s | %12s %12s | %12s %12s | %10s\n",
 		"process", "compute", "flops", "comm (sent)", "bytes", "comm (recv)", "bytes", "idle")
-	for _, pp := range p.Processes() {
+	for _, pp := range s.Processes() {
 		idle := "-"
 		mark := ""
 		if makespan > 0 { // false for NaN too
@@ -143,12 +100,9 @@ func (p *Profile) Render(w io.Writer, makespan float64) []string {
 	return warnings
 }
 
-// Tee fans a timed trace out to several tracers (e.g. a Profile and a
+// Tee fans a timed trace out to several tracers (e.g. a MetricsSink and a
 // TimedTraceWriter at once).
-type Tee []interface {
-	Compute(proc, host string, flops, start, end float64)
-	Comm(src, dst string, bytes, start, end float64)
-}
+type Tee []simx.Tracer
 
 // Compute implements simx.Tracer.
 func (t Tee) Compute(proc, host string, flops, start, end float64) {

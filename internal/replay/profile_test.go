@@ -14,6 +14,9 @@ func TestProfileCollectsPerProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := prof.Len(); n != 0 {
+		t.Fatalf("profile recorded %d event rows, want totals only", n)
+	}
 	procs := prof.Processes()
 	if len(procs) != 4 {
 		t.Fatalf("profiled %d processes", len(procs))

@@ -63,6 +63,9 @@ func ParseCkpt(s string) (*Ckpt, error) {
 		if err != nil {
 			return nil, fmt.Errorf("replay: checkpoint spec %q: bad number %q", s, p)
 		}
+		if v == 0 {
+			v = 0 // read -0 as 0: String would render its sign
+		}
 		vals[i] = v
 	}
 	c := &Ckpt{Interval: vals[0], Cost: vals[1], Restart: vals[2], Down: vals[3]}

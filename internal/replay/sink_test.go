@@ -8,7 +8,8 @@ import (
 )
 
 // TestSinkRecordsEvents checks the columnar sink's basics: interning,
-// dual-endpoint comm rows, Reset keeping the rank table.
+// dual-endpoint comm rows, Reset keeping the rank table and zeroing the
+// per-process totals.
 func TestSinkRecordsEvents(t *testing.T) {
 	s := NewMetricsSink()
 	s.Compute("p0", "h0", 1e6, 0, 1)
@@ -34,12 +35,16 @@ func TestSinkRecordsEvents(t *testing.T) {
 	if s.NumRanks() != 2 {
 		t.Fatalf("Reset dropped the rank table: %d ranks", s.NumRanks())
 	}
+	if procs := s.Processes(); len(procs) != 0 {
+		t.Fatalf("Reset kept per-process totals: %+v", procs[0])
+	}
 }
 
 // TestSinkMatchesProfile pins, on real NPB LU and CG traces, that the
-// columnar sink's per-rank totals are bit-equal to the (fixed, dually
-// attributing) legacy Profile: both accumulate the same event stream in
-// the same order, so every float must match exactly, not approximately.
+// columnar sink's event log folds to per-rank totals bit-equal to the
+// totals-only profile's and to the sink's own: all three accumulate the
+// same event stream in the same order, so every float must match exactly,
+// not approximately.
 func TestSinkMatchesProfile(t *testing.T) {
 	for _, fixture := range []struct {
 		name  string
@@ -55,7 +60,7 @@ func TestSinkMatchesProfile(t *testing.T) {
 			}
 
 			// Accumulate the sink's columns per rank, in event order — the
-			// same order the Profile saw its callbacks.
+			// same order the running totals saw the callbacks.
 			type tot struct{ compute, send, recv, flops, sent, rcvd float64 }
 			tots := make(map[string]*tot)
 			get := func(name string) *tot {
@@ -82,24 +87,31 @@ func TestSinkMatchesProfile(t *testing.T) {
 				}
 			}
 
-			procs := prof.Processes()
-			if len(procs) != fixture.procs || len(tots) != fixture.procs {
-				t.Fatalf("rank counts: profile %d, sink %d", len(procs), len(tots))
-			}
-			for _, pp := range procs {
-				tt := tots[pp.Name]
-				if tt == nil {
-					t.Fatalf("%s: missing from sink", pp.Name)
+			for _, view := range []struct {
+				name  string
+				procs []*ProcProfile
+			}{{"profile", prof.Processes()}, {"sink", sink.Processes()}} {
+				procs := view.procs
+				if len(procs) != fixture.procs || len(tots) != fixture.procs {
+					t.Fatalf("rank counts: %s %d, sink log %d", view.name, len(procs), len(tots))
 				}
-				if tt.compute != pp.ComputeTime || tt.flops != pp.Flops {
-					t.Errorf("%s: compute %v/%v flops %v/%v (sink/profile)",
-						pp.Name, tt.compute, pp.ComputeTime, tt.flops, pp.Flops)
-				}
-				if tt.send != pp.SendTime || tt.sent != pp.SentBytes {
-					t.Errorf("%s: send %v/%v bytes %v/%v", pp.Name, tt.send, pp.SendTime, tt.sent, pp.SentBytes)
-				}
-				if tt.recv != pp.RecvTime || tt.rcvd != pp.RecvBytes {
-					t.Errorf("%s: recv %v/%v bytes %v/%v", pp.Name, tt.recv, pp.RecvTime, tt.rcvd, pp.RecvBytes)
+				for _, pp := range procs {
+					tt := tots[pp.Name]
+					if tt == nil {
+						t.Fatalf("%s: missing from sink log", pp.Name)
+					}
+					if tt.compute != pp.ComputeTime || tt.flops != pp.Flops {
+						t.Errorf("%s %s: compute %v/%v flops %v/%v (log/totals)",
+							view.name, pp.Name, tt.compute, pp.ComputeTime, tt.flops, pp.Flops)
+					}
+					if tt.send != pp.SendTime || tt.sent != pp.SentBytes {
+						t.Errorf("%s %s: send %v/%v bytes %v/%v",
+							view.name, pp.Name, tt.send, pp.SendTime, tt.sent, pp.SentBytes)
+					}
+					if tt.recv != pp.RecvTime || tt.rcvd != pp.RecvBytes {
+						t.Errorf("%s %s: recv %v/%v bytes %v/%v",
+							view.name, pp.Name, tt.recv, pp.RecvTime, tt.rcvd, pp.RecvBytes)
+					}
 				}
 			}
 		})

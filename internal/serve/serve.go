@@ -522,99 +522,32 @@ func parseSynth(req *SynthSpec, worlds []int) (*synth.Model, synth.Spec, string,
 }
 
 // canonicalSweepKey renders the request's canonical identity: the trace
-// digest, the canonical platform key, the model and output options, and
-// every grid axis re-rendered canonically with defaults applied — so two
-// requests that expand to the same scenarios share one cache entry and one
-// in-flight execution, however they were spelled.
+// digest, the canonical platform key, the model and output options, the
+// synthetic model's identity, and a SHA-256 over the names of the scenarios
+// the grid expands to, in expansion order. The response rows are exactly
+// that expansion, and Scenario.Name renders every field of a cell but the
+// index its position carries, so two requests share one cache entry and one
+// in-flight execution exactly when they expand to the same scenarios,
+// however they were spelled. Each name is length-prefixed because a fault
+// host name may hold a newline.
 func canonicalSweepKey(p *sweepPlan) string {
-	var b strings.Builder
-	b.WriteString(p.digest)
-	b.WriteByte('\n')
-	b.WriteString(p.platKey)
-	fmt.Fprintf(&b, "\nmodel=%t timed=%t prof=%t metrics=%t win=%d",
-		p.identity, p.timed, p.profile, p.metrics, p.metricsWindows)
-	b.WriteString("\nlat=")
-	writeFloats(&b, p.grid.LatencyScale)
-	b.WriteString("\nbw=")
-	writeFloats(&b, p.grid.BandwidthScale)
-	b.WriteString("\npow=")
-	writeFloats(&b, p.grid.PowerScale)
-	b.WriteString("\nfold=")
-	writeInts(&b, p.grid.Fold, 1)
-	b.WriteString("\nhosts=")
-	writeInts(&b, p.grid.Hosts, 0)
-	b.WriteString("\ncoll=")
-	if len(p.grid.Coll) == 0 {
-		b.WriteString("default")
+	h := sha256.New()
+	var line []byte
+	for _, sc := range p.grid.Expand() {
+		name := sc.Name()
+		line = strconv.AppendInt(line[:0], int64(len(name)), 10)
+		line = append(line, ' ')
+		line = append(line, name...)
+		line = append(line, '\n')
+		h.Write(line)
 	}
-	for i, c := range p.grid.Coll {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(c.String())
+	synthKey := p.synthKey
+	if synthKey == "" {
+		synthKey = "none"
 	}
-	b.WriteString("\ntopo=")
-	for i, t := range p.grid.Topo {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(t.String())
-	}
-	b.WriteString("\nfault=")
-	if len(p.grid.Faults) == 0 {
-		b.WriteString("none")
-	}
-	for i, f := range p.grid.Faults {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(f.String())
-	}
-	b.WriteString("\nckpt=")
-	if len(p.grid.Ckpt) == 0 {
-		b.WriteString("none")
-	}
-	for i, c := range p.grid.Ckpt {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(c.String())
-	}
-	b.WriteString("\nworld=")
-	writeInts(&b, p.grid.World, 0)
-	b.WriteString("\nsynth=")
-	if p.synthKey == "" {
-		b.WriteString("none")
-	} else {
-		b.WriteString(p.synthKey)
-	}
-	return b.String()
-}
-
-func writeFloats(b *strings.Builder, vs []float64) {
-	if len(vs) == 0 {
-		b.WriteByte('1')
-		return
-	}
-	for i, v := range vs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-}
-
-func writeInts(b *strings.Builder, vs []int, def int) {
-	if len(vs) == 0 {
-		b.WriteString(strconv.Itoa(def))
-		return
-	}
-	for i, v := range vs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(v))
-	}
+	return fmt.Sprintf("%s\n%s\nmodel=%t timed=%t prof=%t metrics=%t win=%d\nsynth=%s\ncells=%x",
+		p.digest, p.platKey, p.identity, p.timed, p.profile, p.metrics, p.metricsWindows,
+		synthKey, h.Sum(nil))
 }
 
 // sweepOutcome is the computed reply of one sweep request.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tireplay/internal/npb"
+	"tireplay/internal/sweep"
 )
 
 // TestUploadSweepAndCacheHit is the core service contract: upload once,
@@ -160,6 +161,13 @@ func TestPathRegistrationDisabled(t *testing.T) {
 func TestSweepRequestValidation(t *testing.T) {
 	d := newTestDaemon(t, Config{MaxScenarios: 8})
 	dig := d.uploadLU(t, npb.ClassS, 4)
+	// Seven axes of 1024 entries: 2^70 cells, a size that wraps an int to 0.
+	ones, nones := strings.Repeat("1,", 1023)+"1", strings.Repeat("none;", 1023)+"none"
+	overflow, err := json.Marshal(sweep.GridSpec{Lat: ones, Bw: ones, Power: ones, Fold: ones,
+		Hosts: ones, Fault: nones, Ckpt: nones})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name, body string
@@ -174,6 +182,7 @@ func TestSweepRequestValidation(t *testing.T) {
 		{"negative metrics windows", fmt.Sprintf(`{"trace":%q,"metrics":true,"metrics_windows":-1,"grid":{}}`, dig), http.StatusBadRequest},
 		{"metrics windows over the cap", fmt.Sprintf(`{"trace":%q,"metrics":true,"metrics_windows":1000000,"grid":{}}`, dig), http.StatusBadRequest},
 		{"grid too big", fmt.Sprintf(`{"trace":%q,"grid":{"lat":"1,2,3","bw":"1,2,3"}}`, dig), http.StatusBadRequest},
+		{"grid size overflows", fmt.Sprintf(`{"trace":%q,"grid":%s}`, dig, overflow), http.StatusBadRequest},
 		{"bad platform", fmt.Sprintf(`{"trace":%q,"platform":"gdx:2","grid":{}}`, dig), http.StatusBadRequest},
 		{"platform with full topo axis", fmt.Sprintf(`{"trace":%q,"platform":"bordereau:4","grid":{"topo":"fat-tree:4"}}`, dig), http.StatusBadRequest},
 		{"not json", `lat=1`, http.StatusBadRequest},

@@ -142,19 +142,20 @@ type task struct {
 
 // outcome is the raw outcome of one scenario's replay.
 type outcome struct {
-	res     *replay.Result
-	timed   []byte
-	profile *replay.Profile
-	sink    *replay.MetricsSink
-	forked  bool
-	prefix  int64
-	err     error
+	res    *replay.Result
+	timed  []byte
+	sink   *replay.MetricsSink
+	forked bool
+	prefix int64
+	err    error
 }
 
 // taskTracers bundles the per-task tracer set runTask and runMember share:
-// a timed-trace writer, a legacy profile, and the columnar metrics sink,
-// teed per Config. The sink pre-interns the deployment's process names so
-// ranks that record no event still get a (fully idle) row in the analysis.
+// a timed-trace writer and one accounting sink, teed per Config. The sink
+// records the event columns when Metrics is set and only the per-process
+// totals when just Profile is; it pre-interns the deployment's process
+// names so ranks that record no event still get a (fully idle) row in the
+// analysis.
 type taskTracers struct {
 	tee replay.Tee
 	buf bytes.Buffer
@@ -167,17 +168,18 @@ func newTaskTracers(cfg *Config, out *outcome, procs []platform.ProcessDef) *tas
 		t.tw = replay.NewTimedTraceWriter(&t.buf)
 		t.tee = append(t.tee, t.tw)
 	}
-	if cfg.Profile {
-		out.profile = replay.NewProfile()
-		t.tee = append(t.tee, out.profile)
-	}
-	if cfg.Metrics {
+	switch {
+	case cfg.Metrics:
 		out.sink = replay.NewMetricsSink()
-		for _, p := range procs {
-			out.sink.RankID(p.Function)
-		}
-		t.tee = append(t.tee, out.sink)
+	case cfg.Profile:
+		out.sink = replay.NewProfile()
+	default:
+		return t
 	}
+	for _, p := range procs {
+		out.sink.RankID(p.Function)
+	}
+	t.tee = append(t.tee, out.sink)
 	return t
 }
 
@@ -462,10 +464,10 @@ func resultOf(cfg *Config, sc Scenario, out outcome) ScenarioResult {
 	r.Forked = out.forked
 	r.PrefixActions = out.prefix
 	r.TimedTrace = out.timed
-	if out.profile != nil {
-		r.Profile = out.profile.Processes()
+	if cfg.Profile {
+		r.Profile = out.sink.Processes()
 	}
-	if out.sink != nil {
+	if cfg.Metrics {
 		// Checkpointed scenarios report a waste-inflated makespan (Effective
 		// time), so their analysis horizon derives from the events instead.
 		opt := metrics.Options{Windows: cfg.MetricsWindows}

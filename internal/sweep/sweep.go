@@ -125,12 +125,19 @@ func orCkpts(v []*replay.Ckpt) []*replay.Ckpt {
 	return v
 }
 
-// Size returns the number of scenarios the grid expands to.
+// Size returns the number of scenarios the grid expands to, saturating at
+// math.MaxInt when the product of the axis lengths would overflow an int.
 func (g Grid) Size() int {
-	return len(orFloats(g.LatencyScale)) * len(orFloats(g.BandwidthScale)) *
-		len(orFloats(g.PowerScale)) * len(orInts(g.Fold, 1)) * len(orInts(g.Hosts, 0)) *
-		len(orColl(g.Coll)) * len(orTopos(g.Topo)) *
-		len(orFaults(g.Faults)) * len(orCkpts(g.Ckpt)) * len(orInts(g.World, 0))
+	n := 1
+	for _, l := range [...]int{len(g.LatencyScale), len(g.BandwidthScale), len(g.PowerScale),
+		len(g.Fold), len(g.Hosts), len(g.Coll), len(g.Topo), len(g.Faults), len(g.Ckpt), len(g.World)} {
+		l = max(l, 1) // an empty axis holds its single identity value
+		if n > math.MaxInt/l {
+			return math.MaxInt
+		}
+		n *= l
+	}
+	return n
 }
 
 // MaxWorld returns the grid's largest synthetic world size, 0 when it has
@@ -147,8 +154,13 @@ func (g Grid) MaxWorld() int {
 // front end (Engine.Run, tisweep, tiserved) alike: haveTraces reports a
 // recorded trace set, haveModel a fitted synthetic model. A positive world
 // needs a model; a model needs at least one positive world; and recorded
-// cells — a grid with no world axis or a 0 entry — need traces.
+// cells — a grid with no world axis or a 0 entry — need traces. A grid
+// whose size saturates (Size returns math.MaxInt) is rejected outright:
+// no front end could expand it.
 func (g Grid) CheckInputs(haveTraces, haveModel bool) error {
+	if g.Size() == math.MaxInt {
+		return fmt.Errorf("sweep: grid expands to %d or more scenarios", math.MaxInt)
+	}
 	recorded := len(g.World) == 0
 	for _, w := range g.World {
 		if w == 0 {
@@ -358,48 +370,38 @@ func ParseFloatList(s string) ([]float64, error) {
 	return out, nil
 }
 
-// ParseCollList parses tisweep's -coll axis: semicolon-separated collective
-// specs, each in the -coll syntax of internal/coll.ParseSpec
-// ("linear;binomial;bcast=binomial,allReduce=ring").
-func ParseCollList(s string) ([]coll.Config, error) {
+// parseList parses one sep-separated axis, each entry through parse. Empty
+// entries — a trailing or doubled separator — are skipped rather than read
+// as a scenario, which keeps an axis free of silent duplicate identity
+// cells.
+func parseList[T any](s, sep string, parse func(string) (T, error)) ([]T, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
-	var out []coll.Config
-	for _, part := range strings.Split(s, ";") {
+	var out []T
+	for _, part := range strings.Split(s, sep) {
 		if strings.TrimSpace(part) == "" {
-			// A trailing or doubled semicolon is not a scenario: skipping
-			// it keeps the axis free of silent duplicate default cells.
 			continue
 		}
-		c, err := coll.ParseSpec(part)
+		v, err := parse(part)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
-		out = append(out, c)
+		out = append(out, v)
 	}
 	return out, nil
 }
+
+// ParseCollList parses tisweep's -coll axis: semicolon-separated collective
+// specs, each in the -coll syntax of internal/coll.ParseSpec
+// ("linear;binomial;bcast=binomial,allReduce=ring").
+func ParseCollList(s string) ([]coll.Config, error) { return parseList(s, ";", coll.ParseSpec) }
 
 // ParseTopoList parses tisweep's -topo axis: comma-separated topology specs
 // in the platform.ParseTopo syntax
 // ("fat-tree:4,torus:4x4x2,dragonfly:2x4x2").
 func ParseTopoList(s string) ([]platform.TopoSpec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []platform.TopoSpec
-	for _, part := range strings.Split(s, ",") {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
-		spec, err := platform.ParseTopo(part)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-		out = append(out, spec)
-	}
-	return out, nil
+	return parseList(s, ",", platform.ParseTopo)
 }
 
 // ParseFaultList parses tisweep's -fault axis: semicolon-separated fault
@@ -407,44 +409,14 @@ func ParseTopoList(s string) ([]platform.TopoSpec, error) {
 // ("none;host:1@5;hosts:25%@10,mtbf:3600"). "none" entries are kept as the
 // fault-free cell, so the axis can compare faulted against clean runs.
 func ParseFaultList(s string) ([]*platform.FaultSpec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []*platform.FaultSpec
-	for _, part := range strings.Split(s, ";") {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
-		fs, err := platform.ParseFaultSpec(part)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-		out = append(out, fs)
-	}
-	return out, nil
+	return parseList(s, ";", platform.ParseFaultSpec)
 }
 
 // ParseCkptList parses tisweep's -ckpt axis: semicolon-separated
 // checkpoint/restart specs, each in the replay.ParseCkpt syntax
 // ("none;30/5;60/5/10/30"). "none" entries are kept as the no-protocol
 // (abort policy) cell.
-func ParseCkptList(s string) ([]*replay.Ckpt, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []*replay.Ckpt
-	for _, part := range strings.Split(s, ";") {
-		if strings.TrimSpace(part) == "" {
-			continue
-		}
-		ck, err := replay.ParseCkpt(part)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %w", err)
-		}
-		out = append(out, ck)
-	}
-	return out, nil
-}
+func ParseCkptList(s string) ([]*replay.Ckpt, error) { return parseList(s, ";", replay.ParseCkpt) }
 
 // ParseWorldList parses tisweep's -world axis: comma-separated world sizes
 // ("1024,4096,16384"). A 0 entry stands for the recorded world (replaying

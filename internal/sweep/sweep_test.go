@@ -3,8 +3,10 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -56,6 +58,26 @@ func TestExpandDeterministicOrder(t *testing.T) {
 	}
 }
 
+// TestGridSizeSaturates pins that an overflowing grid size saturates
+// instead of wrapping under a front end's scenario cap, and that the shared
+// input check rejects it before anything expands.
+func TestGridSizeSaturates(t *testing.T) {
+	// Seven axes of 1024 entries: 2^70 cells, a size that wraps an int to 0.
+	ones, nones := strings.Repeat("1,", 1023)+"1", strings.Repeat("none;", 1023)+"none"
+	g, err := GridSpec{Lat: ones, Bw: ones, Power: ones, Fold: ones, Hosts: ones,
+		Fault: nones, Ckpt: nones}.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.Size(); n != math.MaxInt {
+		t.Fatalf("Size() = %d, want math.MaxInt", n)
+	}
+	err = g.CheckInputs(true, false)
+	if err == nil || !strings.Contains(err.Error(), "or more scenarios") {
+		t.Fatalf("CheckInputs = %v, want the saturated-size error", err)
+	}
+}
+
 func TestParseLists(t *testing.T) {
 	fs, err := ParseFloatList(" 0.5, 1,2 ")
 	if err != nil || len(fs) != 3 || fs[0] != 0.5 {
@@ -97,7 +119,9 @@ func TestParseLists(t *testing.T) {
 // same grid replayed at workers=1 and workers=NumCPU (at least 4, so the
 // pool really interleaves) produces byte-identical per-scenario timed traces
 // and identical makespans. The race job replays this test under -race, which
-// doubles as the shared-trace data-race check.
+// doubles as the shared-trace data-race check. The profile rows are the
+// same whether a totals-only profile (Profile alone) or the full metrics
+// sink (Profile with Metrics) folds them.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	const procs = 8
 	ts := luTraces(t, npb.ClassS, procs)
@@ -107,7 +131,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		PowerScale:     []float64{1, 2},
 	}
 	base := platform.BordereauWithCores(procs, 1)
-	run := func(workers int) *Result {
+	run := func(workers int, metrics bool) *Result {
 		res, err := Run(context.Background(), &Config{
 			Platform: base,
 			Grid:     grid,
@@ -115,6 +139,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 			Workers:  workers,
 			Timed:    true,
 			Profile:  true,
+			Metrics:  metrics,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,8 +150,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if workers < 4 {
 		workers = 4
 	}
-	serial := run(1)
-	parallel := run(workers)
+	serial := run(1, false)
+	parallel := run(workers, false)
+	withMetrics := run(workers, true)
 	if len(serial.Scenarios) != 8 || len(parallel.Scenarios) != 8 {
 		t.Fatalf("scenario counts: %d vs %d", len(serial.Scenarios), len(parallel.Scenarios))
 	}
@@ -151,6 +177,9 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if len(s.Profile) != procs || len(p.Profile) != procs {
 			t.Fatalf("scenario %d: profile rows %d / %d", i, len(s.Profile), len(p.Profile))
+		}
+		if m := &withMetrics.Scenarios[i]; !reflect.DeepEqual(s.Profile, m.Profile) {
+			t.Fatalf("scenario %d (%s): profile rows differ with metrics on", i, s.Name)
 		}
 	}
 	// The grid must actually change predictions: at equal network, doubling
