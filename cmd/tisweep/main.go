@@ -28,9 +28,11 @@
 //
 // Scenario results are deterministic: the same grid produces byte-identical
 // per-scenario timed traces whatever -workers is set to. Scenarios differing
-// only in their collective algorithm or checkpoint policy replay their common
-// trace prefix once and resume from its park times (-fork=off disables the
-// optimisation); results are provably identical either way.
+// only in their -ckpt protocol share one replay: the protocol applies
+// analytically to the fault-free makespan, so the first replays and the
+// others reuse its run (-fork=off replays each one); results are identical
+// either way. Fail-stops without a protocol play out in the kernel, so
+// those scenarios always replay alone.
 package main
 
 import (
@@ -70,7 +72,7 @@ func main() {
 		synthSeed    = flag.Uint64("seed", 0, "jitter seed for synthetic worlds")
 		synthJitter  = flag.Float64("jitter", 0, "compute-volume jitter fraction in [0,1) for synthetic worlds")
 		workers      = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-		forkMode     = flag.String("fork", "on", "shared-prefix forking: scenarios differing only in -coll/-ckpt replay their common prefix once (on/off)")
+		forkMode     = flag.String("fork", "on", "replay sharing: scenarios differing only in -ckpt share one replay (on/off)")
 		identity     = flag.Bool("no-mpi-model", false, "disable the piece-wise linear MPI model")
 		jsonPath     = flag.String("json", "", "write the JSON report to this file ('-' for stdout)")
 		timedDir     = flag.String("timed-dir", "", "write each scenario's timed trace to <dir>/scenario<i>.timed")

@@ -123,6 +123,19 @@ type Resilience struct {
 	Failures int `json:"failures"`
 }
 
+// Apply walks a fault-free makespan of a ranks-wide run through the
+// (non-nil) protocol against the fail-stop clauses of faults, returning the
+// waste breakdown a replay with this protocol reports. It validates the
+// protocol first, so a caller reusing another run's fault-free makespan
+// rejects a bad protocol with the error this protocol's own replay would
+// return.
+func (c *Ckpt) Apply(faultFree float64, faults *platform.FaultSpec, ranks int) (*Resilience, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return applyCkpt(faultFree, c, faults.Arrivals(ranks))
+}
+
 // maxCkptFailures bounds the analytic walker: a failure rate so high that
 // the run needs this many rewinds will plainly never finish.
 const maxCkptFailures = 1 << 20

@@ -369,6 +369,56 @@ func TestReplayCkptWithoutFaultsPaysCheckpointsOnly(t *testing.T) {
 	}
 }
 
+// TestCkptApplyMatchesRun pins what lets sweep cells share a replay: a
+// protocol applied to a fault-free run's makespan yields, bit for bit, the
+// breakdown that protocol's own replay reports, and a bad protocol fails
+// Apply with Validate's error.
+func TestCkptApplyMatchesRun(t *testing.T) {
+	perRank := perRankActions(t, figure1Trace, 4)
+	b, d := paperSetup(t, 4)
+	base, err := RunActions(b, d, Config{}, perRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	M := base.SimulatedTime
+	faults, err := platform.ParseFaultSpec(fmt.Sprintf("host:1@%g,mtbf:%g,seed:3", M/2, 4*M))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(r *Resilience) [6]uint64 {
+		return [6]uint64{math.Float64bits(r.FaultFree), math.Float64bits(r.Effective),
+			math.Float64bits(r.CkptTime), math.Float64bits(r.Wasted),
+			math.Float64bits(r.Recomputed), math.Float64bits(r.Downtime)}
+	}
+	for _, spec := range []string{"60/5", "30/2/4/20"} {
+		ck, err := ParseCkpt(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, d := paperSetup(t, 4)
+		own, err := RunActions(b, d, Config{Faults: faults, Ckpt: ck}, perRank)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ck.Apply(M, faults, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := own.Resilience
+		if bits(got) != bits(want) || got.Checkpoints != want.Checkpoints || got.Failures != want.Failures {
+			t.Errorf("ckpt=%s: Apply %+v, own run %+v", spec, got, want)
+		}
+		if want.Failures == 0 {
+			t.Errorf("ckpt=%s: no failure struck; the fault spec tests nothing", spec)
+		}
+	}
+	for _, bad := range []*Ckpt{{Interval: 1, Cost: -1}, {Interval: 0}} {
+		if _, err := bad.Apply(M, faults, 4); err == nil || err.Error() != bad.Validate().Error() {
+			t.Fatalf("Apply on %+v: %v, want %v", *bad, err, bad.Validate())
+		}
+	}
+}
+
 func TestReplayCkptInvalidConfig(t *testing.T) {
 	b, d, perRank := faultSetup(t)
 	_, err := RunActions(b, d, Config{Ckpt: &Ckpt{Interval: -1}}, perRank)

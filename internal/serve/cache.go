@@ -20,7 +20,7 @@ import (
 //   - byKey maps the canonical request key (digest + canonicalized grid
 //     axes + options) to the same entries, so requests that differ only in
 //     formatting, axis spelling or execution-only options (worker count,
-//     fork mode) still hit.
+//     replay sharing) still hit.
 //
 // Entries are evicted least-recently-used under a byte budget.
 type resultCache struct {

@@ -350,7 +350,8 @@ type SweepRequest struct {
 	Synth *SynthSpec `json:"synth,omitempty"`
 	// NoMPIModel disables the piece-wise linear MPI model.
 	NoMPIModel bool `json:"no_mpi_model,omitempty"`
-	// Fork toggles shared-prefix forking (default on). Forking is proven
+	// Fork toggles replay sharing between cells that differ only in their
+	// checkpoint protocol (default on; see sweep.Config.Fork). Sharing is
 	// result-identical, so this knob does not shape the response and is
 	// not part of the cache key.
 	Fork *bool `json:"fork,omitempty"`
@@ -384,8 +385,8 @@ type ScenarioRow struct {
 }
 
 // SweepResponse is the deterministic response body of POST /sweeps.
-// Execution facts that vary run to run — wall time, worker count, fork
-// reuse — are deliberately absent (headers and /stats carry them), so the
+// Execution facts that vary run to run — wall time, worker count, replay
+// sharing — are deliberately absent (headers and /stats carry them), so the
 // body is a pure function of (trace digest, canonical request) and stays
 // byte-identical between a replayed and a cached answer.
 type SweepResponse struct {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"tireplay/internal/coll"
 	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
 	"tireplay/internal/platform"
@@ -77,94 +76,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 		b.ReportMetric(float64(serial)/float64(parallel), "speedup")
 	}
 	b.ReportMetric(float64(parallel.Nanoseconds())/float64(b.N), "parallel-ns/op")
-}
-
-// BenchmarkSweepForkedPrefix is the CI gate of shared-prefix forking: each
-// iteration replays an 8-member collective-algorithm grid over a trace whose
-// cost is dominated by a long shared prefix, once with -fork=off and once
-// with -fork=on — both on a single worker, so the metric isolates the
-// algorithmic saving from pool scaling — checks the results agree exactly,
-// and reports unforked/forked wall as the "speedup" metric. cmd/benchdiff
-// enforces a floor on it in CI (-floor 'BenchmarkSweepForkedPrefix:speedup=2.86',
-// i.e. forked wall at most 0.35x unforked): eight scenarios sharing one
-// prefix must not replay it eight times.
-func BenchmarkSweepForkedPrefix(b *testing.B) {
-	const procs = 8
-	const iters = 400
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		acts := make([]trace.Action, 0, 3*iters+2)
-		for i := 0; i < iters; i++ {
-			// Identical per-rank work keeps every park time equal, so the
-			// forked members are provably safe (no fallback noise in the
-			// measurement). Eager ring sends keep the prefix balanced.
-			acts = append(acts,
-				trace.Action{Proc: r, Type: trace.Compute, Peer: -1, Volume: 1e5},
-				trace.Action{Proc: r, Type: trace.Send, Peer: (r + 1) % procs, Volume: 1024},
-				trace.Action{Proc: r, Type: trace.Recv, Peer: (r + procs - 1) % procs})
-		}
-		acts = append(acts,
-			trace.Action{Proc: r, Type: trace.AllReduce, Peer: -1, Volume: 1e5, Volume2: 1e6},
-			trace.Action{Proc: r, Type: trace.Compute, Peer: -1, Volume: 1e5})
-		perRank[r] = acts
-	}
-	ts := TracesFromActions(perRank)
-	base := platform.BordereauWithCores(procs, 1)
-	grid := Grid{Coll: forkBenchColls()}
-	run := func(fork bool) *Result {
-		res, err := Run(context.Background(), &Config{
-			Platform: base, Grid: grid, Traces: ts, Workers: 1, Fork: fork,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-
-	b.ResetTimer()
-	var unforked, forked time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		rs := run(false)
-		t1 := time.Now()
-		rf := run(true)
-		t2 := time.Now()
-		unforked += t1.Sub(t0)
-		forked += t2.Sub(t1)
-		for j := range rs.Scenarios {
-			if rs.Scenarios[j].SimulatedTime != rf.Scenarios[j].SimulatedTime {
-				b.Fatalf("scenario %d: unforked %g != forked %g", j,
-					rs.Scenarios[j].SimulatedTime, rf.Scenarios[j].SimulatedTime)
-			}
-			if !rf.Scenarios[j].Forked {
-				b.Fatalf("scenario %d did not fork", j)
-			}
-		}
-	}
-	b.StopTimer()
-	if forked > 0 {
-		b.ReportMetric(float64(unforked)/float64(forked), "speedup")
-	}
-	b.ReportMetric(float64(forked.Nanoseconds())/float64(b.N), "forked-ns/op")
-}
-
-// forkBenchColls spans the 8-way collective grid of BenchmarkSweepForkedPrefix:
-// every allReduce algorithm crossed with both bcast trees.
-func forkBenchColls() []coll.Config {
-	var out []coll.Config
-	for _, ar := range []string{"", "allReduce=binomial", "allReduce=rdb", "allReduce=ring"} {
-		for _, bc := range []string{"", "bcast=binomial"} {
-			spec := ar
-			if bc != "" {
-				if spec != "" {
-					spec += ","
-				}
-				spec += bc
-			}
-			out = append(out, coll.MustParseSpec(spec))
-		}
-	}
-	return out
 }
 
 // BenchmarkSweepSerialScenario pins the per-scenario cost of the engine

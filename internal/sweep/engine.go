@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"tireplay/internal/metrics"
@@ -60,12 +60,11 @@ type Config struct {
 	// MetricsWindows is the number of fixed time windows for Metrics;
 	// <= 0 means the metrics package default (10).
 	MetricsWindows int
-	// Fork enables shared-prefix forking: scenarios differing only in their
-	// collective algorithm or checkpoint policy replay their common trace
-	// prefix once on a donor kernel, and each resumes from the donor's park
-	// times on a kernel of its own (see fork.go).
-	// Results are provably identical either way — members that cannot be
-	// proven equivalent fall back to a from-scratch replay.
+	// Fork shares one replay between scenarios that differ only in their
+	// checkpoint protocol (see fork.go): the first replays, the others apply
+	// their own protocol to its fault-free makespan and reuse its timed
+	// trace and sink. Scenarios under the abort policy always replay alone.
+	// Rows are identical either way.
 	Fork bool
 	// OnResult, when non-nil, receives each scenario's result as it
 	// completes, from whichever worker finished it last; it must be safe
@@ -83,13 +82,12 @@ type ScenarioResult struct {
 	SimulatedTime float64 `json:"simulated_time"`
 	// Actions is the number of trace actions replayed.
 	Actions int64 `json:"actions"`
-	// Wall is the host CPU time the scenario's kernel consumed (a forked
-	// group's donor time is charged to its first member, so the sum over
-	// scenarios is comparable across worker counts and fork modes).
+	// Wall is the host CPU time the scenario's kernel consumed. A shared
+	// replay is charged to the row that ran it; rows derived from it report
+	// 0, so the sum over scenarios is the replay time actually spent.
 	Wall time.Duration `json:"wall_ns"`
-	// Components is the number of kernels that executed the scenario: 1
-	// for every completed scenario (every scenario replays on one kernel),
-	// 0 on a failed or cancelled row.
+	// Components is 1 for every completed scenario, including one that
+	// reuses another's replay, and 0 on a failed or cancelled row.
 	Components int `json:"components"`
 	// TimedTrace is the scenario's timed trace when Config.Timed is set.
 	TimedTrace []byte `json:"-"`
@@ -102,11 +100,11 @@ type ScenarioResult struct {
 	// Resilience is the checkpoint/restart waste accounting of the
 	// scenario; non-nil exactly when the scenario sets a Ckpt protocol.
 	Resilience *replay.Resilience `json:"resilience,omitempty"`
-	// Forked reports that the scenario replayed from a shared prefix fork
-	// instead of from scratch (Config.Fork).
+	// Forked reports that the row reuses the replay of an earlier scenario
+	// of its group instead of replaying (Config.Fork).
 	Forked bool `json:"forked,omitempty"`
-	// PrefixActions is the number of trace actions inherited from the fork
-	// group's shared prefix, counted inside Actions; zero when not forked.
+	// PrefixActions is the number of trace actions inherited from that
+	// replay: all of Actions when Forked, zero otherwise.
 	PrefixActions int64 `json:"prefix_actions,omitempty"`
 	// Err reports a failed or cancelled scenario; the zero value means
 	// success.
@@ -120,42 +118,20 @@ type Result struct {
 	Scenarios []ScenarioResult `json:"scenarios"`
 }
 
-// taskKind distinguishes the pool's work items.
-type taskKind uint8
-
-const (
-	// taskNormal replays one scenario from scratch.
-	taskNormal taskKind = iota
-	// taskDonor replays a fork group's shared prefix, then enqueues the
-	// group's member tasks.
-	taskDonor
-	// taskMember replays one scenario forked from its group's prefix.
-	taskMember
-)
-
-// task is one pool work item.
-type task struct {
-	kind taskKind
-	si   int        // scenario index (-1 for donors)
-	grp  *forkGroup // fork group of donor and member tasks
-}
-
 // outcome is the raw outcome of one scenario's replay.
 type outcome struct {
 	res    *replay.Result
 	timed  []byte
 	sink   *replay.MetricsSink
-	forked bool
-	prefix int64
+	forked bool // reuses the replay of an earlier scenario of its group
 	err    error
 }
 
-// taskTracers bundles the per-task tracer set runTask and runMember share:
-// a timed-trace writer and one accounting sink, teed per Config. The sink
-// records the event columns when Metrics is set and only the per-process
-// totals when just Profile is; it pre-interns the deployment's process
-// names so ranks that record no event still get a (fully idle) row in the
-// analysis.
+// taskTracers bundles a replay's tracer set: a timed-trace writer and one
+// accounting sink, teed per Config. The sink records the event columns when
+// Metrics is set and only the per-process totals when just Profile is; it
+// pre-interns the deployment's process names so ranks that record no event
+// still get a (fully idle) row in the analysis.
 type taskTracers struct {
 	tee replay.Tee
 	buf bytes.Buffer
@@ -186,18 +162,12 @@ func newTaskTracers(cfg *Config, out *outcome, procs []platform.ProcessDef) *tas
 // config returns the scenario's replay configuration with the task's
 // tracers attached.
 func (t *taskTracers) config(cfg *Config, model *smpi.Model, sc Scenario) replay.Config {
-	rcfg := replayConfig(cfg, model, sc)
+	rcfg := replay.Config{Model: model, Registry: cfg.Registry,
+		Collectives: sc.Coll, Faults: sc.Fault, Ckpt: sc.Ckpt}
 	if len(t.tee) > 0 {
 		rcfg.TimedTracer = t.tee
 	}
 	return rcfg
-}
-
-// replayConfig is the scenario's replay configuration, shared by every
-// replay variant (from-scratch, donor, forked member).
-func replayConfig(cfg *Config, model *smpi.Model, sc Scenario) replay.Config {
-	return replay.Config{Model: model, Registry: cfg.Registry,
-		Collectives: sc.Coll, Faults: sc.Fault, Ckpt: sc.Ckpt}
 }
 
 // finish flushes the timed trace into the outcome; a write error that
@@ -296,75 +266,50 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		}
 	}
 
-	// Fork planning: scenarios sharing a prefix become member tasks of a
-	// donor instead of normal tasks (see fork.go).
-	groups, memberOf, err := planForkGroups(cfg, scenarios)
-	if err != nil {
-		return nil, err
-	}
-
-	// Donors are enqueued first so shared prefixes start as early as
-	// possible; member tasks are enqueued by their donor's worker as soon as
-	// the prefix is captured, so the pool never blocks waiting for one.
-	initial := make([]task, 0, len(groups)+len(scenarios))
-	total := 0
-	for _, g := range groups {
-		initial = append(initial, task{kind: taskDonor, si: -1, grp: g})
-		total += len(g.members)
-	}
-	for si := range scenarios {
-		if memberOf[si] == nil { // members are scheduled by their donor
-			initial = append(initial, task{kind: taskNormal, si: si})
-		}
-	}
-	total += len(initial)
-
 	// results[si] is written by exactly one worker, the one that ran the
-	// scenario.
+	// scenario's group.
 	results := make([]ScenarioResult, len(scenarios))
 	for si := range results {
 		results[si] = ScenarioResult{Scenario: scenarios[si], Name: scenarios[si].Name(),
 			Err: "sweep: canceled"}
 	}
+	record := func(si int, out outcome) {
+		results[si] = resultOf(cfg, scenarios[si], out)
+		if cfg.OnResult != nil {
+			cfg.OnResult(&results[si])
+		}
+	}
+	// runGroup replays the group's first scenario and derives the others
+	// from it (see fork.go). An error is never shared: after a failed first
+	// replay, each other scenario replays alone. A cancelled context skips
+	// the replays, leaving their rows canceled.
+	runGroup := func(g []int) {
+		if ctx.Err() != nil {
+			return
+		}
+		first := safeRunTask(cfg, model, scenarios[g[0]], depls[g[0]])
+		record(g[0], first)
+		for _, si := range g[1:] {
+			switch {
+			case first.err == nil:
+				record(si, first.sharedWith(scenarios[si], len(depls[si].Processes)))
+			case ctx.Err() == nil:
+				record(si, safeRunTask(cfg, model, scenarios[si], depls[si]))
+			}
+		}
+	}
 
 	start := time.Now()
-	// Every task that will ever exist — including the member tasks a donor
-	// fans out after capturing its prefix — is pre-counted in total, so the
-	// sweep is over exactly when the outstanding counter reaches zero. A
-	// cancelled context skips the replays but still drains every task, so
-	// the count always reaches zero and the canceled rows keep their marker.
-	done := make(chan struct{})
-	var outstanding atomic.Int64
-	outstanding.Store(int64(total))
-	finish := func() {
-		if outstanding.Add(-1) == 0 {
-			close(done)
-		}
+	groups := shareGroups(cfg, scenarios)
+	var wg sync.WaitGroup
+	wg.Add(len(groups))
+	for _, g := range groups {
+		e.submit(func() {
+			defer wg.Done()
+			runGroup(g)
+		})
 	}
-	var exec func(t task)
-	exec = func(t task) {
-		switch t.kind {
-		case taskDonor:
-			t.grp.runDonor(ctx, cfg, model, scenarios[t.grp.members[0]], depls[t.grp.members[0]])
-			for _, si := range t.grp.members {
-				mt := task{kind: taskMember, si: si, grp: t.grp}
-				e.submit(func() { exec(mt); finish() })
-			}
-		default:
-			if ctx.Err() == nil {
-				out := safeRunTask(cfg, model, scenarios[t.si], depls[t.si], t.grp)
-				results[t.si] = resultOf(cfg, scenarios[t.si], out)
-				if cfg.OnResult != nil {
-					cfg.OnResult(&results[t.si])
-				}
-			}
-		}
-	}
-	for _, t := range initial {
-		t := t
-		e.submit(func() { exec(t); finish() })
-	}
-	<-done
+	wg.Wait()
 
 	res := &Result{Workers: e.workers, Wall: time.Since(start), Scenarios: results}
 	return res, ctx.Err()
@@ -387,24 +332,15 @@ func scenarioDeployment(hosts []string, sc Scenario, n int) (*platform.Deploymen
 // anywhere in its replay — a custom handler bug, a pathological trace, a
 // kernel invariant violation — becomes that scenario's error instead of
 // taking down the whole sweep, so sibling scenarios complete and their
-// results are still flushed. g is the scenario's fork group, nil when it
-// replays from scratch; the donor's wall time lands on the group's first
-// member so the summed host CPU accounting stays comparable across modes.
-func safeRunTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, g *forkGroup) (out outcome) {
+// results are still flushed.
+func safeRunTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = outcome{err: fmt.Errorf("sweep: scenario %d (%s) panicked: %v",
 				sc.Index, sc.Name(), r)}
 		}
 	}()
-	if g == nil {
-		return runTask(cfg, model, sc, depl)
-	}
-	out = runMember(cfg, model, sc, depl, g)
-	if out.res != nil && sc.Index == g.members[0] {
-		out.res.WallTime += g.wall
-	}
-	return out
+	return runTask(cfg, model, sc, depl)
 }
 
 // runTask replays one scenario from scratch on its own kernel. Every mutable
@@ -461,8 +397,9 @@ func resultOf(cfg *Config, sc Scenario, out outcome) ScenarioResult {
 	r.Wall = out.res.WallTime
 	r.Components = 1
 	r.Resilience = out.res.Resilience
-	r.Forked = out.forked
-	r.PrefixActions = out.prefix
+	if out.forked {
+		r.Forked, r.PrefixActions = true, r.Actions
+	}
 	r.TimedTrace = out.timed
 	if cfg.Profile {
 		r.Profile = out.sink.Processes()

@@ -262,7 +262,7 @@ func TestSweepPanickingScenarioIsIsolated(t *testing.T) {
 // deployment dereference) becomes the scenario's error.
 func TestSafeRunTaskRecoversWorkerPanic(t *testing.T) {
 	sc := Scenario{LatencyScale: 1, BandwidthScale: 1, PowerScale: 1, Fold: 1}
-	out := safeRunTask(&Config{Platform: disjointPlatform()}, smpi.Default(), sc, nil, nil)
+	out := safeRunTask(&Config{Platform: disjointPlatform()}, smpi.Default(), sc, nil)
 	if out.err == nil || !strings.Contains(out.err.Error(), "panicked") {
 		t.Fatalf("safeRunTask error = %v, want a recovered panic", out.err)
 	}

@@ -14,8 +14,9 @@ import (
 	"tireplay/internal/trace"
 )
 
-// forkSweepTrace shares a balanced compute+ring prefix across four ranks and
-// diverges at the allReduce — the shape that lets a -coll/-ckpt grid fork.
+// forkSweepTrace is a 4-rank compute+ring exchange followed by an allReduce,
+// so the collective axis changes the run while the ckpt axis only changes
+// the analytic waste applied to it.
 const forkSweepTrace = `p0 compute 2e6
 p0 send p1 1e5
 p0 recv p3
@@ -38,7 +39,7 @@ p3 allReduce 1e5 2e6
 p3 compute 1e6
 `
 
-func forkTraces(t *testing.T, doc string, n int) *TraceSet {
+func forkTraces(t testing.TB, doc string, n int) *TraceSet {
 	t.Helper()
 	actions, err := trace.ParseAll(strings.NewReader(doc))
 	if err != nil {
@@ -107,14 +108,11 @@ func metricsJSON(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestSweepForkMatchesScratch is the tentpole's acceptance gate at the sweep
-// level: a -coll x -ckpt grid replayed with forking on must be bit-equal
-// (makespans) and byte-identical (timed traces, the metrics JSON view) to
-// the same grid with forking off, at one worker and at NumCPU workers — and
-// forking must actually engage, not silently fall back everywhere. Forked
-// members stream their records into the metrics sink as they run; the ring
-// members fall back after streaming part of theirs, so the fallback must
-// start from a clean sink.
+// TestSweepForkMatchesScratch is the sharing rule's acceptance gate: a
+// -coll x -ckpt grid replayed with sharing on must be bit-equal (makespans)
+// and byte-identical (timed traces, the metrics JSON view) to the same grid
+// with sharing off, at one worker and at NumCPU workers — and every ckpt
+// row must actually reuse its ckpt=none sibling's run.
 func TestSweepForkMatchesScratch(t *testing.T) {
 	ts := forkTraces(t, forkSweepTrace, 4)
 	ck, err := replay.ParseCkpt("60/5")
@@ -126,9 +124,10 @@ func TestSweepForkMatchesScratch(t *testing.T) {
 		Ckpt: []*replay.Ckpt{nil, ck},
 	}
 	base := platform.BordereauWithCores(4, 1)
+	var registry *replay.Registry
 	run := func(fork, timed bool, workers int) *Result {
 		res, err := Run(context.Background(), &Config{
-			Platform: base, Grid: grid, Traces: ts,
+			Platform: base, Grid: grid, Traces: ts, Registry: registry,
 			Workers: workers, Timed: timed, Profile: true, Metrics: true, Fork: fork,
 		})
 		if err != nil {
@@ -156,40 +155,59 @@ func TestSweepForkMatchesScratch(t *testing.T) {
 	if n := countForked(scratch); n != 0 {
 		t.Fatalf("fork=off marked %d scenarios forked", n)
 	}
-	// The ring allReduce members fall back (their round-0 exchange overlaps
-	// the straggler's prefix — see the replay-level tests); the star and
-	// binomial members must fork.
-	if n := countForked(forked1); n < 2 {
-		t.Fatalf("only %d scenarios forked; prefix sharing did not engage", n)
-	}
-	if f1, fn := countForked(forked1), countForked(forkedN); f1 != fn {
-		t.Fatalf("forked count differs across worker counts: %d vs %d", f1, fn)
-	}
-	for i := range forked1.Scenarios {
-		s := &forked1.Scenarios[i]
-		if s.Forked && s.PrefixActions != 12 {
-			t.Errorf("scenario %d (%s): prefix actions = %d, want 12", i, s.Name, s.PrefixActions)
-		}
-	}
+	checkCkptRowsShare(t, forked1)
+	checkCkptRowsShare(t, forkedN)
 
-	// Without timed traces the merged records still feed the profile and
-	// the metrics sink, both order-sensitive folds: forking must engage on
-	// the same members and change neither.
+	// Without timed traces the shared sink still feeds the profile and the
+	// metrics of every row of the group: sharing must change neither.
 	untimed := run(false, false, 1)
 	untimedForked := run(true, false, workers)
 	compareSweeps(t, "untimed fork=on vs fork=off", untimed, untimedForked)
 	if got, want := metricsJSON(t, untimedForked), metricsJSON(t, untimed); !bytes.Equal(got, want) {
 		t.Errorf("untimed fork=on metrics JSON differs from fork=off:\n%s\nvs\n%s", got, want)
 	}
-	if f, fu := countForked(forked1), countForked(untimedForked); f != fu {
-		t.Fatalf("%d scenarios forked with timed traces, %d without", f, fu)
+	checkCkptRowsShare(t, untimedForked)
+
+	// A custom registry shares too: a whole run carries no handler state
+	// from one row to another.
+	registry = replay.Default()
+	customScratch, customForked := run(false, true, 1), run(true, true, workers)
+	compareSweeps(t, "custom registry fork=on vs fork=off", customScratch, customForked)
+	compareSweeps(t, "custom registry vs default", scratch, customForked)
+	checkCkptRowsShare(t, customForked)
+}
+
+// checkCkptRowsShare requires exactly the ckpt rows of a sweep to reuse
+// their sibling's run, inheriting every action and charging no wall time.
+func checkCkptRowsShare(t *testing.T, r *Result) {
+	t.Helper()
+	for i := range r.Scenarios {
+		s := &r.Scenarios[i]
+		if s.Forked != (s.Ckpt != nil) {
+			t.Errorf("scenario %d (%s): forked=%v", i, s.Name, s.Forked)
+		}
+		want := int64(0)
+		if s.Forked {
+			want = s.Actions
+			if s.Wall != 0 {
+				t.Errorf("scenario %d (%s): shared row charged %v wall", i, s.Name, s.Wall)
+			}
+		}
+		if s.PrefixActions != want {
+			t.Errorf("scenario %d (%s): prefix actions = %d, want %d", i, s.Name, s.PrefixActions, want)
+		}
 	}
 }
 
-// TestSweepForkTopoZoo runs the coll grid across generated topologies (one
-// fork group per interconnect) and checks fork-on equals fork-off everywhere.
+// TestSweepForkTopoZoo runs a coll x ckpt grid across generated topologies
+// (one sharing group per interconnect and collective) and checks fork-on
+// equals fork-off everywhere.
 func TestSweepForkTopoZoo(t *testing.T) {
 	ts := forkTraces(t, forkSweepTrace, 4)
+	ck, err := replay.ParseCkpt("60/5")
+	if err != nil {
+		t.Fatal(err)
+	}
 	grid := Grid{
 		Coll: []coll.Config{{}, coll.MustParseSpec("binomial")},
 		Topo: []platform.TopoSpec{
@@ -197,6 +215,7 @@ func TestSweepForkTopoZoo(t *testing.T) {
 			{Kind: "torus", Dims: []int{2, 2}},
 			{Kind: "dragonfly", Groups: 2, Routers: 2, HostsPer: 2},
 		},
+		Ckpt: []*replay.Ckpt{nil, ck},
 	}
 	run := func(fork bool) *Result {
 		res, err := Run(context.Background(), &Config{
@@ -209,14 +228,16 @@ func TestSweepForkTopoZoo(t *testing.T) {
 	}
 	scratch, forked := run(false), run(true)
 	compareSweeps(t, "topo zoo fork=on vs off", scratch, forked)
-	if n := countForked(forked); n == 0 {
-		t.Fatal("no scenario forked across the topology zoo")
+	checkCkptRowsShare(t, forked)
+	if n, want := countForked(forked), len(forked.Scenarios)/2; n != want {
+		t.Fatalf("%d of %d scenarios forked across the topology zoo, want %d",
+			n, len(forked.Scenarios), want)
 	}
 }
 
-// TestSweepForkFaultAndCkptAxes: a degradation profile forks (the windows
-// re-inject identically), a Ckpt-only divergence shares the full trace, and
-// fail-stop cells without a checkpoint are excluded but still correct.
+// TestSweepForkFaultAndCkptAxes: a degradation profile shares (its windows
+// are part of the run), and fail-stop cells without a checkpoint protocol
+// replay alone but stay correct.
 func TestSweepForkFaultAndCkptAxes(t *testing.T) {
 	ts := forkTraces(t, forkSweepTrace, 4)
 	deg, err := platform.ParseFaultSpec("cpu:0.5@0.0001-0.005")
@@ -251,15 +272,16 @@ func TestSweepForkFaultAndCkptAxes(t *testing.T) {
 	for i := range forked.Scenarios {
 		forkedBy[forked.Scenarios[i].Name] = forked.Scenarios[i].Forked
 	}
-	// The fault-free and degraded pairs diverge only in Ckpt: full-trace
-	// sharing. The fail-stop abort cell must not fork; the fail-stop+ckpt
-	// cell has no partner (its abort sibling is excluded), so it cannot
-	// either.
+	// The fault-free and degraded pairs differ only in Ckpt: the ckpt=none
+	// row replays and its ckpt sibling reuses the run. The fail-stop abort
+	// cell replays alone; the fail-stop+ckpt cell then has no partner.
 	for name, want := range map[string]bool{
-		"lat=1 bw=1 pow=1 fold=1":                                  true,
-		"lat=1 bw=1 pow=1 fold=1 ckpt=60/5/0/0":                    true,
-		"lat=1 bw=1 pow=1 fold=1 fault=host:1@0.001":               false,
-		"lat=1 bw=1 pow=1 fold=1 fault=host:1@0.001 ckpt=60/5/0/0": false,
+		"lat=1 bw=1 pow=1 fold=1":                                          false,
+		"lat=1 bw=1 pow=1 fold=1 ckpt=60/5/0/0":                            true,
+		"lat=1 bw=1 pow=1 fold=1 fault=cpu:0.5@0.0001-0.005":               false,
+		"lat=1 bw=1 pow=1 fold=1 fault=cpu:0.5@0.0001-0.005 ckpt=60/5/0/0": true,
+		"lat=1 bw=1 pow=1 fold=1 fault=host:1@0.001":                       false,
+		"lat=1 bw=1 pow=1 fold=1 fault=host:1@0.001 ckpt=60/5/0/0":         false,
 	} {
 		got, seen := forkedBy[name]
 		if !seen {
@@ -271,37 +293,17 @@ func TestSweepForkFaultAndCkptAxes(t *testing.T) {
 	}
 }
 
-// TestSweepForkDisabledByRegistry: a custom registry turns forking off
-// wholesale — handlers may keep state the planner cannot see.
-func TestSweepForkDisabledByRegistry(t *testing.T) {
-	ts := forkTraces(t, forkSweepTrace, 4)
-	res, err := Run(context.Background(), &Config{
-		Platform: platform.BordereauWithCores(4, 1),
-		Grid:     Grid{Coll: []coll.Config{{}, coll.MustParseSpec("binomial")}},
-		Traces:   ts,
-		Registry: replay.Default(),
-		Fork:     true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Scenarios {
-		if res.Scenarios[i].Err != "" {
-			t.Fatal(res.Scenarios[i].Err)
-		}
-		if res.Scenarios[i].Forked {
-			t.Fatalf("scenario %d forked despite custom registry", i)
-		}
-	}
-}
-
 // TestSweepForkRenderTable: the prefix-reuse column appears exactly when some
 // scenario forked.
 func TestSweepForkRenderTable(t *testing.T) {
 	ts := forkTraces(t, forkSweepTrace, 4)
+	ckpts, err := ParseCkptList("none;60/5")
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := Run(context.Background(), &Config{
 		Platform: platform.BordereauWithCores(4, 1),
-		Grid:     Grid{Coll: []coll.Config{{}, coll.MustParseSpec("binomial")}},
+		Grid:     Grid{Ckpt: ckpts},
 		Traces:   ts,
 		Fork:     true,
 	})

@@ -13,10 +13,9 @@ import (
 )
 
 // TestSweepMetricsDeterministicAcrossWorkers pins the metrics contract
-// end to end: sweep rows carry a POP metrics report, the report survives
-// the fork path (coll axis) identically, and the
-// metrics-only JSON view is byte-identical between one worker and many —
-// the property the CI determinism gate diffs.
+// end to end: sweep rows carry a POP metrics report on every cell of a
+// bw x coll grid, and the metrics-only JSON view is byte-identical between
+// one worker and many — the property the CI determinism gate diffs.
 func TestSweepMetricsDeterministicAcrossWorkers(t *testing.T) {
 	const procs = 8
 	ts := luTraces(t, npb.ClassS, procs)

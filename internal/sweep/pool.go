@@ -63,10 +63,9 @@ func (e *Engine) worker() {
 	}
 }
 
-// submit enqueues fn. The queue is unbounded, so a task already running on
-// the pool — a fork donor fanning out its member tasks — can always enqueue
-// without blocking a worker (a bounded queue here could deadlock the pool
-// against itself).
+// submit enqueues fn. The queue is unbounded, so a sweep enqueues all of
+// its groups at once and never waits for a worker to free up; concurrent
+// sweeps interleave their tasks in submission order.
 func (e *Engine) submit(fn func()) {
 	e.mu.Lock()
 	if e.closed {

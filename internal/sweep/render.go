@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"unicode/utf8"
 
 	"tireplay/internal/metrics"
 	"tireplay/internal/units"
@@ -54,7 +55,10 @@ func (r *Result) RenderTable(w io.Writer) {
 	// Resilience, prefix-reuse and metrics columns only appear when some
 	// scenario carries them, so plain sweeps render unchanged.
 	resilient, forked, metered := false, false, false
+	// The name column fits the longest name, counted in runes as fmt pads.
+	width := 40
 	for i := range r.Scenarios {
+		width = max(width, utf8.RuneCountInString(r.Scenarios[i].Name))
 		if r.Scenarios[i].Resilience != nil {
 			resilient = true
 		}
@@ -65,8 +69,8 @@ func (r *Result) RenderTable(w io.Writer) {
 			metered = true
 		}
 	}
-	fmt.Fprintf(w, "%-40s | %12s | %8s | %8s",
-		"scenario", "predicted", "speedup", "actions")
+	fmt.Fprintf(w, "%-*s | %12s | %8s | %8s",
+		width, "scenario", "predicted", "speedup", "actions")
 	if metered {
 		fmt.Fprintf(w, " | %6s %6s %6s %6s %6s",
 			"parEff", "ldBal", "commE", "serE", "trfE")
@@ -86,15 +90,15 @@ func (r *Result) RenderTable(w io.Writer) {
 	for i := range r.Scenarios {
 		s := &r.Scenarios[i]
 		if s.Err != "" {
-			fmt.Fprintf(w, "%-40s | %s\n", s.Name, s.Err)
+			fmt.Fprintf(w, "%-*s | %s\n", width, s.Name, s.Err)
 			continue
 		}
 		speedup := "-"
 		if s.SimulatedTime > 0 && baseline > 0 {
 			speedup = fmt.Sprintf("%7.2fx", baseline/s.SimulatedTime)
 		}
-		fmt.Fprintf(w, "%-40s | %12s | %8s | %8d",
-			s.Name, units.FormatSeconds(s.SimulatedTime), speedup, s.Actions)
+		fmt.Fprintf(w, "%-*s | %12s | %8s | %8d",
+			width, s.Name, units.FormatSeconds(s.SimulatedTime), speedup, s.Actions)
 		if metered {
 			if m := s.Metrics; m != nil {
 				e := m.Summary

@@ -293,9 +293,20 @@ func TestLoadDirMixedEncodings(t *testing.T) {
 	}
 	defer ts.Close()
 	for r := 0; r < 2; r++ {
-		var got []trace.Action
-		if err := ts.visit(r, func(a trace.Action) bool { got = append(got, a); return true }); err != nil {
+		src, err := ts.source(r)
+		if err != nil {
 			t.Fatal(err)
+		}
+		var got []trace.Action
+		for {
+			a, ok, err := src.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			got = append(got, a)
 		}
 		if len(got) != 1 || got[0].Volume != acts[r][0].Volume {
 			t.Fatalf("rank %d: %+v", r, got)
@@ -328,6 +339,31 @@ func TestRenderOutputs(t *testing.T) {
 	}
 	if !bytes.Contains(js.Bytes(), []byte(`"simulated_time"`)) {
 		t.Fatalf("json misses simulated_time:\n%s", js.String())
+	}
+
+	// Names longer than the default column width, an error row among them,
+	// still line up: every line's first separator sits at the same offset.
+	grid, err := GridSpec{Coll: "allReduce=ring", Fault: "none;host:0@0",
+		Ckpt: "none;60/5/10/30"}.Parse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := Run(context.Background(), &Config{
+		Platform: disjointPlatform(), Grid: grid, Traces: ts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wide bytes.Buffer
+	long.RenderTable(&wide)
+	lines := strings.Split(strings.TrimSuffix(wide.String(), "\n"), "\n")
+	if len(lines) != 1+grid.Size() || !strings.Contains(wide.String(), "lost to fail-stop") {
+		t.Fatalf("want a header, %d rows and an error row:\n%s", grid.Size(), wide.String())
+	}
+	for _, l := range lines[1:] {
+		if got, want := strings.IndexByte(l, '|'), strings.IndexByte(lines[0], '|'); got != want {
+			t.Fatalf("separator at %d, header's at %d:\n%s", got, want, wide.String())
+		}
 	}
 }
 

@@ -96,25 +96,3 @@ func (t *TraceSet) source(r int) (replay.Source, error) {
 	}
 	return replay.SliceSource(t.perRank[r]), nil
 }
-
-// visit streams rank r's actions through fn, stopping early when fn returns
-// false; the fork planner computes shared prefixes with it without
-// materialising mapped traces.
-func (t *TraceSet) visit(r int, fn func(trace.Action) bool) error {
-	src, err := t.source(r)
-	if err != nil {
-		return err
-	}
-	for {
-		a, ok, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if !fn(a) {
-			return nil
-		}
-	}
-}

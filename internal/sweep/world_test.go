@@ -238,29 +238,60 @@ func TestSweepWorldErrors(t *testing.T) {
 	}
 }
 
-// TestSweepWorldForkExcluded pins that synthetic cells never join a fork
-// group even when a collective axis would otherwise make them forkable.
+// TestSweepWorldForkExcluded pins that a synthetic row shares only the run
+// of a row of its own world, never a recorded one, and that sharing leaves
+// every row as it is without it.
 func TestSweepWorldForkExcluded(t *testing.T) {
 	const procs = 8
 	ts := luTraces(t, npb.ClassS, procs)
 	m := luModel(t, npb.ClassS, procs)
-	res, err := Run(context.Background(), &Config{
-		Platform: platform.BordereauWithCores(procs, 1),
-		Grid:     Grid{World: []int{0, procs}, Coll: mustCollList(t, "linear;binomial")},
-		Traces:   ts,
-		Synth:    m,
-		Fork:     true,
-		Timed:    true,
-	})
+	ckpts, err := ParseCkptList("none;60/5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range res.Scenarios {
+	run := func(fork bool) *Result {
+		res, err := Run(context.Background(), &Config{
+			Platform: platform.BordereauWithCores(procs, 1),
+			Grid:     Grid{World: []int{0, procs}, Coll: mustCollList(t, "linear;binomial"), Ckpt: ckpts},
+			Traces:   ts,
+			Synth:    m,
+			Fork:     fork,
+			Timed:    true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	scratch, shared := run(false), run(true)
+	compareSweeps(t, "world fork=on vs off", scratch, shared)
+	for _, sc := range shared.Scenarios {
 		if sc.Err != "" {
 			t.Fatalf("scenario %q failed: %s", sc.Name, sc.Err)
 		}
-		if sc.World > 0 && sc.Forked {
-			t.Fatalf("synthetic scenario %q must not fork from the recorded prefix", sc.Name)
+		if sc.Forked != (sc.Ckpt != nil) {
+			t.Fatalf("scenario %q: forked=%v", sc.Name, sc.Forked)
+		}
+	}
+	// A derived row holds the very timed trace of the row that replayed its
+	// group. Both worlds replay the same actions at this size, so only that
+	// identity tells a synthetic row sharing a recorded run apart.
+	for i := range shared.Scenarios {
+		sc := &shared.Scenarios[i]
+		if !sc.Forked {
+			continue
+		}
+		var src *ScenarioResult
+		for j := range shared.Scenarios {
+			if o := &shared.Scenarios[j]; !o.Forked && &o.TimedTrace[0] == &sc.TimedTrace[0] {
+				src = o
+			}
+		}
+		if src == nil {
+			t.Fatalf("scenario %q reuses no replayed row's timed trace", sc.Name)
+		}
+		if src.World != sc.World || src.Coll != sc.Coll {
+			t.Fatalf("scenario %q reuses the run of %q", sc.Name, src.Name)
 		}
 	}
 }
