@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"strconv"
 
 	"tireplay/internal/platform"
 	"tireplay/internal/simx"
@@ -42,9 +41,9 @@ type simComm struct {
 	flops float64
 	seq   int64
 
-	// sendMb / recvMb cache interned per-peer mailbox IDs (-1 unresolved).
-	sendMb []simx.MailboxID
-	recvMb []simx.MailboxID
+	// mboxes is the world's table of ordered-pair mailboxes, shared by every
+	// rank: entry src*n+dst, -1 until the pair's first message.
+	mboxes []simx.MailboxID
 }
 
 var _ Comm = (*simComm)(nil)
@@ -57,41 +56,15 @@ type simRequest struct {
 	comm   *simx.Comm // nil for eager (already completed) sends
 }
 
-// mbox names the mailbox of the ordered rank pair; simComm interns the
-// name once per peer and addresses later traffic by dense mailbox ID.
-func mbox(src, dst int) string {
-	return "mpi:" + strconv.Itoa(src) + ">" + strconv.Itoa(dst)
-}
-
-// sendMbox resolves (caching on first use) the mailbox this rank sends to
-// dst on.
-func (c *simComm) sendMbox(dst int) simx.MailboxID {
-	if id := c.sendMb[dst]; id >= 0 {
-		return id
+// mbox returns the mailbox of src-to-dst traffic, creating it on the pair's
+// first message; the sender and the receiver resolve the pair to the same
+// table entry.
+func (c *simComm) mbox(src, dst int) simx.MailboxID {
+	i := src*c.n + dst
+	if c.mboxes[i] < 0 {
+		c.mboxes[i] = c.p.Kernel().NewMailbox()
 	}
-	id := c.p.Kernel().MailboxID(mbox(c.me, dst))
-	c.sendMb[dst] = id
-	return id
-}
-
-// recvMbox resolves (caching on first use) the mailbox this rank receives
-// from src on.
-func (c *simComm) recvMbox(src int) simx.MailboxID {
-	if id := c.recvMb[src]; id >= 0 {
-		return id
-	}
-	id := c.p.Kernel().MailboxID(mbox(src, c.me))
-	c.recvMb[src] = id
-	return id
-}
-
-// newMboxTable returns an n-slot table of unresolved (-1) mailbox IDs.
-func newMboxTable(n int) []simx.MailboxID {
-	t := make([]simx.MailboxID, n)
-	for i := range t {
-		t[i] = -1
-	}
-	return t
+	return c.mboxes[i]
 }
 
 func (c *simComm) Rank() int          { return c.me }
@@ -142,15 +115,15 @@ func (c *simComm) sendRaw(dst int, bytes float64) {
 	validRank("send to", dst, c.n)
 	c.chargeMessageCPU()
 	if bytes <= smpi.EagerThreshold {
-		c.p.ISendDetachedID(c.sendMbox(dst), bytes, bytes)
+		c.p.ISendDetached(c.mbox(c.me, dst), bytes)
 		return
 	}
-	c.p.SendID(c.sendMbox(dst), bytes, bytes)
+	c.p.Send(c.mbox(c.me, dst), bytes)
 }
 
 func (c *simComm) recvRaw(src int) float64 {
 	validRank("receive from", src, c.n)
-	h := c.p.IRecvID(c.recvMbox(src))
+	h := c.p.IRecv(c.mbox(src, c.me))
 	c.p.WaitComm(h)
 	c.chargeMessageCPU()
 	return h.Bytes()
@@ -162,13 +135,13 @@ func (c *simComm) Isend(dst int, bytes float64) Request {
 	validRank("isend to", dst, c.n)
 	c.chargeMessageCPU()
 	if bytes <= smpi.EagerThreshold {
-		c.p.ISendDetachedID(c.sendMbox(dst), bytes, bytes)
+		c.p.ISendDetached(c.mbox(c.me, dst), bytes)
 		return &simRequest{peer: dst, bytes: bytes}
 	}
 	return &simRequest{
 		peer:  dst,
 		bytes: bytes,
-		comm:  c.p.ISendID(c.sendMbox(dst), bytes, bytes),
+		comm:  c.p.ISend(c.mbox(c.me, dst), bytes),
 	}
 }
 
@@ -179,7 +152,7 @@ func (c *simComm) Irecv(src int) Request {
 	return &simRequest{
 		isRecv: true,
 		peer:   src,
-		comm:   c.p.IRecvID(c.recvMbox(src)),
+		comm:   c.p.IRecv(c.mbox(src, c.me)),
 	}
 }
 
@@ -221,6 +194,10 @@ func RunSimWrapped(b *platform.Build, depl *platform.Deployment, cfg SimConfig,
 	}
 	cfg.setDefaults()
 	k := b.Kernel
+	mboxes := make([]simx.MailboxID, n*n)
+	for i := range mboxes {
+		mboxes[i] = -1
+	}
 	for i, pd := range depl.Processes {
 		host := k.Host(pd.Host)
 		if host == nil {
@@ -228,8 +205,7 @@ func RunSimWrapped(b *platform.Build, depl *platform.Deployment, cfg SimConfig,
 		}
 		rank := i
 		k.Spawn(pd.Function, host, func(p *simx.Proc) {
-			var c Comm = &simComm{p: p, me: rank, n: n, cfg: &cfg,
-				sendMb: newMboxTable(n), recvMb: newMboxTable(n)}
+			var c Comm = &simComm{p: p, me: rank, n: n, cfg: &cfg, mboxes: mboxes}
 			if wrap != nil {
 				c = wrap(rank, c)
 			}

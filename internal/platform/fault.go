@@ -482,9 +482,10 @@ func (s *FaultSpec) FailStops() bool {
 // Arrivals returns the spec's failure-instant stream for the analytical
 // checkpoint/restart model: the sorted explicit fail-stop times (host,
 // hosts:k%, link — a k% clause is one global rewind however many hosts it
-// takes down) merged with the lazy exponential MTBF stream. nHosts sizes
-// the percentage clauses. The stream is deterministic for a given spec.
-func (s *FaultSpec) Arrivals(nHosts int) *Arrivals {
+// takes down) merged with the lazy exponential MTBF stream. The population
+// size does not change the instants, only who dies. The stream is
+// deterministic for a given spec.
+func (s *FaultSpec) Arrivals() *Arrivals {
 	a := &Arrivals{nextExp: math.Inf(1)}
 	if s == nil {
 		return a
@@ -504,7 +505,6 @@ func (s *FaultSpec) Arrivals(nHosts int) *Arrivals {
 		a.rng = splitmix64{state: s.Seed}
 		a.nextExp = a.rng.exp(a.mtbf)
 	}
-	_ = nHosts // population size does not change the instants, only who dies
 	return a
 }
 

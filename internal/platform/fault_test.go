@@ -142,7 +142,7 @@ func TestArrivalsMergesExplicitAndExponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := s.Arrivals(4)
+	a := s.Arrivals()
 	prev := 0.0
 	explicit := 0
 	for i := 0; i < 50; i++ {
@@ -167,7 +167,7 @@ func TestArrivalsMergesExplicitAndExponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2 := s2.Arrivals(2)
+	a2 := s2.Arrivals()
 	if got := a2.Next(); got != 3 {
 		t.Fatalf("first arrival %g, want 3", got)
 	}
@@ -177,7 +177,7 @@ func TestArrivalsMergesExplicitAndExponential(t *testing.T) {
 	if !math.IsInf(a2.Next(), 1) || !math.IsInf(a2.Next(), 1) {
 		t.Fatal("exhausted stream must return +Inf")
 	}
-	if !math.IsInf((*FaultSpec)(nil).Arrivals(4).Next(), 1) {
+	if !math.IsInf((*FaultSpec)(nil).Arrivals().Next(), 1) {
 		t.Fatal("nil spec has no arrivals")
 	}
 }

@@ -217,8 +217,9 @@ func TestInstantiatedClusterCommunicates(t *testing.T) {
 	}
 	k := b.Kernel
 	src, dst := b.HostNames[0], b.HostNames[3]
-	k.Spawn("s", k.Host(src), func(pr *procAlias) { pr.Send("m", 1e6, nil) })
-	k.Spawn("r", k.Host(dst), func(pr *procAlias) { pr.Recv("m") })
+	mb := k.NewMailbox()
+	k.Spawn("s", k.Host(src), func(pr *procAlias) { pr.Send(mb, 1e6) })
+	k.Spawn("r", k.Host(dst), func(pr *procAlias) { pr.Recv(mb) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -253,8 +254,9 @@ func TestExplicitHostsLinksRoutes(t *testing.T) {
 		t.Fatal("core counts wrong")
 	}
 	// The route is symmetrical by default: beta -> alpha must also work.
-	k.Spawn("s", k.Host("beta"), func(pr *procAlias) { pr.Send("m", 1e6, nil) })
-	k.Spawn("r", k.Host("alpha"), func(pr *procAlias) { pr.Recv("m") })
+	mb := k.NewMailbox()
+	k.Spawn("s", k.Host("beta"), func(pr *procAlias) { pr.Send(mb, 1e6) })
+	k.Spawn("r", k.Host("alpha"), func(pr *procAlias) { pr.Recv(mb) })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -407,8 +409,9 @@ func TestBuildGdxHierarchy(t *testing.T) {
 	k := b.Kernel
 	// Same cabinet pair: 1 switch on path (3 links, 3 latencies).
 	// Host 0 and 1 are in cabinet 0 -> same group.
-	k.Spawn("s", k.Host(b.HostNames[0]), func(p *procAlias) { p.Send("m", 0, nil) })
-	k.Spawn("r", k.Host(b.HostNames[1]), func(p *procAlias) { p.Recv("m") })
+	mb := k.NewMailbox()
+	k.Spawn("s", k.Host(b.HostNames[0]), func(p *procAlias) { p.Send(mb, 0) })
+	k.Spawn("r", k.Host(b.HostNames[1]), func(p *procAlias) { p.Recv(mb) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -420,8 +423,9 @@ func TestBuildGdxHierarchy(t *testing.T) {
 	// Distant cabinets: 3 switches on path (5 links worth of latency).
 	b2, _ := BuildGdx(40)
 	k2 := b2.Kernel
-	k2.Spawn("s", k2.Host(b2.HostNames[0]), func(p *procAlias) { p.Send("m", 0, nil) })
-	k2.Spawn("r", k2.Host(b2.HostNames[39]), func(p *procAlias) { p.Recv("m") })
+	mb2 := k2.NewMailbox()
+	k2.Spawn("s", k2.Host(b2.HostNames[0]), func(p *procAlias) { p.Send(mb2, 0) })
+	k2.Spawn("r", k2.Host(b2.HostNames[39]), func(p *procAlias) { p.Recv(mb2) })
 	end2, err := k2.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -442,8 +446,9 @@ func TestBuildGrid5000WAN(t *testing.T) {
 	k := b.Kernel
 	bh := b.ClusterHosts("bordereau")[0]
 	gh := b.ClusterHosts("gdx")[0]
-	k.Spawn("s", k.Host(bh), func(p *procAlias) { p.Send("m", 0, nil) })
-	k.Spawn("r", k.Host(gh), func(p *procAlias) { p.Recv("m") })
+	mb := k.NewMailbox()
+	k.Spawn("s", k.Host(bh), func(p *procAlias) { p.Send(mb, 0) })
+	k.Spawn("r", k.Host(gh), func(p *procAlias) { p.Recv(mb) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -18,12 +18,6 @@ type Scale struct {
 	Power     float64 // multiplies every host's per-core flop rate
 }
 
-// IsIdentity reports whether applying the scale would change nothing.
-func (s Scale) IsIdentity() bool {
-	ident := func(f float64) bool { return f == 0 || f == 1 }
-	return ident(s.Latency) && ident(s.Bandwidth) && ident(s.Power)
-}
-
 // Scaled returns a deep copy of the platform with the scale applied. The
 // receiver is never modified, so one parsed description can be shared
 // read-only by concurrent sweep workers, each deriving its own scenario.

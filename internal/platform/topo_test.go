@@ -137,8 +137,9 @@ func TestTopoTransferLatency(t *testing.T) {
 		}
 		k := b.Kernel
 		src, dst := 0, spec.HostCount()-1
-		k.Spawn("s", k.Host(b.HostNames[src]), func(p *procAlias) { p.Send("m", 0, nil) })
-		k.Spawn("r", k.Host(b.HostNames[dst]), func(p *procAlias) { p.Recv("m") })
+		mb := k.NewMailbox()
+		k.Spawn("s", k.Host(b.HostNames[src]), func(p *procAlias) { p.Send(mb, 0) })
+		k.Spawn("r", k.Host(b.HostNames[dst]), func(p *procAlias) { p.Recv(mb) })
 		end, err := k.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
@@ -163,10 +164,11 @@ func TestFatTreeCrossbarIsFatpipe(t *testing.T) {
 	k := b.Kernel
 	// Hosts 0 and 1 share edge 0; their partner is on no shared host link.
 	const bytes = 1e6
-	k.Spawn("s0", k.Host(b.HostNames[0]), func(p *procAlias) { p.Send("a", bytes, nil) })
-	k.Spawn("r0", k.Host(b.HostNames[1]), func(p *procAlias) { p.Recv("a") })
-	k.Spawn("s1", k.Host(b.HostNames[1]), func(p *procAlias) { p.Send("b", bytes, nil) })
-	k.Spawn("r1", k.Host(b.HostNames[0]), func(p *procAlias) { p.Recv("b") })
+	mbA, mbB := k.NewMailbox(), k.NewMailbox()
+	k.Spawn("s0", k.Host(b.HostNames[0]), func(p *procAlias) { p.Send(mbA, bytes) })
+	k.Spawn("r0", k.Host(b.HostNames[1]), func(p *procAlias) { p.Recv(mbA) })
+	k.Spawn("s1", k.Host(b.HostNames[1]), func(p *procAlias) { p.Send(mbB, bytes) })
+	k.Spawn("r1", k.Host(b.HostNames[0]), func(p *procAlias) { p.Recv(mbB) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)

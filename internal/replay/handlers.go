@@ -9,10 +9,9 @@ import (
 	"tireplay/internal/trace"
 )
 
-// p2pMboxID resolves the mailbox of src-to-dst point-to-point traffic from
-// the world's pair table, created on the pair's first message with no name
-// formatted or hashed.
-func (p *Proc) p2pMboxID(src, dst int) simx.MailboxID {
+// p2pMbox resolves the mailbox of src-to-dst point-to-point traffic from
+// the world's pair table, created on the pair's first message.
+func (p *Proc) p2pMbox(src, dst int) simx.MailboxID {
 	return p.world.pairMbox(&p.world.p2p, src, dst)
 }
 
@@ -20,7 +19,7 @@ func (p *Proc) p2pMboxID(src, dst int) simx.MailboxID {
 // seq from the world's round table. Every process executes the same
 // sequence of collective actions (an MPI requirement), so the per-process
 // sequence counter identifies matching rounds globally and the ID derives
-// from it with no name formatted or hashed.
+// from it.
 func (p *Proc) collMbox(seq int64, src, dst int) simx.MailboxID {
 	return p.world.pairMbox(&p.world.round(seq).pairs, src, dst)
 }
@@ -41,14 +40,14 @@ func (p *Proc) runCollective(kind coll.Kind, vcomm, vcomp float64) error {
 		s := &p.steps[i]
 		switch s.Op {
 		case coll.OpSend:
-			p.Sim.SendID(p.collMbox(base+int64(s.Round), p.Rank, s.To), s.Volume, nil)
+			p.Sim.Send(p.collMbox(base+int64(s.Round), p.Rank, s.To), s.Volume)
 		case coll.OpRecv:
-			p.Sim.RecvID(p.collMbox(base+int64(s.Round), s.From, p.Rank))
+			p.Sim.Recv(p.collMbox(base+int64(s.Round), s.From, p.Rank))
 		case coll.OpShift:
 			// Pairwise exchange: post the send asynchronously so two ranks
 			// shifting to each other cannot deadlock, then complete both.
-			c := p.Sim.ISendID(p.collMbox(base+int64(s.Round), p.Rank, s.To), s.Volume, nil)
-			p.Sim.RecvID(p.collMbox(base+int64(s.Round), s.From, p.Rank))
+			c := p.Sim.ISend(p.collMbox(base+int64(s.Round), p.Rank, s.To), s.Volume)
+			p.Sim.Recv(p.collMbox(base+int64(s.Round), s.From, p.Rank))
 			p.Sim.WaitComm(c)
 			p.Sim.ReleaseComm(c)
 		case coll.OpCompute:
@@ -93,10 +92,10 @@ func handleSend(p *Proc, a trace.Action) error {
 		return err
 	}
 	if a.Volume <= smpi.EagerThreshold {
-		p.Sim.ISendDetachedID(p.p2pMboxID(p.Rank, a.Peer), a.Volume, nil)
+		p.Sim.ISendDetached(p.p2pMbox(p.Rank, a.Peer), a.Volume)
 		return nil
 	}
-	p.Sim.SendID(p.p2pMboxID(p.Rank, a.Peer), a.Volume, nil)
+	p.Sim.Send(p.p2pMbox(p.Rank, a.Peer), a.Volume)
 	return nil
 }
 
@@ -109,7 +108,7 @@ func handleIsend(p *Proc, a trace.Action) error {
 	if err := p.checkPeer(a.Peer); err != nil {
 		return err
 	}
-	p.Sim.ISendDetachedID(p.p2pMboxID(p.Rank, a.Peer), a.Volume, nil)
+	p.Sim.ISendDetached(p.p2pMbox(p.Rank, a.Peer), a.Volume)
 	return nil
 }
 
@@ -118,7 +117,7 @@ func handleRecv(p *Proc, a trace.Action) error {
 	if err := p.checkPeer(a.Peer); err != nil {
 		return err
 	}
-	p.Sim.RecvID(p.p2pMboxID(a.Peer, p.Rank))
+	p.Sim.Recv(p.p2pMbox(a.Peer, p.Rank))
 	return nil
 }
 
@@ -128,7 +127,7 @@ func handleIrecv(p *Proc, a trace.Action) error {
 	if err := p.checkPeer(a.Peer); err != nil {
 		return err
 	}
-	p.pending.Push(p.Sim.IRecvID(p.p2pMboxID(a.Peer, p.Rank)))
+	p.pending.Push(p.Sim.IRecv(p.p2pMbox(a.Peer, p.Rank)))
 	return nil
 }
 

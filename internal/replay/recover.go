@@ -123,22 +123,27 @@ type Resilience struct {
 	Failures int `json:"failures"`
 }
 
-// Apply walks a fault-free makespan of a ranks-wide run through the
-// (non-nil) protocol against the fail-stop clauses of faults, returning the
-// waste breakdown a replay with this protocol reports. It validates the
-// protocol first, so a caller reusing another run's fault-free makespan
-// rejects a bad protocol with the error this protocol's own replay would
-// return.
-func (c *Ckpt) Apply(faultFree float64, faults *platform.FaultSpec, ranks int) (*Resilience, error) {
+// Apply walks a fault-free makespan through the (non-nil) protocol against
+// the fail-stop clauses of faults, returning the waste breakdown a replay
+// with this protocol reports. It validates the protocol first, so a caller
+// reusing another run's fault-free makespan rejects a bad protocol with the
+// error this protocol's own replay would return.
+func (c *Ckpt) Apply(faultFree float64, faults *platform.FaultSpec) (*Resilience, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	return applyCkpt(faultFree, c, faults.Arrivals(ranks))
+	return applyCkpt(faultFree, c, faults.Arrivals())
 }
 
-// maxCkptFailures bounds the analytic walker: a failure rate so high that
-// the run needs this many rewinds will plainly never finish.
-const maxCkptFailures = 1 << 20
+// maxCkptFailures and maxCkptWrites bound the analytic walker, which steps
+// once per failure and once per checkpoint write: a failure rate so high
+// that the run needs this many rewinds will plainly never finish, and an
+// interval so short that it needs this many writes is no protocol anyone
+// runs. Together they keep a walk to a few milliseconds.
+const (
+	maxCkptFailures = 1 << 20
+	maxCkptWrites   = 1 << 20
+)
 
 // applyCkpt walks the fault-free makespan M through the checkpoint/restart
 // waste algebra against the failure-instant stream. Progress p advances
@@ -195,6 +200,10 @@ func applyCkpt(M float64, ck *Ckpt, arr *platform.Arrivals) (*Resilience, error)
 			r.Recomputed += p - cp
 			fail(nf)
 			continue
+		}
+		if r.Checkpoints >= maxCkptWrites {
+			return nil, fmt.Errorf("replay: checkpoint/restart: interval %g needs more than %d checkpoint writes over a %g s run",
+				ck.Interval, maxCkptWrites, M)
 		}
 		wall += ck.Cost
 		r.CkptTime += ck.Cost

@@ -60,7 +60,7 @@ func arrivalsOf(t *testing.T, times ...float64) *platform.Arrivals {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.Arrivals(1)
+		return s.Arrivals()
 	}
 	clauses := make([]string, len(times))
 	for i, at := range times {
@@ -70,7 +70,7 @@ func arrivalsOf(t *testing.T, times ...float64) *platform.Arrivals {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s.Arrivals(1)
+	return s.Arrivals()
 }
 
 func TestApplyCkptNoFailures(t *testing.T) {
@@ -193,7 +193,7 @@ func TestApplyCkptDivergenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = times
-	_, err = applyCkpt(1000, &Ckpt{Interval: 100, Cost: 1}, s.Arrivals(4))
+	_, err = applyCkpt(1000, &Ckpt{Interval: 100, Cost: 1}, s.Arrivals())
 	if err == nil {
 		t.Fatal("expected a convergence error")
 	}
@@ -400,7 +400,7 @@ func TestCkptApplyMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ck.Apply(M, faults, 4)
+		got, err := ck.Apply(M, faults)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,9 +413,39 @@ func TestCkptApplyMatchesRun(t *testing.T) {
 		}
 	}
 	for _, bad := range []*Ckpt{{Interval: 1, Cost: -1}, {Interval: 0}} {
-		if _, err := bad.Apply(M, faults, 4); err == nil || err.Error() != bad.Validate().Error() {
+		if _, err := bad.Apply(M, faults); err == nil || err.Error() != bad.Validate().Error() {
 			t.Fatalf("Apply on %+v: %v, want %v", *bad, err, bad.Validate())
 		}
+	}
+}
+
+// TestCkptApplyBoundsWrites: the walker steps once per checkpoint write, so
+// an interval far below the run length must fail fast with the bound's
+// message instead of spinning, while an interval under the bound keeps its
+// exact waste breakdown.
+func TestCkptApplyBoundsWrites(t *testing.T) {
+	start := time.Now()
+	_, err := (&Ckpt{Interval: 1e-9}).Apply(0.02, nil)
+	want := "replay: checkpoint/restart: interval 1e-09 needs more than 1048576 checkpoint writes over a 0.02 s run"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Apply(1e-9 over 0.02 s) = %v, want %s", err, want)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("bounded walk took %v", el)
+	}
+	got, err := (&Ckpt{Interval: 1e-6, Cost: 1e-7}).Apply(0.02, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The breakdown the unbounded walker returned for the same protocol.
+	exp := Resilience{
+		FaultFree:   math.Float64frombits(0x3f947ae147ae147b),
+		Effective:   math.Float64frombits(0x3f96872b020c3fc6),
+		CkptTime:    math.Float64frombits(0x3f60624dd2f1ac1d),
+		Checkpoints: 20000,
+	}
+	if *got != exp {
+		t.Fatalf("Apply(1e-6 over 0.02 s) = %+v, want %+v", *got, exp)
 	}
 }
 

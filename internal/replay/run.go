@@ -420,7 +420,7 @@ func (r *run) rankErr() error {
 func (r *run) result(makespan float64, actions int64, wall time.Duration) (*Result, error) {
 	res := &Result{SimulatedTime: makespan, Actions: actions, WallTime: wall}
 	if r.cfg.Ckpt != nil {
-		ra, err := r.cfg.Ckpt.Apply(makespan, r.cfg.Faults, len(r.hosts))
+		ra, err := r.cfg.Ckpt.Apply(makespan, r.cfg.Faults)
 		if err != nil {
 			return nil, err
 		}

@@ -186,6 +186,29 @@ func TestReadTimedTraceRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadTimedTraceRejectsBadTimes checks that a record no replay can
+// produce — a time that is not finite, a start before 0 or after its end, a
+// negative or non-finite volume — fails naming its line instead of
+// reaching the metrics engine.
+func TestReadTimedTraceRejectsBadTimes(t *testing.T) {
+	const good = "1 p0 compute 1e6 start=0 host=h\n"
+	for _, c := range []struct{ name, line string }{
+		{"inf end", "inf p1 compute 1e6 start=0.5 host=h"},
+		{"NaN start", "2 p1 send p0 4096 start=NaN"},
+		{"negative start", "2 p1 compute 1e6 start=-1 host=h"},
+		{"end before start", "2 p1 send p0 4096 start=3"},
+		{"negative flops", "2 p1 compute -1e6 start=1 host=h"},
+		{"NaN bytes", "2 p1 send p0 NaN start=1"},
+	} {
+		_, err := ReadTimedTrace(strings.NewReader(good+c.line+"\n"), NewMetricsSink())
+		if err == nil {
+			t.Errorf("%s: accepted %q", c.name, c.line)
+		} else if !strings.Contains(err.Error(), "timed trace line 2:") {
+			t.Errorf("%s: error does not name line 2: %v", c.name, err)
+		}
+	}
+}
+
 // failAfterWriter fails every write after the first n bytes have landed —
 // a short write, as a full disk produces.
 type failAfterWriter struct {

@@ -208,7 +208,9 @@ func ReadTimedTrace(r io.Reader, tr simx.Tracer) (int, error) {
 	return n, nil
 }
 
-// parseTimedLine decodes one timed-trace record and forwards it to tr.
+// parseTimedLine decodes one timed-trace record and forwards it to tr. It
+// rejects a record no replay writes: a time that is not finite, a start
+// before 0 or after its end, a volume that is negative or not finite.
 func parseTimedLine(line string, tr simx.Tracer) error {
 	f := strings.Fields(line)
 	if len(f) < 3 {
@@ -236,6 +238,9 @@ func parseTimedLine(line string, tr simx.Tracer) error {
 		if !ok {
 			return fmt.Errorf("missing host field in %q", line)
 		}
+		if err := checkTimedRecord(start, end, flops, "flops"); err != nil {
+			return err
+		}
 		tr.Compute(f[1], host, flops, start, end)
 	case "send":
 		// end src send dst bytes start=S
@@ -250,9 +255,24 @@ func parseTimedLine(line string, tr simx.Tracer) error {
 		if err != nil {
 			return err
 		}
+		if err := checkTimedRecord(start, end, bytes, "bytes"); err != nil {
+			return err
+		}
 		tr.Comm(f[1], f[3], bytes, start, end)
 	default:
 		return fmt.Errorf("unknown record kind %q", f[2])
+	}
+	return nil
+}
+
+// checkTimedRecord checks a record's times and volume: finite, with
+// 0 <= start <= end and volume >= 0. The comparisons reject NaN too.
+func checkTimedRecord(start, end, vol float64, unit string) error {
+	if !(0 <= start && start <= end && end <= math.MaxFloat64) {
+		return fmt.Errorf("bad times: start %g, end %g (want finite 0 <= start <= end)", start, end)
+	}
+	if !(0 <= vol && vol <= math.MaxFloat64) {
+		return fmt.Errorf("bad %s %g (want finite and >= 0)", unit, vol)
 	}
 	return nil
 }

@@ -185,7 +185,6 @@ type flight struct {
 	done    chan struct{}
 	status  int
 	body    []byte
-	cache   string // cache disposition of the runner ("miss")
 	mu      sync.Mutex
 	waiters int
 	cancel  context.CancelFunc

@@ -154,9 +154,6 @@ type TraceHandle struct {
 // Set returns the referenced trace set; valid until Release.
 func (h *TraceHandle) Set() *sweep.TraceSet { return h.entry.ts }
 
-// Digest returns the content digest of the referenced set.
-func (h *TraceHandle) Digest() string { return h.entry.digest }
-
 // Release drops the reference; idempotent. The last release of an evicted
 // entry unmaps the set.
 func (h *TraceHandle) Release() {

@@ -11,9 +11,10 @@ func TestMissingRouteSurfacesAsRunError(t *testing.T) {
 	k := New()
 	k.AddHost("a", 1e9, 1)
 	k.AddHost("b", 1e9, 1)
+	mb := k.NewMailbox()
 	// No route a->b declared: sending must fail loudly, not hang or crash.
-	k.Spawn("s", k.Host("a"), func(p *Proc) { p.Send("m", 10, nil) })
-	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv("m") })
+	k.Spawn("s", k.Host("a"), func(p *Proc) { p.Send(mb, 10) })
+	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv(mb) })
 	_, err := k.Run()
 	if err == nil || !strings.Contains(err.Error(), "no route") {
 		t.Fatalf("err = %v", err)
@@ -77,7 +78,8 @@ func TestZeroCoreHostClamped(t *testing.T) {
 func TestDeadlockErrorListsReasons(t *testing.T) {
 	k := New()
 	h := k.AddHost("a", 1e9, 1)
-	k.Spawn("starved", h, func(p *Proc) { p.Recv("never") })
+	never := k.NewMailbox()
+	k.Spawn("starved", h, func(p *Proc) { p.Recv(never) })
 	_, err := k.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -94,15 +96,16 @@ func TestWaitOnCompletedCommReturnsImmediately(t *testing.T) {
 	h2 := k.AddHost("b", 1e9, 1)
 	l := k.AddLink("l", 1e8, 0)
 	k.AddRoute("a", "b", []*Link{l})
+	mb := k.NewMailbox()
 	var tAfter float64
 	k.Spawn("s", h1, func(p *Proc) {
-		c := p.ISend("m", 10, nil)
+		c := p.ISend(mb, 10)
 		p.Sleep(1) // comm completes long before
 		p.WaitComm(c)
 		p.WaitComm(c) // second wait on a done comm is a no-op
 		tAfter = p.Now()
 	})
-	k.Spawn("r", h2, func(p *Proc) { p.Recv("m") })
+	k.Spawn("r", h2, func(p *Proc) { p.Recv(mb) })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,24 +121,28 @@ func TestManySmallMessagesOrdering(t *testing.T) {
 	h2 := k.AddHost("b", 1e9, 1)
 	l := k.AddLink("l", 1e8, 1e-6)
 	k.AddRoute("a", "b", []*Link{l})
+	mb := k.NewMailbox()
 	const n = 100
 	k.Spawn("s", h1, func(p *Proc) {
 		for i := 0; i < n; i++ {
-			p.ISendDetached("m", 8, i)
+			p.ISendDetached(mb, float64(8+i))
 		}
 	})
-	var got []int
+	var got []float64
 	k.Spawn("r", h2, func(p *Proc) {
 		for i := 0; i < n; i++ {
-			got = append(got, p.Recv("m").(int))
+			got = append(got, p.Recv(mb))
 		}
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != n {
+		t.Fatalf("received %d of %d messages", len(got), n)
+	}
 	for i, v := range got {
-		if v != i {
-			t.Fatalf("message %d out of order: got %d", i, v)
+		if v != float64(8+i) {
+			t.Fatalf("message %d out of order: got size %g", i, v)
 		}
 	}
 }
@@ -216,14 +223,15 @@ func TestRunReleasesUnfinishedProcesses(t *testing.T) {
 	t.Run("deadlock", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		k, a, b := twoHostKernel()
+		never, void := k.NewMailbox(), k.NewMailbox()
 		var defers int
 		k.Spawn("recv", a, func(p *Proc) {
 			defer unwound(t, &defers)()
-			p.Recv("never")
+			p.Recv(never)
 		})
 		k.Spawn("send", b, func(p *Proc) {
 			defer unwound(t, &defers)()
-			p.Send("void", 10, nil)
+			p.Send(void, 10)
 		})
 		k.Spawn("done", b, func(p *Proc) { p.Execute(1e6) })
 		_, err := k.Run()
@@ -243,6 +251,7 @@ func TestRunReleasesUnfinishedProcesses(t *testing.T) {
 	t.Run("panic", func(t *testing.T) {
 		before := runtime.NumGoroutine()
 		k, a, b := twoHostKernel()
+		never, mb := k.NewMailbox(), k.NewMailbox()
 		var defers int
 		freshRan := false
 		// Spawn order is step order: blocked parks on a rendezvous nobody
@@ -251,14 +260,14 @@ func TestRunReleasesUnfinishedProcesses(t *testing.T) {
 		// another step.
 		k.Spawn("blocked", a, func(p *Proc) {
 			defer unwound(t, &defers)()
-			p.Recv("never")
+			p.Recv(never)
 		})
 		k.Spawn("runnable", a, func(p *Proc) {
 			defer unwound(t, &defers)()
-			p.Send("m", 10, nil)
+			p.Send(mb, 10)
 		})
 		k.Spawn("bad", b, func(p *Proc) {
-			p.IRecv("m")
+			p.IRecv(mb)
 			panic("boom")
 		})
 		k.Spawn("fresh", b, func(p *Proc) { freshRan = true })

@@ -282,60 +282,13 @@ func (k *Kernel) routeFailure(src, dst *Host) *FailedError {
 	return nil
 }
 
-// DegradeHostAt scales the host's per-core speed by factor over the
-// simulated window [from, to): running computes are settled at the old rate
-// and re-shared at the new one, exactly like any other capacity transition.
-// The original speed is restored bit-exactly at to. Windows on the same
-// host must not overlap.
-func (k *Kernel) DegradeHostAt(name string, factor, from, to float64) {
-	h := k.hosts[name]
-	if h == nil {
-		panic("simx: DegradeHostAt of undeclared host " + name)
-	}
-	if factor <= 0 {
-		panic("simx: DegradeHostAt with non-positive factor")
-	}
-	var prev float64
-	k.At(from, func() {
-		k.settleHost(h)
-		prev = h.Speed
-		h.Speed = prev * factor
-		k.reshareHost(h)
-	})
-	k.At(to, func() {
-		k.settleHost(h)
-		h.Speed = prev
-		k.reshareHost(h)
-	})
-}
-
-// DegradeLinkAt scales the link's bandwidth by factor over the simulated
-// window [from, to): the flows crossing it are settled and their connected
-// component re-enters the partial max-min reshare with the scaled capacity.
-// The original bandwidth is restored bit-exactly at to. Windows on the same
-// link must not overlap.
-func (k *Kernel) DegradeLinkAt(name string, factor, from, to float64) {
-	l := k.links[name]
-	if l == nil {
-		panic("simx: DegradeLinkAt of undeclared link " + name)
-	}
-	if factor <= 0 {
-		panic("simx: DegradeLinkAt with non-positive factor")
-	}
-	var prev float64
-	k.At(from, func() {
-		prev = l.Bandwidth
-		l.Bandwidth = prev * factor
-		k.reshareLink(l)
-	})
-	k.At(to, func() {
-		l.Bandwidth = prev
-		k.reshareLink(l)
-	})
-}
-
-// DegradeAllHostsAt applies DegradeHostAt's window to every declared host,
-// in declaration order (an availability trough: e.g. co-scheduled noise).
+// DegradeAllHostsAt scales every declared host's per-core speed by factor
+// over the simulated window [from, to) — the "cpu:" clause of a fault spec,
+// an availability trough such as co-scheduled noise. Hosts are visited in
+// declaration order: each host's running computes are settled at the old
+// rate and re-shared at the new one, exactly like any other capacity
+// transition. The original speeds are restored bit-exactly at to. Windows
+// must not overlap.
 func (k *Kernel) DegradeAllHostsAt(factor, from, to float64) {
 	if factor <= 0 {
 		panic("simx: DegradeAllHostsAt with non-positive factor")
@@ -360,7 +313,8 @@ func (k *Kernel) DegradeAllHostsAt(factor, from, to float64) {
 
 // DegradeAllLinksAt scales every declared link's bandwidth by factor over
 // [from, to) — the "bw:" clause of a fault spec. All links change together,
-// so the whole flow set is settled once and re-solved once.
+// so the whole flow set is settled once and re-solved once; the original
+// bandwidths are restored bit-exactly at to. Windows must not overlap.
 func (k *Kernel) DegradeAllLinksAt(factor, from, to float64) {
 	if factor <= 0 {
 		panic("simx: DegradeAllLinksAt with non-positive factor")
@@ -381,54 +335,4 @@ func (k *Kernel) DegradeAllLinksAt(factor, from, to float64) {
 		}
 		k.reshareFlows(k.flows)
 	})
-}
-
-// reshareLink re-solves the fair shares after l's capacity changed: the
-// connected component of flows crossing l is settled (at the old rates) and
-// re-shared, leaving every other component untouched — the same partial
-// reshare a flow transition performs, minus the membership change.
-func (k *Kernel) reshareLink(l *Link) {
-	if len(l.flows) == 0 {
-		return
-	}
-	k.epoch++
-	e := k.epoch
-	l.mark = e
-	k.compStack = k.compStack[:0]
-	for _, f := range l.flows {
-		if f.mark != e {
-			f.mark = e
-			k.compStack = append(k.compStack, f)
-		}
-	}
-	for n := len(k.compStack); n > 0; n = len(k.compStack) {
-		f := k.compStack[n-1]
-		k.compStack[n-1] = nil
-		k.compStack = k.compStack[:n-1]
-		for _, fl := range f.links {
-			if fl.mark == e {
-				continue
-			}
-			fl.mark = e
-			for _, g := range fl.flows {
-				if g.mark != e {
-					g.mark = e
-					k.compStack = append(k.compStack, g)
-				}
-			}
-		}
-	}
-	k.comp = k.comp[:0]
-	for _, f := range k.flows {
-		if f.mark != e {
-			continue
-		}
-		f.remaining -= f.rate * (k.now - f.lastUpdate)
-		if f.remaining < 0 {
-			f.remaining = 0
-		}
-		f.lastUpdate = k.now
-		k.comp = append(k.comp, f)
-	}
-	k.reshareFlows(k.comp)
 }

@@ -55,14 +55,15 @@ func TestFailHostKillsRunningCompute(t *testing.T) {
 
 func TestFailHostKillsTransferAndNotifiesPeer(t *testing.T) {
 	k, a, b := twoHostKernel()
+	mb := k.NewMailbox()
 	var senderErr, recvErr *FailedError
 	k.Spawn("sender", a, func(p *Proc) {
 		defer recordFailure(&senderErr)()
-		p.Send("mb", 1e9, nil) // 10 s transfer at 1e8 B/s
+		p.Send(mb, 1e9) // 10 s transfer at 1e8 B/s
 	})
 	k.Spawn("recv", b, func(p *Proc) {
 		defer recordFailure(&recvErr)()
-		p.Recv("mb")
+		p.Recv(mb)
 	})
 	k.FailHostAt("b", 3.0)
 	if _, err := k.Run(); err != nil {
@@ -85,10 +86,11 @@ func TestFailHostWakesProcBlockedOnUnmatchedRecv(t *testing.T) {
 	// fail-stop must wake it directly into the kill signal, or the
 	// simulation would deadlock on a dead process.
 	k, _, b := twoHostKernel()
+	never := k.NewMailbox()
 	var fe *FailedError
 	k.Spawn("recv", b, func(p *Proc) {
 		defer recordFailure(&fe)()
-		p.Recv("never")
+		p.Recv(never)
 	})
 	k.FailHostAt("b", 1.0)
 	end, err := k.Run()
@@ -107,15 +109,16 @@ func TestSendToDeadHostFailsAtMatch(t *testing.T) {
 	// The receiver's host dies before the send is posted: the queued recv
 	// handle is matched lazily and the rendezvous fails instead of starting.
 	k, a, b := twoHostKernel()
+	mb := k.NewMailbox()
 	var senderErr, recvErr *FailedError
 	k.Spawn("recv", b, func(p *Proc) {
 		defer recordFailure(&recvErr)()
-		p.Recv("mb")
+		p.Recv(mb)
 	})
 	k.Spawn("sender", a, func(p *Proc) {
 		defer recordFailure(&senderErr)()
 		p.Sleep(2.0) // post after b is gone
-		p.Send("mb", 1e6, nil)
+		p.Send(mb, 1e6)
 	})
 	k.FailHostAt("b", 1.0)
 	if _, err := k.Run(); err != nil {
@@ -155,25 +158,26 @@ func TestOperationsOnDeadHostFailImmediately(t *testing.T) {
 
 func TestFailRouteKillsCrossingFlowAndFailsLaterMatches(t *testing.T) {
 	k, a, b := twoHostKernel()
+	mb, mb2 := k.NewMailbox(), k.NewMailbox()
 	var firstErr, lateErr *FailedError
 	k.Spawn("sender", a, func(p *Proc) {
 		defer recordFailure(&firstErr)()
-		p.Send("mb", 1e9, nil) // 10 s transfer, killed at t=3
+		p.Send(mb, 1e9) // 10 s transfer, killed at t=3
 	})
 	k.Spawn("recv", b, func(p *Proc) {
 		// The receive side of the killed transfer also unwinds.
 		defer recordFailure(new(*FailedError))()
-		p.Recv("mb")
+		p.Recv(mb)
 	})
 	k.Spawn("late-send", a, func(p *Proc) {
 		defer recordFailure(&lateErr)()
 		p.Sleep(5.0)
-		p.Send("mb2", 1e6, nil)
+		p.Send(mb2, 1e6)
 	})
 	k.Spawn("late-recv", b, func(p *Proc) {
 		defer recordFailure(new(*FailedError))()
 		p.Sleep(5.0)
-		p.Recv("mb2")
+		p.Recv(mb2)
 	})
 	k.FailRouteAt("a", "b", 3.0)
 	if _, err := k.Run(); err != nil {
@@ -199,7 +203,7 @@ func TestDegradeHostWindow(t *testing.T) {
 	k.Spawn("p", k.Host("h"), func(p *Proc) {
 		p.Execute(4e9)
 	})
-	k.DegradeHostAt("h", 0.5, 1.0, 3.0)
+	k.DegradeAllHostsAt(0.5, 1.0, 3.0)
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -217,13 +221,14 @@ func TestDegradeLinkWindow(t *testing.T) {
 	// bandwidth over [1, 3): 1 s full (1e8 B) + 2 s half (1e8 B) + 2 s full
 	// (2e8 B) = 4e8 B done at t = 5 + latency.
 	k, a, b := twoHostKernel()
+	mb := k.NewMailbox()
 	k.Spawn("sender", a, func(p *Proc) {
-		p.Send("mb", 4e8, nil)
+		p.Send(mb, 4e8)
 	})
 	k.Spawn("recv", b, func(p *Proc) {
-		p.Recv("mb")
+		p.Recv(mb)
 	})
-	k.DegradeLinkAt("ab", 0.5, 1.0+1e-3, 3.0+1e-3)
+	k.DegradeAllLinksAt(0.5, 1.0+1e-3, 3.0+1e-3)
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -233,28 +238,6 @@ func TestDegradeLinkWindow(t *testing.T) {
 	}
 	if got := k.Link("ab").Bandwidth; got != 1e8 {
 		t.Fatalf("link bandwidth after window = %g, want bit-exact 1e8", got)
-	}
-}
-
-func TestDegradeAllLinksMatchesSingleLink(t *testing.T) {
-	run := func(global bool) float64 {
-		k, a, b := twoHostKernel()
-		k.Spawn("sender", a, func(p *Proc) { p.Send("mb", 4e8, nil) })
-		k.Spawn("recv", b, func(p *Proc) { p.Recv("mb") })
-		if global {
-			k.DegradeAllLinksAt(0.5, 1.0, 3.0)
-		} else {
-			k.DegradeLinkAt("ab", 0.5, 1.0, 3.0)
-		}
-		end, err := k.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return end
-	}
-	g, s := run(true), run(false)
-	if g != s {
-		t.Fatalf("global bw degradation %g != per-link %g (bit-exact expected: one link)", g, s)
 	}
 }
 
@@ -283,7 +266,7 @@ func TestFaultAfterSimulationEndDoesNotExtendMakespan(t *testing.T) {
 		p.Execute(1e9) // done at t=1
 	})
 	k.FailHostAt("h", 100.0)
-	k.DegradeHostAt("h", 0.5, 200.0, 300.0)
+	k.DegradeAllHostsAt(0.5, 200.0, 300.0)
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -315,18 +298,19 @@ func TestWaitCommOnKilledISend(t *testing.T) {
 	// The handle of an in-flight ISend outlives the kill: waiting on it later
 	// raises the recorded failure.
 	k, a, b := twoHostKernel()
+	mb := k.NewMailbox()
 	var fe *FailedError
 	var failedComm *FailedError
 	k.Spawn("sender", a, func(p *Proc) {
 		defer recordFailure(&fe)()
-		c := p.ISend("mb", 1e9, nil)
+		c := p.ISend(mb, 1e9)
 		p.Sleep(5.0) // transfer killed at t=3 while we sleep
 		failedComm = c.Failed()
 		p.WaitComm(c)
 	})
 	k.Spawn("recv", b, func(p *Proc) {
 		defer recordFailure(new(*FailedError))()
-		p.Recv("mb")
+		p.Recv(mb)
 	})
 	k.FailHostAt("b", 3.0)
 	if _, err := k.Run(); err != nil {
@@ -366,6 +350,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 	// across repeated runs.
 	run := func() (float64, []float64) {
 		k, a, b := twoHostKernel()
+		mb := k.NewMailbox()
 		var times []float64
 		for i := 0; i < 3; i++ {
 			k.Spawn("s", a, func(p *Proc) {
@@ -374,8 +359,8 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 						times = append(times, fe.Time)
 					}
 				}()
-				p.Send("mb", 5e8, nil)
-				p.Send("mb", 5e8, nil)
+				p.Send(mb, 5e8)
+				p.Send(mb, 5e8)
 			})
 			k.Spawn("r", b, func(p *Proc) {
 				defer func() {
@@ -383,12 +368,12 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 						times = append(times, fe.Time)
 					}
 				}()
-				p.Recv("mb")
-				p.Recv("mb")
+				p.Recv(mb)
+				p.Recv(mb)
 			})
 		}
 		k.FailHostAt("b", 4.0)
-		k.DegradeLinkAt("ab", 0.25, 1.0, 2.0)
+		k.DegradeAllLinksAt(0.25, 1.0, 2.0)
 		end, err := k.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -417,8 +402,9 @@ func TestZeroFaultPathStaysInert(t *testing.T) {
 	// No fault scheduled: the rendezvous fast path must never take the
 	// failure branch (faultsActive stays false).
 	k, a, b := twoHostKernel()
-	k.Spawn("s", a, func(p *Proc) { p.Send("mb", 1e6, nil) })
-	k.Spawn("r", b, func(p *Proc) { p.Recv("mb") })
+	mb := k.NewMailbox()
+	k.Spawn("s", a, func(p *Proc) { p.Send(mb, 1e6) })
+	k.Spawn("r", b, func(p *Proc) { p.Recv(mb) })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +434,7 @@ func TestDegradeWindowRestoresExactSpeedAfterConcurrency(t *testing.T) {
 	h := k.AddHost("h", 3.3e9, 2)
 	k.Spawn("p", h, func(p *Proc) { p.Execute(20e9) })
 	k.Spawn("q", h, func(p *Proc) { p.Execute(20e9) })
-	k.DegradeHostAt("h", 1.0/3.0, 0.5, 1.5)
+	k.DegradeAllHostsAt(1.0/3.0, 0.5, 1.5)
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

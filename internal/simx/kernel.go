@@ -60,9 +60,9 @@
 //     one such round trip, so it bounds the per-action cost of a replay.
 //
 //   - Activities, queue events and communication handles are pooled on free
-//     lists, mailboxes are interned behind dense IDs (MailboxID) so the
-//     rendezvous path neither formats nor hashes a name, and routes resolve
-//     through a pointer-keyed per-host cache — so steady-state replay
+//     lists, mailboxes have no names — a MailboxID indexes a dense table, so
+//     the rendezvous path neither formats nor hashes a string — and routes
+//     resolve through a pointer-keyed per-host cache, so steady-state replay
 //     performs no per-action heap allocation at all (see
 //     TestPostMatchCompleteZeroAllocs and BenchmarkReplaySteadyState).
 //
@@ -129,10 +129,8 @@ type Kernel struct {
 	living    int
 	procPanic error // first panic raised by a process body
 
-	// mailboxes resolves string names; mboxByID is the dense table behind
-	// interned MailboxIDs (anonymous mailboxes live only there).
-	mailboxes map[string]*Mailbox
-	mboxByID  []*Mailbox
+	// mailboxes is the table a MailboxID indexes.
+	mailboxes []*Mailbox
 
 	// flows holds the comm activities in transfer phase, in start order;
 	// each activity records its index in pos.
@@ -165,24 +163,15 @@ type Kernel struct {
 	doomed        []*activity
 	pendingTimers int
 
-	// DefaultLoopback is used for communications between two processes on
-	// the same host (e.g. folded acquisitions); it is modelled as a private
-	// link per host, so loopback traffic does not contend with the network.
-	LoopbackBandwidth float64
-	LoopbackLatency   float64
-
 	maxmin maxMinSolver
 }
 
 // New returns an empty kernel with the clock at zero.
 func New() *Kernel {
 	return &Kernel{
-		hosts:             make(map[string]*Host),
-		links:             make(map[string]*Link),
-		router:            NewTableRouter(),
-		mailboxes:         make(map[string]*Mailbox),
-		LoopbackBandwidth: 10e9, // 10 GB/s shared-memory copy rate
-		LoopbackLatency:   1e-7, // 100 ns
+		hosts:  make(map[string]*Host),
+		links:  make(map[string]*Link),
+		router: NewTableRouter(),
 	}
 }
 

@@ -125,15 +125,15 @@ func TestStaggeredComputeSharing(t *testing.T) {
 
 func TestPointToPointCommDuration(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	mb := k.NewMailbox()
 	ha, hb := k.Host("a"), k.Host("b")
 	var recvEnd float64
 	k.Spawn("sender", ha, func(p *Proc) {
-		p.Send("mb", 1e8, "hello")
+		p.Send(mb, 1e8)
 	})
 	k.Spawn("receiver", hb, func(p *Proc) {
-		pl := p.Recv("mb")
-		if pl != "hello" {
-			t.Errorf("payload = %v", pl)
+		if got := p.Recv(mb); got != 1e8 {
+			t.Errorf("received size = %g, want 1e8", got)
 		}
 		recvEnd = p.Now()
 	})
@@ -149,13 +149,14 @@ func TestPointToPointCommDuration(t *testing.T) {
 
 func TestRendezvousStartsAtMatchTime(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	mb := k.NewMailbox()
 	ha, hb := k.Host("a"), k.Host("b")
 	k.Spawn("sender", ha, func(p *Proc) {
-		p.Send("mb", 1e8, nil)
+		p.Send(mb, 1e8)
 	})
 	k.Spawn("receiver", hb, func(p *Proc) {
 		p.Sleep(5)
-		p.Recv("mb")
+		p.Recv(mb)
 	})
 	end, err := k.Run()
 	if err != nil {
@@ -169,6 +170,7 @@ func TestRendezvousStartsAtMatchTime(t *testing.T) {
 
 func TestTwoFlowsShareLink(t *testing.T) {
 	k := New()
+	mb1, mb2 := k.NewMailbox(), k.NewMailbox()
 	hosts := make([]*Host, 4)
 	for i, n := range []string{"a", "b", "c", "d"} {
 		hosts[i] = k.AddHost(n, 1e9, 1)
@@ -176,10 +178,10 @@ func TestTwoFlowsShareLink(t *testing.T) {
 	l := k.AddLink("shared", 1e8, 0)
 	k.AddRoute("a", "b", []*Link{l})
 	k.AddRoute("c", "d", []*Link{l})
-	k.Spawn("s1", hosts[0], func(p *Proc) { p.Send("m1", 1e8, nil) })
-	k.Spawn("r1", hosts[1], func(p *Proc) { p.Recv("m1") })
-	k.Spawn("s2", hosts[2], func(p *Proc) { p.Send("m2", 1e8, nil) })
-	k.Spawn("r2", hosts[3], func(p *Proc) { p.Recv("m2") })
+	k.Spawn("s1", hosts[0], func(p *Proc) { p.Send(mb1, 1e8) })
+	k.Spawn("r1", hosts[1], func(p *Proc) { p.Recv(mb1) })
+	k.Spawn("s2", hosts[2], func(p *Proc) { p.Send(mb2, 1e8) })
+	k.Spawn("r2", hosts[3], func(p *Proc) { p.Recv(mb2) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -192,16 +194,17 @@ func TestTwoFlowsShareLink(t *testing.T) {
 
 func TestFlowDepartureSpeedsUpRemainder(t *testing.T) {
 	k := New()
+	mb1, mb2 := k.NewMailbox(), k.NewMailbox()
 	for _, n := range []string{"a", "b", "c", "d"} {
 		k.AddHost(n, 1e9, 1)
 	}
 	l := k.AddLink("shared", 1e8, 0)
 	k.AddRoute("a", "b", []*Link{l})
 	k.AddRoute("c", "d", []*Link{l})
-	k.Spawn("s1", k.Host("a"), func(p *Proc) { p.Send("m1", 0.5e8, nil) })
-	k.Spawn("r1", k.Host("b"), func(p *Proc) { p.Recv("m1") })
-	k.Spawn("s2", k.Host("c"), func(p *Proc) { p.Send("m2", 1e8, nil) })
-	k.Spawn("r2", k.Host("d"), func(p *Proc) { p.Recv("m2") })
+	k.Spawn("s1", k.Host("a"), func(p *Proc) { p.Send(mb1, 0.5e8) })
+	k.Spawn("r1", k.Host("b"), func(p *Proc) { p.Recv(mb1) })
+	k.Spawn("s2", k.Host("c"), func(p *Proc) { p.Send(mb2, 1e8) })
+	k.Spawn("r2", k.Host("d"), func(p *Proc) { p.Recv(mb2) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -216,13 +219,14 @@ func TestFlowDepartureSpeedsUpRemainder(t *testing.T) {
 
 func TestMultiHopRouteBottleneck(t *testing.T) {
 	k := New()
+	mb := k.NewMailbox()
 	k.AddHost("a", 1e9, 1)
 	k.AddHost("b", 1e9, 1)
 	fast := k.AddLink("fast", 1e9, 1e-3)
 	slow := k.AddLink("slow", 1e7, 2e-3)
 	k.AddRoute("a", "b", []*Link{fast, slow, fast})
-	k.Spawn("s", k.Host("a"), func(p *Proc) { p.Send("m", 1e7, nil) })
-	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv("m") })
+	k.Spawn("s", k.Host("a"), func(p *Proc) { p.Send(mb, 1e7) })
+	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv(mb) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -236,34 +240,35 @@ func TestMultiHopRouteBottleneck(t *testing.T) {
 
 func TestLoopbackSameHostComm(t *testing.T) {
 	k := New()
-	k.LoopbackBandwidth = 1e9
-	k.LoopbackLatency = 0
+	mb := k.NewMailbox()
 	h := k.AddHost("h", 1e9, 2)
-	k.Spawn("s", h, func(p *Proc) { p.Send("m", 1e9, nil) })
-	k.Spawn("r", h, func(p *Proc) { p.Recv("m") })
+	k.Spawn("s", h, func(p *Proc) { p.Send(mb, 1e9) })
+	k.Spawn("r", h, func(p *Proc) { p.Recv(mb) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !close(end, 1.0) {
-		t.Fatalf("end = %g, want 1.0 (loopback)", end)
+	// 100 ns of loopback latency, then 1e9 bytes at 10 GB/s.
+	if !close(end, 0.1000001) {
+		t.Fatalf("end = %g, want 0.1000001 (loopback)", end)
 	}
 }
 
 func TestISendIRecvWait(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	mb := k.NewMailbox()
 	var overlapped float64
 	k.Spawn("s", k.Host("a"), func(p *Proc) {
-		c := p.ISend("m", 1e8, 42)
+		c := p.ISend(mb, 1e8)
 		p.Execute(2e9) // 2 s of overlapping compute
 		p.WaitComm(c)
 		overlapped = p.Now()
 	})
 	k.Spawn("r", k.Host("b"), func(p *Proc) {
-		c := p.IRecv("m")
+		c := p.IRecv(mb)
 		p.WaitComm(c)
-		if c.Payload().(int) != 42 {
-			t.Errorf("payload = %v", c.Payload())
+		if c.Bytes() != 1e8 {
+			t.Errorf("received size = %g, want 1e8", c.Bytes())
 		}
 	})
 	end, err := k.Run()
@@ -278,13 +283,14 @@ func TestISendIRecvWait(t *testing.T) {
 
 func TestDetachedSend(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	mb := k.NewMailbox()
 	var sendReturned float64
 	k.Spawn("s", k.Host("a"), func(p *Proc) {
-		p.ISendDetached("m", 1e8, nil)
+		p.ISendDetached(mb, 1e8)
 		sendReturned = p.Now()
 	})
 	k.Spawn("r", k.Host("b"), func(p *Proc) {
-		p.Recv("m")
+		p.Recv(mb)
 	})
 	end, err := k.Run()
 	if err != nil {
@@ -300,8 +306,9 @@ func TestDetachedSend(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	never := k.NewMailbox()
 	k.Spawn("r", k.Host("a"), func(p *Proc) {
-		p.Recv("never") // nobody sends here
+		p.Recv(never) // nobody sends here
 	})
 	_, err := k.Run()
 	de, ok := err.(*DeadlockError)
@@ -331,12 +338,13 @@ func TestSleepAdvancesClock(t *testing.T) {
 
 func TestZeroVolumeOperations(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	mb := k.NewMailbox()
 	k.Spawn("s", k.Host("a"), func(p *Proc) {
 		p.Execute(0)
-		p.Send("m", 0, nil)
+		p.Send(mb, 0)
 	})
 	k.Spawn("r", k.Host("b"), func(p *Proc) {
-		p.Recv("m")
+		p.Recv(mb)
 	})
 	end, err := k.Run()
 	if err != nil {
@@ -350,11 +358,12 @@ func TestZeroVolumeOperations(t *testing.T) {
 
 func TestRateModelAppliedToComm(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	mb := k.NewMailbox()
 	k.SetRateModel(func(bytes float64) (float64, float64) {
 		return 2.0, 0.5 // double latency, halve effective bandwidth
 	})
-	k.Spawn("s", k.Host("a"), func(p *Proc) { p.Send("m", 1e8, nil) })
-	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv("m") })
+	k.Spawn("s", k.Host("a"), func(p *Proc) { p.Send(mb, 1e8) })
+	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv(mb) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -382,13 +391,14 @@ func (r *recordingTracer) Comm(src, dst string, bytes, start, end float64) {
 
 func TestTracerObservesActivities(t *testing.T) {
 	k, _, _ := twoHostKernel()
+	mb := k.NewMailbox()
 	tr := &recordingTracer{}
 	k.SetTracer(tr)
 	k.Spawn("s", k.Host("a"), func(p *Proc) {
 		p.Execute(1e9)
-		p.Send("m", 1e8, nil)
+		p.Send(mb, 1e8)
 	})
-	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv("m") })
+	k.Spawn("r", k.Host("b"), func(p *Proc) { p.Recv(mb) })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +415,11 @@ func TestDeterministicReplay(t *testing.T) {
 		k := New()
 		n := 8
 		hosts := make([]*Host, n)
+		inbox := make([]MailboxID, n)
 		l := k.AddLink("bb", 1.25e8, 16.67e-6)
 		for i := 0; i < n; i++ {
 			hosts[i] = k.AddHost(string(rune('a'+i)), 1e9, 1)
+			inbox[i] = k.NewMailbox()
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
@@ -420,20 +432,18 @@ func TestDeterministicReplay(t *testing.T) {
 		for i := 0; i < n; i++ {
 			i := i
 			k.Spawn(hosts[i].Name, hosts[i], func(p *Proc) {
-				next := hosts[(i+1)%n].Name
-				prev := hosts[(i-1+n)%n].Name
+				next := inbox[(i+1)%n]
 				for iter := 0; iter < 4; iter++ {
 					if i == 0 {
 						p.Execute(1e6)
-						p.Send("to_"+next, 1e6, nil)
-						p.Recv("to_" + hosts[i].Name)
+						p.Send(next, 1e6)
+						p.Recv(inbox[i])
 					} else {
-						p.Recv("to_" + hosts[i].Name)
+						p.Recv(inbox[i])
 						p.Execute(1e6)
-						p.Send("to_"+next, 1e6, nil)
+						p.Send(next, 1e6)
 					}
 				}
-				_ = prev
 			})
 		}
 		end, err := k.Run()
@@ -459,9 +469,11 @@ func TestManyProcessesScale(t *testing.T) {
 	l := k.AddLink("bb", 1e9, 1e-6)
 	n := 256
 	names := make([]string, n)
+	inbox := make([]MailboxID, n)
 	for i := 0; i < n; i++ {
 		names[i] = "h" + string(rune('0'+i/100)) + string(rune('0'+(i/10)%10)) + string(rune('0'+i%10))
 		k.AddHost(names[i], 1e9, 1)
+		inbox[i] = k.NewMailbox()
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -472,13 +484,14 @@ func TestManyProcessesScale(t *testing.T) {
 	}
 	for i := 0; i < n; i += 2 {
 		a, b := names[i], names[i+1]
+		ia, ib := inbox[i], inbox[i+1]
 		k.Spawn(a, k.Host(a), func(p *Proc) {
-			p.Send("mb_"+b, 1e6, nil)
-			p.Recv("mb_" + a)
+			p.Send(ib, 1e6)
+			p.Recv(ia)
 		})
 		k.Spawn(b, k.Host(b), func(p *Proc) {
-			p.Recv("mb_" + b)
-			p.Send("mb_"+a, 1e6, nil)
+			p.Recv(ib)
+			p.Send(ia, 1e6)
 		})
 	}
 	end, err := k.Run()

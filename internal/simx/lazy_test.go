@@ -35,9 +35,9 @@ func TestRateEpochStamping(t *testing.T) {
 	pc := &Proc{k: k, name: "pc", host: hc}
 	m1 := k.mailboxAt(k.NewMailbox())
 	m2 := k.mailboxAt(k.NewMailbox())
-	k.post(pa, m1, 1e9, nil, true) // long flow, bottlenecked on up
+	k.post(pa, m1, 1e9, true) // long flow, bottlenecked on up
 	k.postRecv(pb, m1)
-	k.post(pc, m2, 1e6, nil, true) // short flow, ample shared bandwidth
+	k.post(pc, m2, 1e6, true) // short flow, ample shared bandwidth
 	rc := k.postRecv(pb, m2)
 	pumpOne(t, k) // latency paid: first flow joins
 	pumpOne(t, k) // second flow joins, component co-solved
@@ -80,12 +80,12 @@ func TestRateEpochStamping(t *testing.T) {
 	pc2 := &Proc{k: k2, name: "pc", host: hc2}
 	n1 := k2.mailboxAt(k2.NewMailbox())
 	n2 := k2.mailboxAt(k2.NewMailbox())
-	k2.post(pa2, n1, 1e9, nil, true)
+	k2.post(pa2, n1, 1e9, true)
 	k2.postRecv(pb2, n1)
 	pumpOne(t, k2) // long flow joins alone at full bandwidth
 	long2 := k2.flows[0]
 	joinAt := long2.doneEv.Time
-	k2.post(pc2, n2, 1e6, nil, true)
+	k2.post(pc2, n2, 1e6, true)
 	rc2 := k2.postRecv(pb2, n2)
 	pumpOne(t, k2) // short flow joins: share halves, completion moves later
 	halvedAt := long2.doneEv.Time

@@ -2,11 +2,10 @@ package simx
 
 import "tireplay/internal/fifo"
 
-// MailboxID is an interned mailbox handle: a dense index into the kernel's
-// mailbox table. Resolving a name costs one map lookup (plus the caller's
-// string formatting); the ID-based operations skip both, which is why the
-// replay tool addresses every rendezvous by ID, keeping one anonymous
-// mailbox per (src,dst) pair in tables of its own.
+// MailboxID is a mailbox handle: a dense index into the kernel's mailbox
+// table, the only address of a mailbox. Mailboxes have no names, so a
+// rendezvous neither formats nor hashes one; callers that need a mailbox
+// per (src,dst) pair keep the IDs in tables of their own.
 type MailboxID int32
 
 // Mailbox is a rendezvous point matching sends and receives in FIFO order,
@@ -15,8 +14,6 @@ type MailboxID int32
 // receive is posted there (and vice-versa); until then both sides block (or
 // keep a pending handle, for the asynchronous variants).
 type Mailbox struct {
-	name  string // empty for anonymous (NewMailbox) mailboxes
-	id    MailboxID
 	sends fifo.Queue[*Comm]
 	recvs fifo.Queue[*Comm]
 }
@@ -34,38 +31,24 @@ type Mailbox struct {
 // ISend/IRecv can be handed back explicitly with Proc.ReleaseComm once the
 // caller is done querying it.
 type Comm struct {
-	act     *activity // non-nil only while matched and in flight
-	done    bool
-	failed  *FailedError // non-nil when a fail-stop killed the communication
-	payload any
-	bytes   float64
-	src     string
-	dst     string
+	act    *activity // non-nil only while matched and in flight
+	done   bool
+	failed *FailedError // non-nil when a fail-stop killed the communication
+	bytes  float64
+	src    string
+	dst    string
 
 	proc         *Proc // poster of this side
 	detached     bool
 	matchWaiters []*Proc
 }
 
-// Done reports whether the communication has fully completed.
-func (c *Comm) Done() bool { return c.done }
-
-// Payload returns the data attached by the sender; valid after completion.
-func (c *Comm) Payload() any { return c.payload }
-
 // Bytes returns the size of the message in bytes. On a receive handle it is
 // only meaningful once the communication has been matched.
 func (c *Comm) Bytes() float64 { return c.bytes }
 
-// Src returns the name of the sending process (empty on an unmatched
-// receive handle).
-func (c *Comm) Src() string { return c.src }
-
-// Dst returns the name of the receiving process (empty until matched).
-func (c *Comm) Dst() string { return c.dst }
-
 // Failed returns the fail-stop error that killed the communication, or nil.
-// A failed comm reports Done() true; waiting on it raises the failure in the
+// A failed comm is complete; waiting on it raises the failure in the
 // waiting process (recoverable via FailureOf).
 func (c *Comm) Failed() *FailedError { return c.failed }
 
@@ -105,52 +88,27 @@ func (k *Kernel) freeComm(c *Comm) {
 	k.commPool = append(k.commPool, c)
 }
 
-// mailbox returns (creating on demand) the named mailbox. Every name is a
-// valid key — including the empty string, which resolves to one shared
-// mailbox like any other name; only NewMailbox handles are anonymous.
-func (k *Kernel) mailbox(name string) *Mailbox {
-	mb := k.mailboxes[name]
-	if mb == nil {
-		mb = k.internMailbox(name, true)
-	}
-	return mb
+// NewMailbox creates a mailbox and returns its ID, the only way to address
+// it. The replay tool creates one per rank pair that exchanges
+// point-to-point messages, and one per pair and collective round; the MPI
+// engine creates one per ordered rank pair.
+func (k *Kernel) NewMailbox() MailboxID {
+	k.mailboxes = append(k.mailboxes, &Mailbox{})
+	return MailboxID(len(k.mailboxes) - 1)
 }
 
-// internMailbox appends a mailbox to the dense table, registering it for
-// string lookup unless it is anonymous.
-func (k *Kernel) internMailbox(name string, register bool) *Mailbox {
-	mb := &Mailbox{name: name, id: MailboxID(len(k.mboxByID))}
-	k.mboxByID = append(k.mboxByID, mb)
-	if register {
-		k.mailboxes[name] = mb
-	}
-	return mb
-}
-
-// MailboxID interns the named mailbox (creating it on demand) and returns
-// its dense ID. The ID aliases the string name: posts through either address
-// meet in the same FIFO.
-func (k *Kernel) MailboxID(name string) MailboxID { return k.mailbox(name).id }
-
-// NewMailbox creates an anonymous mailbox reachable only through the
-// returned ID — no name is formatted or hashed. The replay tool creates one
-// per rank pair that exchanges point-to-point messages, and one per pair
-// and collective round.
-func (k *Kernel) NewMailbox() MailboxID { return k.internMailbox("", false).id }
-
-// mailboxAt resolves an interned ID.
+// mailboxAt resolves an ID.
 func (k *Kernel) mailboxAt(id MailboxID) *Mailbox {
-	if int(id) < 0 || int(id) >= len(k.mboxByID) {
+	if int(id) < 0 || int(id) >= len(k.mailboxes) {
 		panic("simx: invalid mailbox id")
 	}
-	return k.mboxByID[id]
+	return k.mailboxes[id]
 }
 
 // post registers a send request on the mailbox and matches it against a
 // pending receive if one exists.
-func (k *Kernel) post(p *Proc, mb *Mailbox, bytes float64, payload any, detached bool) *Comm {
+func (k *Kernel) post(p *Proc, mb *Mailbox, bytes float64, detached bool) *Comm {
 	c := k.newComm()
-	c.payload = payload
 	c.bytes = bytes
 	c.src = p.name
 	c.proc = p
@@ -193,7 +151,6 @@ func (k *Kernel) match(sc, rc *Comm) {
 	rc.act = act
 	act.comms[0] = sc
 	act.comms[1] = rc
-	rc.payload = sc.payload
 	rc.bytes = sc.bytes
 	rc.src = sc.proc.name
 	rc.dst = rc.proc.name

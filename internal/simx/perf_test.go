@@ -80,14 +80,17 @@ func BenchmarkKernelReshare(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				k := benchTopology(n)
+				// inbox[p] carries the ring's messages into p.
+				inbox := make([]MailboxID, n)
+				for p := range inbox {
+					inbox[p] = k.NewMailbox()
+				}
 				for p := 0; p < n; p++ {
 					src, dst := p, (p+1)%n
 					k.Spawn(fmt.Sprintf("p%d", p), k.Host(fmt.Sprintf("h%d", src)), func(pr *Proc) {
-						mb := fmt.Sprintf("m%d>%d", src, dst)
-						peer := fmt.Sprintf("m%d>%d", (src+n-1)%n, src)
 						for r := 0; r < rounds; r++ {
-							c := pr.ISend(mb, 1e6, nil)
-							pr.Recv(peer)
+							c := pr.ISend(inbox[dst], 1e6)
+							pr.Recv(inbox[src])
 							pr.WaitComm(c)
 							pr.Execute(1e6)
 						}

@@ -168,9 +168,6 @@ func (p *Proc) blockReason() string {
 	return "blocked"
 }
 
-// Name returns the process name.
-func (p *Proc) Name() string { return p.name }
-
 // Host returns the host the process runs on.
 func (p *Proc) Host() *Host { return p.host }
 
@@ -215,15 +212,9 @@ func (p *Proc) SleepUntil(t float64) {
 // Send posts a message of the given size to the mailbox and blocks until
 // the transfer has completed (rendezvous + full transmission), matching the
 // synchronous MPI_Send semantics used by the replay tool.
-func (p *Proc) Send(mailbox string, bytes float64, payload any) {
-	p.SendID(p.k.MailboxID(mailbox), bytes, payload)
-}
-
-// SendID is Send addressing an interned mailbox; the replay hot path uses it
-// to skip name formatting and hashing on every rendezvous.
-func (p *Proc) SendID(mailbox MailboxID, bytes float64, payload any) {
+func (p *Proc) Send(mb MailboxID, bytes float64) {
 	p.ensureAlive()
-	c := p.k.post(p, p.k.mailboxAt(mailbox), bytes, payload, false)
+	c := p.k.post(p, p.k.mailboxAt(mb), bytes, false)
 	p.WaitComm(c)
 	// The handle was never exposed: back to the pool.
 	p.k.freeComm(c)
@@ -231,53 +222,33 @@ func (p *Proc) SendID(mailbox MailboxID, bytes float64, payload any) {
 
 // ISend posts a message asynchronously and returns a handle that can be
 // waited on. The transfer starts when a matching receive is posted.
-func (p *Proc) ISend(mailbox string, bytes float64, payload any) *Comm {
-	return p.ISendID(p.k.MailboxID(mailbox), bytes, payload)
-}
-
-// ISendID is ISend addressing an interned mailbox.
-func (p *Proc) ISendID(mailbox MailboxID, bytes float64, payload any) *Comm {
+func (p *Proc) ISend(mb MailboxID, bytes float64) *Comm {
 	p.ensureAlive()
-	return p.k.post(p, p.k.mailboxAt(mailbox), bytes, payload, false)
+	return p.k.post(p, p.k.mailboxAt(mb), bytes, false)
 }
 
 // ISendDetached posts a fire-and-forget message: no handle, the kernel
 // finishes the transfer in the background.
-func (p *Proc) ISendDetached(mailbox string, bytes float64, payload any) {
-	p.ISendDetachedID(p.k.MailboxID(mailbox), bytes, payload)
-}
-
-// ISendDetachedID is ISendDetached addressing an interned mailbox.
-func (p *Proc) ISendDetachedID(mailbox MailboxID, bytes float64, payload any) {
+func (p *Proc) ISendDetached(mb MailboxID, bytes float64) {
 	p.ensureAlive()
-	p.k.post(p, p.k.mailboxAt(mailbox), bytes, payload, true)
+	p.k.post(p, p.k.mailboxAt(mb), bytes, true)
 }
 
 // Recv blocks until a message is received from the mailbox and returns its
-// payload.
-func (p *Proc) Recv(mailbox string) any {
-	return p.RecvID(p.k.MailboxID(mailbox))
-}
-
-// RecvID is Recv addressing an interned mailbox.
-func (p *Proc) RecvID(mailbox MailboxID) any {
+// size in bytes.
+func (p *Proc) Recv(mb MailboxID) float64 {
 	p.ensureAlive()
-	c := p.k.postRecv(p, p.k.mailboxAt(mailbox))
+	c := p.k.postRecv(p, p.k.mailboxAt(mb))
 	p.WaitComm(c)
-	payload := c.payload
+	bytes := c.bytes
 	p.k.freeComm(c)
-	return payload
+	return bytes
 }
 
 // IRecv posts a receive request asynchronously and returns a handle.
-func (p *Proc) IRecv(mailbox string) *Comm {
-	return p.IRecvID(p.k.MailboxID(mailbox))
-}
-
-// IRecvID is IRecv addressing an interned mailbox.
-func (p *Proc) IRecvID(mailbox MailboxID) *Comm {
+func (p *Proc) IRecv(mb MailboxID) *Comm {
 	p.ensureAlive()
-	return p.k.postRecv(p, p.k.mailboxAt(mailbox))
+	return p.k.postRecv(p, p.k.mailboxAt(mb))
 }
 
 // ReleaseComm hands a completed ISend/IRecv handle back to the kernel pool.

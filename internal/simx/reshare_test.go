@@ -74,20 +74,22 @@ func randomContendedKernel(seed int64) *Kernel {
 	// while still exercising different contention graphs per seed.
 	shift := 1 + rng.Intn(nHosts-1)
 	rounds := 2 + rng.Intn(4)
+	// inbox[p] carries the shifted ring's messages into p.
+	inbox := make([]MailboxID, nHosts)
+	for p := range inbox {
+		inbox[p] = k.NewMailbox()
+	}
 	for p := 0; p < nHosts; p++ {
 		src := p
 		dst := (p + shift) % nHosts
-		sender := (p - shift + nHosts) % nHosts
 		sleep := rng.Float64() * 1e-3
 		bytes := 1e4 + rng.Float64()*5e6
 		flops := 1e5 + rng.Float64()*1e7
 		k.Spawn(fmt.Sprintf("p%d", p), k.Host(names[src]), func(pr *Proc) {
-			mb := fmt.Sprintf("m%d>%d", src, dst)
-			peer := fmt.Sprintf("m%d>%d", sender, src)
 			pr.Sleep(sleep)
 			for r := 0; r < rounds; r++ {
-				c := pr.ISend(mb, bytes, nil)
-				pr.Recv(peer)
+				c := pr.ISend(inbox[dst], bytes)
+				pr.Recv(inbox[src])
 				pr.WaitComm(c)
 				pr.Execute(flops)
 			}
@@ -117,15 +119,18 @@ func ringKernel(n int) (*Kernel, *recTracer) {
 			}
 		}
 	}
+	// inbox[p] carries the ring's messages into p.
+	inbox := make([]MailboxID, n)
+	for p := range inbox {
+		inbox[p] = k.NewMailbox()
+	}
 	for p := 0; p < n; p++ {
 		src := p
 		dst := (p + 1) % n
 		k.Spawn(fmt.Sprintf("p%d", p), k.Host(fmt.Sprintf("h%d", src)), func(pr *Proc) {
-			mb := fmt.Sprintf("m%d>%d", src, dst)
-			peer := fmt.Sprintf("m%d>%d", (src+n-1)%n, src)
 			for r := 0; r < 12; r++ {
-				c := pr.ISend(mb, 1e6+float64(src)*1e4, nil)
-				pr.Recv(peer)
+				c := pr.ISend(inbox[dst], 1e6+float64(src)*1e4)
+				pr.Recv(inbox[src])
 				pr.WaitComm(c)
 				pr.Execute(1e6 + float64(src)*1e3)
 			}
@@ -251,14 +256,13 @@ func TestPartialReshareMatchesGlobalRing(t *testing.T) {
 	}
 }
 
-// degradeWindows are the link, all-link and all-host degradation windows
-// the lazy-rescheduling tests inject; each falls inside the runs it
-// degrades, so it moves rates of flows and bursts in flight.
+// degradeWindows are the all-link and all-host degradation windows the
+// lazy-rescheduling tests inject; each falls inside the runs it degrades,
+// so it moves rates of flows and bursts in flight.
 var degradeWindows = []struct {
 	name   string
 	inject func(k *Kernel)
 }{
-	{"link", func(k *Kernel) { k.DegradeLinkAt("bb", 0.3, 0.002, 0.02) }},
 	{"links", func(k *Kernel) { k.DegradeAllLinksAt(0.5, 0.004, 0.03) }},
 	{"hosts", func(k *Kernel) { k.DegradeAllHostsAt(0.25, 0.003, 0.025) }},
 }

@@ -33,6 +33,15 @@ type Host struct {
 	routeTo map[*Host]*Route
 }
 
+// Communications between two processes on the same host (e.g. folded
+// acquisitions) cross a private link per host, so loopback traffic does not
+// contend with the network: a shared-memory copy at loopBandwidth after
+// loopLatency.
+const (
+	loopBandwidth = 10e9 // 10 GB/s
+	loopLatency   = 1e-7 // 100 ns
+)
+
 // ID returns the host's dense kernel index, assigned in declaration order.
 func (h *Host) ID() int { return h.id }
 
@@ -153,8 +162,8 @@ func (k *Kernel) AddHost(name string, speed float64, cores int) *Host {
 		id:    len(k.hosts),
 		loop: &Link{
 			Name:      name + "_loopback",
-			Bandwidth: k.LoopbackBandwidth,
-			Latency:   k.LoopbackLatency,
+			Bandwidth: loopBandwidth,
+			Latency:   loopLatency,
 		},
 	}
 	h.loopRt = &Route{Links: []*Link{h.loop}, Latency: h.loop.Latency}

@@ -70,8 +70,9 @@ func TestTableRouterMatchesDeclaredRoutes(t *testing.T) {
 
 	// a0 -> b1 crosses both 1.25e8 uplinks and the 1e-3 wan: latency
 	// 1e-5 + 1e-5 + 1e-3 + 1e-5 + 1e-5, then 5e6 bytes at 1.25e8.
-	k.Spawn("s0", k.Host("a0"), func(p *Proc) { p.Send("m0", 5e6, nil) })
-	k.Spawn("r0", k.Host("b1"), func(p *Proc) { p.Recv("m0") })
+	mb0 := k.NewMailbox()
+	k.Spawn("s0", k.Host("a0"), func(p *Proc) { p.Send(mb0, 5e6) })
+	k.Spawn("r0", k.Host("b1"), func(p *Proc) { p.Recv(mb0) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -135,6 +136,7 @@ func (f routeFunc) Route(src, dst *Host) *Route { return f(src, dst) }
 // (the router is consulted once per pair).
 func TestComputedRouterResolution(t *testing.T) {
 	k := New()
+	mb := k.NewMailbox()
 	a := k.AddHost("a", 1e9, 1)
 	b := k.AddHost("b", 1e9, 1)
 	l := k.AddLink("l", 1.25e8, 2e-5)
@@ -147,10 +149,10 @@ func TestComputedRouterResolution(t *testing.T) {
 		t.Fatalf("dense host ids collide: %d", a.ID())
 	}
 	k.Spawn("s", a, func(p *Proc) {
-		p.Send("m", 1e6, nil)
-		p.Send("m", 1e6, nil)
+		p.Send(mb, 1e6)
+		p.Send(mb, 1e6)
 	})
-	k.Spawn("r", b, func(p *Proc) { p.Recv("m"); p.Recv("m") })
+	k.Spawn("r", b, func(p *Proc) { p.Recv(mb); p.Recv(mb) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -177,6 +179,7 @@ func TestFatpipeSharing(t *testing.T) {
 		{SharingFatpipe, lat + bytes/bw},  // full bandwidth each
 	} {
 		k := New()
+		mb0, mb1 := k.NewMailbox(), k.NewMailbox()
 		k.AddHost("s0", 1e9, 1)
 		k.AddHost("s1", 1e9, 1)
 		k.AddHost("d0", 1e9, 1)
@@ -185,10 +188,10 @@ func TestFatpipeSharing(t *testing.T) {
 		l.Sharing = tc.sharing
 		k.AddRoute("s0", "d0", []*Link{l})
 		k.AddRoute("s1", "d1", []*Link{l})
-		k.Spawn("p0", k.Host("s0"), func(p *Proc) { p.Send("m0", bytes, nil) })
-		k.Spawn("p1", k.Host("d0"), func(p *Proc) { p.Recv("m0") })
-		k.Spawn("p2", k.Host("s1"), func(p *Proc) { p.Send("m1", bytes, nil) })
-		k.Spawn("p3", k.Host("d1"), func(p *Proc) { p.Recv("m1") })
+		k.Spawn("p0", k.Host("s0"), func(p *Proc) { p.Send(mb0, bytes) })
+		k.Spawn("p1", k.Host("d0"), func(p *Proc) { p.Recv(mb0) })
+		k.Spawn("p2", k.Host("s1"), func(p *Proc) { p.Send(mb1, bytes) })
+		k.Spawn("p3", k.Host("d1"), func(p *Proc) { p.Recv(mb1) })
 		end, err := k.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -205,6 +208,7 @@ func TestFatpipeSharing(t *testing.T) {
 func TestFatpipeMixedPath(t *testing.T) {
 	const lat = 1e-5
 	k := New()
+	mbA, mbC := k.NewMailbox(), k.NewMailbox()
 	for i := 0; i < 4; i++ {
 		k.AddHost(fmt.Sprintf("h%d", i), 1e9, 1)
 	}
@@ -214,10 +218,10 @@ func TestFatpipeMixedPath(t *testing.T) {
 	narrow1 := k.AddLink("n1", 1e8, lat)
 	k.AddRoute("h0", "h1", []*Link{narrow0, fat})
 	k.AddRoute("h2", "h3", []*Link{narrow1, fat})
-	k.Spawn("a", k.Host("h0"), func(p *Proc) { p.Send("ma", 1e6, nil) })
-	k.Spawn("b", k.Host("h1"), func(p *Proc) { p.Recv("ma") })
-	k.Spawn("c", k.Host("h2"), func(p *Proc) { p.Send("mc", 1e6, nil) })
-	k.Spawn("d", k.Host("h3"), func(p *Proc) { p.Recv("mc") })
+	k.Spawn("a", k.Host("h0"), func(p *Proc) { p.Send(mbA, 1e6) })
+	k.Spawn("b", k.Host("h1"), func(p *Proc) { p.Recv(mbA) })
+	k.Spawn("c", k.Host("h2"), func(p *Proc) { p.Send(mbC, 1e6) })
+	k.Spawn("d", k.Host("h3"), func(p *Proc) { p.Recv(mbC) })
 	end, err := k.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -43,12 +43,9 @@ func (k *Kernel) Quiescent() error {
 			return fmt.Errorf("simx: not quiescent: fail-stopped link %q", l.Name)
 		}
 	}
-	for _, mb := range k.mboxByID {
+	for id, mb := range k.mailboxes {
 		if !mb.sends.Empty() || !mb.recvs.Empty() {
-			if mb.name == "" {
-				return fmt.Errorf("simx: not quiescent: pending rendezvous in anonymous mailbox %d", mb.id)
-			}
-			return fmt.Errorf("simx: not quiescent: pending rendezvous in mailbox %q", mb.name)
+			return fmt.Errorf("simx: not quiescent: pending rendezvous in mailbox %d", id)
 		}
 	}
 	return nil

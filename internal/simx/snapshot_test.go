@@ -34,15 +34,30 @@ func forkPlatform(n int) *Kernel {
 	return k
 }
 
-func runForkOps(p *Proc, rank int, ops []forkOp) {
+// forkMailboxes allocates an n-rank program's pair mailboxes up front, in a
+// fixed order, so every kernel running the program (the straight run, the
+// donor and the member) numbers them alike: mb[src][dst] carries src's
+// messages to dst.
+func forkMailboxes(k *Kernel, n int) [][]MailboxID {
+	mb := make([][]MailboxID, n)
+	for src := range mb {
+		mb[src] = make([]MailboxID, n)
+		for dst := range mb[src] {
+			mb[src][dst] = k.NewMailbox()
+		}
+	}
+	return mb
+}
+
+func runForkOps(p *Proc, rank int, ops []forkOp, mb [][]MailboxID) {
 	for _, op := range ops {
 		switch op.kind {
 		case 'c':
 			p.Execute(op.vol)
 		case 's':
-			p.ISendDetached(fmt.Sprintf("m%d>%d", rank, op.peer), op.vol, nil)
+			p.ISendDetached(mb[rank][op.peer], op.vol)
 		case 'r':
-			p.Recv(fmt.Sprintf("m%d>%d", op.peer, rank))
+			p.Recv(mb[op.peer][rank])
 		}
 	}
 }
@@ -66,12 +81,13 @@ func (t *forkTracer) Comm(src, dst string, bytes, start, end float64) {
 
 func runForkFull(ops [][]forkOp) (float64, []forkRec, error) {
 	k := forkPlatform(len(ops))
+	mb := forkMailboxes(k, len(ops))
 	tr := &forkTracer{}
 	k.SetTracer(tr)
 	for r := range ops {
 		r := r
 		k.Spawn(fmt.Sprintf("p%d", r), k.Host(fmt.Sprintf("h%d", r)), func(p *Proc) {
-			runForkOps(p, r, ops[r])
+			runForkOps(p, r, ops[r], mb)
 		})
 	}
 	_, err := k.Run()
@@ -90,6 +106,7 @@ func procHost(proc string) string { return "h" + proc[1:] }
 func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkRec, forkable bool, err error) {
 	n := len(ops)
 	k := forkPlatform(n)
+	mb := forkMailboxes(k, n)
 	donor := &forkTracer{}
 	k.SetTracer(donor)
 	park := make([]float64, n)
@@ -97,7 +114,7 @@ func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkR
 	for r := range ops {
 		r := r
 		k.Spawn(fmt.Sprintf("p%d", r), k.Host(fmt.Sprintf("h%d", r)), func(p *Proc) {
-			runForkOps(p, r, ops[r][:cuts[r]])
+			runForkOps(p, r, ops[r][:cuts[r]], mb)
 			park[r] = p.Now()
 			order = append(order, r) // cooperative scheduling: no data race
 		})
@@ -133,13 +150,14 @@ func runForkForked(ops [][]forkOp, cuts []int) (makespan float64, merged []forkR
 		}
 	}
 	fk := forkPlatform(n)
+	fmb := forkMailboxes(fk, n)
 	fork := &forkTracer{}
 	fk.SetTracer(fork)
 	for _, r := range order {
 		r := r
 		fk.Spawn(fmt.Sprintf("p%d", r), fk.Host(fmt.Sprintf("h%d", r)), func(p *Proc) {
 			p.SleepUntil(park[r])
-			runForkOps(p, r, ops[r][cuts[r]:])
+			runForkOps(p, r, ops[r][cuts[r]:], fmb)
 		})
 	}
 	if _, err := fk.Run(); err != nil {
@@ -321,8 +339,9 @@ func FuzzKernelFork(f *testing.F) {
 func TestSnapshotQuiescenceRefusals(t *testing.T) {
 	t.Run("pending-rendezvous", func(t *testing.T) {
 		k := forkPlatform(2)
+		mb := k.NewMailbox()
 		k.Spawn("p0", k.Host("h0"), func(p *Proc) {
-			p.ISendDetached("m0>1", 10, nil) // never received
+			p.ISendDetached(mb, 10) // never received
 		})
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -359,7 +378,7 @@ func TestSnapshotQuiescenceRefusals(t *testing.T) {
 		base := h.Speed
 		// A degradation window still open when the kernel quiesces: Speed
 		// is scaled and the closing timer is the only pending event.
-		k.DegradeHostAt("h0", 0.5, 1.0, 100.0)
+		k.DegradeAllHostsAt(0.5, 1.0, 100.0)
 		k.Spawn("p0", h, func(p *Proc) { p.Sleep(2.0) })
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)

@@ -18,7 +18,7 @@ func TestPostMatchCompleteZeroAllocs(t *testing.T) {
 	mb := k.mailboxAt(k.NewMailbox())
 
 	cycle := func() {
-		k.post(sp, mb, 4096, nil, true)
+		k.post(sp, mb, 4096, true)
 		rc := k.postRecv(rp, mb)
 		for ev := k.queue.Pop(); ev != nil; ev = k.queue.Pop() {
 			k.now = ev.Time
@@ -57,8 +57,8 @@ func TestContendedReshareZeroAllocs(t *testing.T) {
 	m2 := k.mailboxAt(k.NewMailbox())
 
 	cycle := func() {
-		k.post(s1, m1, 1e6, nil, true)
-		k.post(s2, m2, 2e6, nil, true)
+		k.post(s1, m1, 1e6, true)
+		k.post(s2, m2, 2e6, true)
 		c1 := k.postRecv(r1, m1)
 		c2 := k.postRecv(r2, m2)
 		for ev := k.queue.Pop(); ev != nil; ev = k.queue.Pop() {
@@ -77,27 +77,5 @@ func TestContendedReshareZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(500, cycle); avg != 0 {
 		t.Fatalf("contended reshare cycle allocates %.2f allocs/op, want 0", avg)
-	}
-}
-
-// TestEmptyNameMailboxRendezvous pins a subtle interning property: the
-// empty string is a regular mailbox name resolving to one shared mailbox
-// (only NewMailbox IDs are anonymous), so two sides addressing "" meet.
-func TestEmptyNameMailboxRendezvous(t *testing.T) {
-	k := New()
-	k.AddHost("h", 1e9, 1)
-	done := false
-	k.Spawn("s", k.Host("h"), func(p *Proc) { p.Send("", 1024, "payload") })
-	k.Spawn("r", k.Host("h"), func(p *Proc) {
-		if got := p.Recv(""); got != "payload" {
-			t.Errorf("Recv(\"\") payload = %v", got)
-		}
-		done = true
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("empty-name rendezvous did not complete")
 	}
 }

@@ -292,7 +292,7 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		for _, si := range g[1:] {
 			switch {
 			case first.err == nil:
-				record(si, first.sharedWith(scenarios[si], len(depls[si].Processes)))
+				record(si, first.sharedWith(scenarios[si]))
 			case ctx.Err() == nil:
 				record(si, safeRunTask(cfg, model, scenarios[si], depls[si]))
 			}

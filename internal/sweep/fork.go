@@ -41,16 +41,16 @@ func shareGroups(cfg *Config, scenarios []Scenario) [][]int {
 }
 
 // sharedWith derives the outcome of sc, a later cell of the group whose
-// first cell replayed into o without error, on a deployment of ranks
-// processes. The timed trace and the sink are only read from here on.
-func (o outcome) sharedWith(sc Scenario, ranks int) outcome {
+// first cell replayed into o without error. The timed trace and the sink
+// are only read from here on.
+func (o outcome) sharedWith(sc Scenario) outcome {
 	faultFree := o.res.SimulatedTime
 	if o.res.Resilience != nil {
 		faultFree = o.res.Resilience.FaultFree
 	}
 	res := &replay.Result{SimulatedTime: faultFree, Actions: o.res.Actions}
 	if sc.Ckpt != nil {
-		ra, err := sc.Ckpt.Apply(faultFree, sc.Fault, ranks)
+		ra, err := sc.Ckpt.Apply(faultFree, sc.Fault)
 		if err != nil {
 			return outcome{err: err}
 		}

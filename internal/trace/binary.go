@@ -41,8 +41,6 @@ func sniffBinary(br *bufio.Reader) (bool, error) {
 type BinaryWriter struct {
 	bw      *bufio.Writer
 	scratch [binary.MaxVarintLen64]byte
-	written int64
-	count   int64
 	started bool
 }
 
@@ -60,17 +58,12 @@ func (bw *BinaryWriter) ensureHeader() error {
 	if _, err := bw.bw.WriteString(binaryMagic); err != nil {
 		return err
 	}
-	if err := bw.bw.WriteByte(binaryVersion); err != nil {
-		return err
-	}
-	bw.written += int64(len(binaryMagic)) + 1
-	return nil
+	return bw.bw.WriteByte(binaryVersion)
 }
 
 func (bw *BinaryWriter) putUvarint(v uint64) error {
 	n := binary.PutUvarint(bw.scratch[:], v)
 	_, err := bw.bw.Write(bw.scratch[:n])
-	bw.written += int64(n)
 	return err
 }
 
@@ -78,7 +71,6 @@ func (bw *BinaryWriter) putFloat(v float64) error {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 	_, err := bw.bw.Write(buf[:])
-	bw.written += 8
 	return err
 }
 
@@ -97,7 +89,6 @@ func (bw *BinaryWriter) Write(a Action) error {
 	if err := bw.bw.WriteByte(tb); err != nil {
 		return err
 	}
-	bw.written++
 	if err := bw.putUvarint(uint64(a.Proc)); err != nil {
 		return err
 	}
@@ -131,7 +122,6 @@ func (bw *BinaryWriter) Write(a Action) error {
 		}
 	case Barrier, Wait, WaitAll:
 	}
-	bw.count++
 	return nil
 }
 
@@ -142,12 +132,6 @@ func (bw *BinaryWriter) Flush() error {
 	}
 	return bw.bw.Flush()
 }
-
-// BytesWritten reports the bytes emitted so far (including the header).
-func (bw *BinaryWriter) BytesWritten() int64 { return bw.written }
-
-// Count reports the number of actions written.
-func (bw *BinaryWriter) Count() int64 { return bw.count }
 
 // EncodeBinary renders a full action list in the binary format.
 func EncodeBinary(w io.Writer, actions []Action) error {

@@ -12,9 +12,7 @@ import (
 
 // Writer streams actions to an output in the textual format.
 type Writer struct {
-	bw      *bufio.Writer
-	written int64
-	count   int64
+	bw *bufio.Writer
 }
 
 // NewWriter wraps w in a buffered trace writer.
@@ -24,27 +22,14 @@ func NewWriter(w io.Writer) *Writer {
 
 // Write appends one action.
 func (tw *Writer) Write(a Action) error {
-	line := a.Format()
-	n, err := tw.bw.WriteString(line)
-	if err != nil {
+	if _, err := tw.bw.WriteString(a.Format()); err != nil {
 		return err
 	}
-	if err := tw.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	tw.written += int64(n) + 1
-	tw.count++
-	return nil
+	return tw.bw.WriteByte('\n')
 }
 
 // Flush drains the internal buffer.
 func (tw *Writer) Flush() error { return tw.bw.Flush() }
-
-// BytesWritten reports the number of bytes emitted so far (pre-compression).
-func (tw *Writer) BytesWritten() int64 { return tw.written }
-
-// Count reports the number of actions written.
-func (tw *Writer) Count() int64 { return tw.count }
 
 // WriteAll renders a full action list to w.
 func WriteAll(w io.Writer, actions []Action) error {
