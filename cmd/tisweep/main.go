@@ -39,17 +39,15 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 
 	"tireplay/internal/cli"
 	"tireplay/internal/metrics"
 	"tireplay/internal/platform"
-	"tireplay/internal/smpi"
 	"tireplay/internal/sweep"
-	"tireplay/internal/synth"
 )
 
 func main() {
@@ -83,19 +81,6 @@ func main() {
 	)
 	flag.Parse()
 
-	grid, err := sweep.GridSpec{Lat: *lat, Bw: *bw, Power: *power, Fold: *fold, Hosts: *hosts,
-		Coll: *collSpecs, Topo: *topoSpecs, Fault: *faultSpecs, Ckpt: *ckptSpecs,
-		World: *worldList}.Parse()
-	if err != nil {
-		fail(cli.Usage(err))
-	}
-	haveTraces, synthetic := *dir != "" && *ranks > 0, *synthPath != ""
-	if err := grid.CheckInputs(haveTraces, synthetic); err != nil {
-		fail(cli.Usagef("%v (traces: -dir with a positive -ranks; model: -synth)", err))
-	}
-	if err := metrics.CheckWindows(*windows); err != nil {
-		fail(cli.Usage(err))
-	}
 	var fork bool
 	switch *forkMode {
 	case "on", "true":
@@ -105,66 +90,60 @@ func main() {
 	default:
 		fail(cli.Usagef("-fork must be on or off, got %q", *forkMode))
 	}
-	var base *platform.Platform
-	if *platformPath != "" {
-		if base, err = platform.ParseFile(*platformPath); err != nil {
-			fail(err)
-		}
-	} else {
-		// The built-in platform must hold the largest world of the sweep,
-		// synthetic cells included.
-		base = platform.BordereauWithCores(max(*ranks, grid.MaxWorld()), 1)
-	}
-
-	var traces *sweep.TraceSet
-	if haveTraces {
-		if traces, err = sweep.LoadDir(*dir, *ranks); err != nil {
-			fail(err)
-		}
-		defer traces.Close()
-	}
-	var model *synth.Model
-	var spec synth.Spec
-	if synthetic {
-		if model, err = synth.ReadModelFile(*synthPath); err != nil {
-			fail(err)
-		}
-		spec = synth.Spec{Seed: *synthSeed, Jitter: *synthJitter}
-		if *scaleLaw != "" {
-			if spec.Law, err = synth.ParseLaw(*scaleLaw); err != nil {
-				fail(cli.Usage(err))
-			}
-		}
-	}
-
-	cfg := &sweep.Config{
-		Platform:       base,
-		Grid:           grid,
-		Traces:         traces,
-		Synth:          model,
-		SynthSpec:      spec,
-		Workers:        *workers,
+	req := sweep.Request{
+		Grid: sweep.GridSpec{Lat: *lat, Bw: *bw, Power: *power, Fold: *fold, Hosts: *hosts,
+			Coll: *collSpecs, Topo: *topoSpecs, Fault: *faultSpecs, Ckpt: *ckptSpecs,
+			World: *worldList},
+		NoMPIModel:     *identity,
+		Fork:           &fork,
 		Timed:          *timedDir != "",
 		Profile:        *profile,
 		Metrics:        *metricsOn || *metricsJSON != "",
 		MetricsWindows: *windows,
-		Fork:           fork,
 	}
-	if *identity {
-		cfg.Model = smpi.Identity()
+	if *synthPath != "" {
+		model, err := os.ReadFile(*synthPath)
+		if err != nil {
+			fail(err)
+		}
+		req.Synth = &sweep.SynthSpec{Model: model, Scale: *scaleLaw, Seed: *synthSeed, Jitter: *synthJitter}
 	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	// Without -dir there is no recorded trace set, whatever -ranks says.
+	traceRanks := 0
+	if *dir != "" {
+		traceRanks = *ranks
 	}
-	fmt.Fprintf(os.Stderr, "tisweep: %d scenarios on %d workers\n", grid.Size(), w)
+	plan, err := req.Plan(traceRanks)
+	if err != nil {
+		fail(cli.Usage(err))
+	}
+
+	cfg := plan.Config
+	if *platformPath != "" {
+		if cfg.Platform, err = platform.ParseFile(*platformPath); err != nil {
+			fail(err)
+		}
+	} else if plan.Base != nil {
+		if cfg.Platform, err = plan.Base.Build(); err != nil {
+			fail(err)
+		}
+	}
+	if traceRanks > 0 {
+		if cfg.Traces, err = sweep.LoadDir(*dir, traceRanks); err != nil {
+			fail(err)
+		}
+		defer cfg.Traces.Close()
+	}
+	engine := sweep.NewEngine(*workers)
+	defer engine.Close()
+	fmt.Fprintf(os.Stderr, "tisweep: %d scenarios on %d workers\n", cfg.Grid.Size(), engine.Workers())
 
 	// Interrupt stops scheduling new scenarios; running kernels finish,
 	// their rows are flushed below (table and JSON alike), the unstarted
 	// remainder stays marked "sweep: canceled", and the exit status is 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	res, err := sweep.Run(ctx, cfg)
+	res, err := engine.Run(ctx, &cfg)
 	if res == nil {
 		fail(err)
 	}
@@ -189,34 +168,8 @@ func main() {
 			}
 		}
 	}
-	if *jsonPath != "" {
-		out := os.Stdout
-		if *jsonPath != "-" {
-			f, err := os.Create(*jsonPath)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := res.WriteJSON(out); err != nil {
-			fail(err)
-		}
-	}
-	if *metricsJSON != "" {
-		out := os.Stdout
-		if *metricsJSON != "-" {
-			f, err := os.Create(*metricsJSON)
-			if err != nil {
-				fail(err)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := res.WriteMetricsJSON(out); err != nil {
-			fail(err)
-		}
-	}
+	writeReport(*jsonPath, res.WriteJSON)
+	writeReport(*metricsJSON, res.WriteMetricsJSON)
 	if interrupted {
 		os.Exit(cli.ExitCanceled)
 	}
@@ -224,6 +177,26 @@ func main() {
 		if res.Scenarios[i].Err != "" {
 			os.Exit(1)
 		}
+	}
+}
+
+// writeReport writes one report to path ('-' for stdout); an empty path
+// writes nothing.
+func writeReport(path string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	out := os.Stdout
+	if path != "-" {
+		f, err := os.Create(path)
+		if err != nil {
+			fail(err)
+		}
+		defer f.Close()
+		out = f
+	}
+	if err := write(out); err != nil {
+		fail(err)
 	}
 }
 

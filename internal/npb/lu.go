@@ -47,9 +47,6 @@ const (
 type LUConfig struct {
 	Class Class
 	Procs int
-	// Inorm overrides the convergence-check interval (0 = every 50
-	// iterations, as NPB's inorm default).
-	Inorm int
 }
 
 // luGeometry is the per-rank decomposition of an LU instance.
@@ -95,13 +92,6 @@ func (cfg LUConfig) geometry(rank int) (luGeometry, error) {
 	return g, nil
 }
 
-func (cfg LUConfig) inorm() int {
-	if cfg.Inorm > 0 {
-		return cfg.Inorm
-	}
-	return inormDefault
-}
-
 // Validate checks the configuration without building the program.
 func (cfg LUConfig) Validate() error {
 	_, err := cfg.geometry(0)
@@ -131,7 +121,6 @@ func LU(cfg LUConfig) (mpi.Program, error) {
 		}
 		points := float64(g.nx * g.ny * g.nz)
 		planePoints := float64(g.nx * g.ny)
-		inorm := cfg.inorm()
 
 		// read_input: rank 0 broadcasts the run parameters.
 		c.Bcast(inputBcastBytes)
@@ -179,7 +168,7 @@ func LU(cfg LUConfig) (mpi.Program, error) {
 			// Solution update.
 			c.Compute(points * flopsUpdatePerPoint)
 			// Convergence check.
-			if iter%inorm == 0 || iter == cfg.Class.Iters {
+			if iter%inormDefault == 0 || iter == cfg.Class.Iters {
 				c.Allreduce(normCommBytes, points*flopsNormPerPoint)
 			}
 		}
@@ -227,7 +216,7 @@ func (cfg LUConfig) TotalFlops() float64 {
 	perIter := points * (flopsBLTSPerPoint + flopsBUTSPerPoint + flopsRHSPerPoint + flopsUpdatePerPoint)
 	norms := 0.0
 	for i := 1; i <= cfg.Class.Iters; i++ {
-		if i%cfg.inorm() == 0 || i == cfg.Class.Iters {
+		if i%inormDefault == 0 || i == cfg.Class.Iters {
 			norms++
 		}
 	}
@@ -251,7 +240,6 @@ func (cfg LUConfig) Stats() (*LUStats, error) {
 		return nil, err
 	}
 	st := &LUStats{ActionsPerRank: make([]int64, cfg.Procs)}
-	inorm := cfg.inorm()
 	for rank := 0; rank < cfg.Procs; rank++ {
 		g, err := cfg.geometry(rank)
 		if err != nil {
@@ -268,7 +256,7 @@ func (cfg LUConfig) Stats() (*LUStats, error) {
 		n += 4
 		norms := int64(0)
 		for iter := 1; iter <= cfg.Class.Iters; iter++ {
-			if iter%inorm == 0 || iter == cfg.Class.Iters {
+			if iter%inormDefault == 0 || iter == cfg.Class.Iters {
 				norms++
 			}
 		}

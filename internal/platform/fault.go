@@ -244,7 +244,7 @@ func (s *FaultSpec) Validate() error {
 		len(s.Degrades) == 0 && s.MTBF == 0 {
 		return fmt.Errorf("platform: fault spec has no effect (no fail-stop or degradation clause)")
 	}
-	for _, d := range s.Degrades {
+	for i, d := range s.Degrades {
 		if d.Kind != "bw" && d.Kind != "cpu" {
 			return fmt.Errorf("platform: fault spec: unknown degradation kind %q", d.Kind)
 		}
@@ -252,8 +252,21 @@ func (s *FaultSpec) Validate() error {
 			return fmt.Errorf("platform: fault spec: bad %s degradation (factor %g, window [%g, %g))",
 				d.Kind, d.Factor, d.From, d.To)
 		}
+		// Each window saves the capacities it finds at From and writes them
+		// back at To, so two windows of one kind that overlap or touch
+		// would restore each other's degraded values.
+		for _, e := range s.Degrades[:i] {
+			if e.Kind == d.Kind && e.To >= d.From && d.To >= e.From {
+				return fmt.Errorf("platform: fault spec: windows %s and %s overlap or touch; one must end before the other starts", e, d)
+			}
+		}
 	}
 	return nil
+}
+
+// String renders the window in the mini-language ("bw:0.5@10-20").
+func (d Degradation) String() string {
+	return fmt.Sprintf("%s:%g@%g-%g", d.Kind, d.Factor, d.From, d.To)
 }
 
 // String renders the spec back into the mini-language, canonically (clause
@@ -282,7 +295,7 @@ func (s *FaultSpec) String() string {
 		}
 	}
 	for _, d := range s.Degrades {
-		parts = append(parts, fmt.Sprintf("%s:%g@%g-%g", d.Kind, d.Factor, d.From, d.To))
+		parts = append(parts, d.String())
 	}
 	if s.MTBF > 0 {
 		parts = append(parts, fmt.Sprintf("mtbf:%g", s.MTBF))

@@ -93,6 +93,11 @@ func TestParseFaultSpecErrors(t *testing.T) {
 		"boom:1@2",      // unknown key
 		"host",          // no colon
 		"seed:3",        // no effect: seed alone
+		// Windows of one kind that overlap or touch.
+		"bw:0.5@1-3,bw:0.5@2-4",    // crossing
+		"cpu:0.5@1-4,cpu:0.25@2-3", // nested
+		"bw:0.5@1-2,bw:0.5@2-3",    // touching
+		"bw:0.5@2-3,bw:0.5@1-2",    // touching, the other order
 	} {
 		if s, err := ParseFaultSpec(in); err == nil {
 			t.Errorf("ParseFaultSpec(%q) = %+v, want error", in, s)
@@ -313,6 +318,11 @@ func TestFailStopsPredicate(t *testing.T) {
 	}{
 		{"bw:0.5@1-2", false},
 		{"cpu:0.5@1-2", false},
+		// Disjoint windows of one kind, in both orders, and overlapping
+		// windows of two kinds.
+		{"bw:0.5@1-2,bw:0.5@2.5-3", false},
+		{"bw:0.5@2.5-3,bw:0.5@1-2", false},
+		{"bw:0.5@1-3,cpu:0.5@2-4", false},
 		{"host:0@1", true},
 		{"hosts:10%@1", true},
 		{"link:0-1@1", true},

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -124,7 +125,12 @@ func (t *TopoSpec) UnmarshalText(b []byte) error {
 	return nil
 }
 
-// Validate checks the structural parameters.
+// maxTopoCount bounds the hosts and the links a topology generates: simx
+// packs host IDs into the 32-bit halves of its route keys.
+const maxTopoCount = math.MaxInt32
+
+// Validate checks the structural parameters and that the host and link
+// counts fit maxTopoCount.
 func (t TopoSpec) Validate() error {
 	switch t.Kind {
 	case "fat-tree":
@@ -148,7 +154,37 @@ func (t TopoSpec) Validate() error {
 	default:
 		return fmt.Errorf("platform: unknown topology kind %q", t.Kind)
 	}
+	if hosts, links := t.counts(); hosts > maxTopoCount || links > maxTopoCount {
+		return fmt.Errorf("platform: topology %s generates more than %d hosts or links", t, maxTopoCount)
+	}
 	return nil
+}
+
+// counts returns the numbers of hosts and links the spec generates, in
+// float64: no product overflows, and every count below 2^53 is exact.
+func (t TopoSpec) counts() (hosts, links float64) {
+	switch t.Kind {
+	case "fat-tree":
+		k := float64(t.K)
+		hosts = k * k * k / 4
+		// The core; a fabric and a trunk per pod; a crossbar and a trunk
+		// per edge switch; a link per host.
+		links = 1 + 2*k + k*k + hosts
+	case "torus":
+		hosts = 1
+		for _, d := range t.Dims {
+			hosts *= float64(d)
+		}
+		// A host link and a link per axis for every host.
+		links = hosts * float64(1+len(t.Dims))
+	case "dragonfly":
+		g, r := float64(t.Groups), float64(t.Routers)
+		hosts = g * r * float64(t.HostsPer)
+		// A crossbar per router, local links between the routers of a
+		// group, global links between groups, a link per host.
+		links = g*r + g*r*(r-1)/2 + g*(g-1)/2 + hosts
+	}
+	return hosts, links
 }
 
 // HostCount returns the number of hosts the spec generates.

@@ -19,6 +19,8 @@ func TestParseTopoRoundTrip(t *testing.T) {
 		"", "fat-tree", "fat-tree:3", "fat-tree:0", "fat-tree:4x4",
 		"torus:4", "torus:4x1", "torus:2x2x2x2", "dragonfly:2x2",
 		"dragonfly:1x2x2", "mesh:4x4", "torus:axb",
+		// Host or link counts past the 32-bit host IDs of route keys.
+		"fat-tree:4000000", "torus:100000x100000x100000", "dragonfly:100000x2x1",
 	} {
 		if _, err := ParseTopo(bad); err == nil {
 			t.Errorf("ParseTopo(%q): expected error", bad)

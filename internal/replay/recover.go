@@ -136,10 +136,11 @@ func (c *Ckpt) Apply(faultFree float64, faults *platform.FaultSpec) (*Resilience
 }
 
 // maxCkptFailures and maxCkptWrites bound the analytic walker, which steps
-// once per failure and once per checkpoint write: a failure rate so high
-// that the run needs this many rewinds will plainly never finish, and an
-// interval so short that it needs this many writes is no protocol anyone
-// runs. Together they keep a walk to a few milliseconds.
+// once per failure instant (those a recovery window absorbs included) and
+// once per checkpoint write: a failure rate so high that the run meets this
+// many failures will plainly never finish, and an interval so short that it
+// needs this many writes is no protocol anyone runs. Together they keep a
+// walk to a few milliseconds.
 const (
 	maxCkptFailures = 1 << 20
 	maxCkptWrites   = 1 << 20
@@ -158,20 +159,24 @@ func applyCkpt(M float64, ck *Ckpt, arr *platform.Arrivals) (*Resilience, error)
 	p := 0.0    // application progress achieved
 	cp := 0.0   // progress of the last durable checkpoint
 	nf := arr.Next()
+	absorbed := 0 // failure instants absorbed by recovery windows
 	fail := func(at float64) {
 		r.Failures++
 		wall = at + ck.Down + ck.Restart
 		r.Downtime += ck.Down + ck.Restart
 		p = cp
-		for nf = arr.Next(); nf < wall; nf = arr.Next() {
-			// Failures during the recovery window are absorbed by it: the
-			// run was not progressing, there is nothing more to lose.
+		// Failures during the recovery window are absorbed by it: the run
+		// was not progressing, there is nothing more to lose. A window far
+		// longer than the time between failures absorbs millions of them,
+		// so the bound counts them too.
+		for nf = arr.Next(); nf < wall && r.Failures+absorbed < maxCkptFailures; nf = arr.Next() {
+			absorbed++
 		}
 	}
 	for p < M {
-		if r.Failures >= maxCkptFailures {
+		if n := r.Failures + absorbed; n >= maxCkptFailures {
 			return nil, fmt.Errorf("replay: checkpoint/restart does not converge: %d failures before progress %g/%g (interval %g vs failure rate too high)",
-				r.Failures, p, M, ck.Interval)
+				n, p, M, ck.Interval)
 		}
 		target := cp + ck.Interval
 		if target > M {

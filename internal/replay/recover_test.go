@@ -449,6 +449,31 @@ func TestCkptApplyBoundsWrites(t *testing.T) {
 	}
 }
 
+// TestCkptApplyBoundsAbsorbedFailures: failures a recovery window absorbs
+// count against the walker's failure bound, so a restart window far longer
+// than the MTBF fails fast with the convergence error instead of pulling
+// failure instants without end. The watchdog turns an unbounded walk into a
+// failure rather than a hung test.
+func TestCkptApplyBoundsAbsorbedFailures(t *testing.T) {
+	faults, err := platform.ParseFaultSpec("mtbf:0.000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := (&Ckpt{Interval: 0.01, Cost: 0.001, Restart: 100}).Apply(0.02, faults)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "does not converge") {
+			t.Fatalf("Apply(100 s restart under mtbf:1e-6) = %v, want the convergence error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Apply(100 s restart under mtbf:1e-6) still walking after 10 s")
+	}
+}
+
 func TestReplayCkptInvalidConfig(t *testing.T) {
 	b, d, perRank := faultSetup(t)
 	_, err := RunActions(b, d, Config{Ckpt: &Ckpt{Interval: -1}}, perRank)

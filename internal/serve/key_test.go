@@ -55,7 +55,7 @@ func FuzzSweepKey(f *testing.F) {
 		}
 		key := func(g sweep.Grid) string {
 			return canonicalSweepKey(&sweepPlan{digest: "sha256:fuzz", platKey: "bordereau:4",
-				grid: g, profile: true})
+				Plan: &sweep.Plan{Config: sweep.Config{Grid: g, Profile: true}}})
 		}
 		sameKey := key(ga) == key(gb)
 		if sameRows := reflect.DeepEqual(ga.Expand(), gb.Expand()); sameKey != sameRows {

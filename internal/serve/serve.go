@@ -27,17 +27,17 @@ import (
 	"time"
 
 	"tireplay/internal/metrics"
-	"tireplay/internal/platform"
 	"tireplay/internal/replay"
-	"tireplay/internal/smpi"
 	"tireplay/internal/sweep"
-	"tireplay/internal/synth"
 	"tireplay/internal/trace"
 )
 
 // StatusClientClosedRequest reports a request whose client disconnected
 // before the outcome was ready (nginx's conventional 499).
 const StatusClientClosedRequest = 499
+
+// maxBodyBytes bounds a request body.
+const maxBodyBytes = 64 << 20
 
 // Config parameterises the daemon.
 type Config struct {
@@ -54,8 +54,6 @@ type Config struct {
 	Workers int
 	// MaxScenarios bounds one request's grid size (<= 0: 4096).
 	MaxScenarios int
-	// MaxBodyBytes bounds a request body (<= 0: 64 MiB).
-	MaxBodyBytes int64
 	// AllowPaths permits registering traces from daemon-local directories
 	// via POST /traces {"path": ...}. Leave off when untrusted clients can
 	// reach the daemon.
@@ -74,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxScenarios <= 0 {
 		c.MaxScenarios = 4096
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = 1
@@ -173,7 +168,7 @@ func writeJSONError(w http.ResponseWriter, status int, msg string) {
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (body []byte, release func(), err error) {
 	buf := s.bodies.Get().(*bytes.Buffer)
 	buf.Reset()
-	lr := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	lr := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if _, err := buf.ReadFrom(lr); err != nil {
 		s.bodies.Put(buf)
 		return nil, nil, err
@@ -312,63 +307,12 @@ func (s *Server) handleTraceList(w http.ResponseWriter, _ *http.Request) {
 // corresponding tisweep flag syntax.
 type GridSpec = sweep.GridSpec
 
-// SynthSpec carries the fitted statistical model (tigen fit output) that
-// synthetic worlds regenerate from, plus the generation knobs. The model
-// travels inline so the response stays a pure function of the request body;
-// its canonical re-encoding is content-hashed into the cache key, so two
-// spellings of the same model share one cache entry.
-type SynthSpec struct {
-	// Model is the fitted model JSON exactly as tigen fit emits it.
-	Model json.RawMessage `json:"model"`
-	// Scale is the scaling law: "weak" (default), "strong", or explicit
-	// exponents like "compute=-1:bytes=-0.5".
-	Scale string `json:"scale,omitempty"`
-	// Seed seeds the deterministic jitter stream.
-	Seed uint64 `json:"seed,omitempty"`
-	// Jitter perturbs compute volumes by a factor uniform in [1-j, 1+j),
-	// deterministically per (seed, rank, op).
-	Jitter float64 `json:"jitter,omitempty"`
-}
+// SynthSpec carries the fitted model of a request's synthetic worlds.
+type SynthSpec = sweep.SynthSpec
 
 // SweepRequest asks the daemon to replay a stored trace over a scenario
-// grid. The response body is a deterministic function of the request's
-// canonical form: execution-only knobs (fork) never appear in it, so
-// repeated questions are served from cache byte-identically.
-type SweepRequest struct {
-	// Trace is the content digest of a stored trace set ("sha256:...").
-	// Optional when every grid cell is synthetic (a world axis with no 0
-	// entry): those sweeps replay worlds nobody recorded.
-	Trace string `json:"trace,omitempty"`
-	// Platform is a builtin base-platform spec ("bordereau:8" or
-	// "bordereau:8x4"); empty means bordereau sized to the largest world
-	// in the sweep (the trace's ranks when there is no world axis).
-	// Ignored when every grid cell sets a topology.
-	Platform string   `json:"platform,omitempty"`
-	Grid     GridSpec `json:"grid"`
-	// Synth supplies the fitted model that positive grid.world entries
-	// regenerate from; required exactly when the grid has one.
-	Synth *SynthSpec `json:"synth,omitempty"`
-	// NoMPIModel disables the piece-wise linear MPI model.
-	NoMPIModel bool `json:"no_mpi_model,omitempty"`
-	// Fork toggles replay sharing between cells that differ only in their
-	// checkpoint protocol (default on; see sweep.Config.Fork). Sharing is
-	// result-identical, so this knob does not shape the response and is
-	// not part of the cache key.
-	Fork *bool `json:"fork,omitempty"`
-	// Timed includes each scenario's timed trace in the response
-	// (base64); traces are byte-identical on every execution.
-	Timed bool `json:"timed,omitempty"`
-	// Profile includes per-process profiles in the response.
-	Profile bool `json:"profile,omitempty"`
-	// Metrics includes each scenario's time-resolved POP metrics report
-	// in the response. The report is deterministic, so metrics responses
-	// cache and coalesce like any other.
-	Metrics bool `json:"metrics,omitempty"`
-	// MetricsWindows sets the number of fixed time windows for Metrics
-	// (0: default 10; at most metrics.MaxWindows). Part of the canonical
-	// cache key.
-	MetricsWindows int `json:"metrics_windows,omitempty"`
-}
+// grid; sweep.Request documents its fields and Plan its rules.
+type SweepRequest = sweep.Request
 
 // ScenarioRow is one scenario's deterministic outcome.
 type ScenarioRow struct {
@@ -395,20 +339,13 @@ type SweepResponse struct {
 	Scenarios []ScenarioRow `json:"scenarios"`
 }
 
-// sweepPlan is a parsed, canonicalized sweep request.
+// sweepPlan is a checked sweep request with its cache identity.
 type sweepPlan struct {
-	key                  string // canonical cache key
-	digest               string // empty: all-synthetic, no stored trace
-	platKey              string
-	platform             *platform.BuiltinSpec // nil: every cell sets a topology
-	grid                 sweep.Grid
-	synth                *synth.Model
-	synthSpec            synth.Spec
-	synthKey             string // canonical model+knobs identity
-	identity             bool
-	timed, profile, fork bool
-	metrics              bool
-	metricsWindows       int
+	*sweep.Plan
+	key      string // canonical cache key
+	digest   string // empty: all-synthetic, no stored trace
+	platKey  string // empty: every cell sets a topology
+	synthKey string // canonical model+knobs identity
 }
 
 // parseSweep decodes, validates and canonicalizes a request body.
@@ -419,16 +356,6 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 	if err := dec.Decode(&req); err != nil {
 		return nil, httpErrorf(http.StatusBadRequest, "bad sweep request: %v", err)
 	}
-	grid, err := req.Grid.Parse()
-	if err != nil {
-		return nil, httpErrorf(http.StatusBadRequest, "bad grid: %v", err)
-	}
-	if err := grid.CheckInputs(req.Trace != "", req.Synth != nil); err != nil {
-		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
-	}
-	if err := metrics.CheckWindows(req.MetricsWindows); err != nil {
-		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
-	}
 	ranks := 0
 	if req.Trace != "" {
 		var ok bool
@@ -436,90 +363,33 @@ func (s *Server) parseSweep(body []byte) (*sweepPlan, *httpError) {
 			return nil, httpErrorf(http.StatusNotFound, "unknown trace %s", req.Trace)
 		}
 	}
-
-	p := &sweepPlan{digest: req.Trace, grid: grid, identity: req.NoMPIModel,
-		timed: req.Timed, profile: req.Profile, fork: true,
-		metrics: req.Metrics || req.MetricsWindows > 0}
-	if p.metrics {
-		p.metricsWindows = req.MetricsWindows
+	plan, err := req.Plan(ranks)
+	if err != nil {
+		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
-	if req.Fork != nil {
-		p.fork = *req.Fork
-	}
-	if n := p.grid.Size(); n > s.cfg.MaxScenarios {
+	if n := plan.Grid.Size(); n > s.cfg.MaxScenarios {
 		return nil, httpErrorf(http.StatusBadRequest,
 			"grid expands to %d scenarios, limit %d", n, s.cfg.MaxScenarios)
 	}
-
-	if req.Synth != nil {
-		var herr *httpError
-		if p.synth, p.synthSpec, p.synthKey, herr = parseSynth(req.Synth, grid.World); herr != nil {
-			return nil, herr
-		}
+	p := &sweepPlan{Plan: plan, digest: req.Trace}
+	if plan.Base != nil {
+		p.platKey = plan.Base.String()
 	}
-
-	// The base platform only exists when some cell needs it; a pure
-	// topology sweep replays entirely on generated fabrics. The default
-	// must hold the largest world of the sweep, synthetic cells included.
-	if len(p.grid.Topo) == 0 {
-		spec := req.Platform
-		if spec == "" {
-			spec = fmt.Sprintf("bordereau:%d", max(ranks, grid.MaxWorld()))
+	// The synthetic model's identity is the sha256 of its canonical
+	// re-encoding plus the knobs in canonical spelling, so equivalent
+	// spellings of one model share a cache entry and one in-flight
+	// execution.
+	if plan.Synth != nil {
+		var canon bytes.Buffer
+		if err := plan.Synth.WriteJSON(&canon); err != nil {
+			return nil, httpErrorf(http.StatusInternalServerError, "synth model: %v", err)
 		}
-		b, err := platform.ParseBuiltin(spec)
-		if err != nil {
-			return nil, httpErrorf(http.StatusBadRequest, "%v", err)
-		}
-		p.platKey, p.platform = b.String(), b
-	} else if req.Platform != "" {
-		return nil, httpErrorf(http.StatusBadRequest,
-			"platform is ignored when every cell sets a topology; drop it")
+		spec := plan.SynthSpec
+		p.synthKey = fmt.Sprintf("%x scale=%s seed=%d jitter=%s", sha256.Sum256(canon.Bytes()),
+			spec.Law.String(), spec.Seed, strconv.FormatFloat(spec.Jitter, 'g', -1, 64))
 	}
-
 	p.key = canonicalSweepKey(p)
 	return p, nil
-}
-
-// parseSynth decodes and validates the request's fitted model and derives
-// its canonical identity: the sha256 of the model's canonical re-encoding
-// plus the generation knobs in canonical spelling, so equivalent spellings
-// of one model share a cache entry and one in-flight execution.
-func parseSynth(req *SynthSpec, worlds []int) (*synth.Model, synth.Spec, string, *httpError) {
-	var zero synth.Spec
-	if len(req.Model) == 0 {
-		return nil, zero, "", httpErrorf(http.StatusBadRequest, "synth needs a model (tigen fit JSON)")
-	}
-	m, err := synth.ReadModel(bytes.NewReader(req.Model))
-	if err != nil {
-		return nil, zero, "", httpErrorf(http.StatusBadRequest, "bad synth model: %v", err)
-	}
-	spec := synth.Spec{Seed: req.Seed, Jitter: req.Jitter}
-	if req.Scale != "" {
-		if spec.Law, err = synth.ParseLaw(req.Scale); err != nil {
-			return nil, zero, "", httpErrorf(http.StatusBadRequest, "bad synth scale: %v", err)
-		}
-	}
-	// Every synthetic world must be generable before the sweep is admitted:
-	// a world the model's grid cannot tile is the client's mistake (400),
-	// not a mid-sweep failure.
-	for _, w := range worlds {
-		if w == 0 {
-			continue
-		}
-		ws := spec
-		ws.World = w
-		if _, err := synth.NewGen(m, ws); err != nil {
-			return nil, zero, "", httpErrorf(http.StatusBadRequest, "synth world %d: %v", w, err)
-		}
-	}
-	var canon bytes.Buffer
-	if err := m.WriteJSON(&canon); err != nil {
-		return nil, zero, "", httpErrorf(http.StatusInternalServerError, "synth model: %v", err)
-	}
-	sum := sha256.Sum256(canon.Bytes())
-	id := fmt.Sprintf("%x scale=%s seed=%d jitter=%s",
-		sum, spec.Law.String(), spec.Seed, strconv.FormatFloat(spec.Jitter, 'g', -1, 64))
-	return m, spec, id, nil
 }
 
 // canonicalSweepKey renders the request's canonical identity: the trace
@@ -534,7 +404,7 @@ func parseSynth(req *SynthSpec, worlds []int) (*synth.Model, synth.Spec, string,
 func canonicalSweepKey(p *sweepPlan) string {
 	h := sha256.New()
 	var line []byte
-	for _, sc := range p.grid.Expand() {
+	for _, sc := range p.Grid.Expand() {
 		name := sc.Name()
 		line = strconv.AppendInt(line[:0], int64(len(name)), 10)
 		line = append(line, ' ')
@@ -546,8 +416,9 @@ func canonicalSweepKey(p *sweepPlan) string {
 	if synthKey == "" {
 		synthKey = "none"
 	}
+	// Plan sets a Model only for no_mpi_model.
 	return fmt.Sprintf("%s\n%s\nmodel=%t timed=%t prof=%t metrics=%t win=%d\nsynth=%s\ncells=%x",
-		p.digest, p.platKey, p.identity, p.timed, p.profile, p.metrics, p.metricsWindows,
+		p.digest, p.platKey, p.Model != nil, p.Timed, p.Profile, p.Metrics, p.MetricsWindows,
 		synthKey, h.Sum(nil))
 }
 
@@ -645,7 +516,7 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, bodyHash [32]byt
 	}
 	defer s.admitted.leave()
 
-	var traces *sweep.TraceSet
+	cfg := plan.Config
 	if plan.digest != "" {
 		th, ok := s.traces.Acquire(plan.digest)
 		if !ok {
@@ -654,30 +525,15 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, bodyHash [32]byt
 				body: errorBody("trace " + plan.digest + " no longer stored")}
 		}
 		defer th.Release()
-		traces = th.Set()
+		cfg.Traces = th.Set()
 	}
-
-	cfg := &sweep.Config{
-		Grid:           plan.grid,
-		Traces:         traces,
-		Synth:          plan.synth,
-		SynthSpec:      plan.synthSpec,
-		Timed:          plan.timed,
-		Profile:        plan.profile,
-		Metrics:        plan.metrics,
-		MetricsWindows: plan.metricsWindows,
-		Fork:           plan.fork,
-	}
-	if plan.identity {
-		cfg.Model = smpi.Identity()
-	}
-	if plan.platform != nil {
+	if plan.Base != nil {
 		var err error
-		if cfg.Platform, err = plan.platform.Build(); err != nil {
+		if cfg.Platform, err = plan.Base.Build(); err != nil {
 			return sweepOutcome{status: http.StatusInternalServerError, body: errorBody(err.Error())}
 		}
 	}
-	res, err := s.engine.Run(ctx, cfg)
+	res, err := s.engine.Run(ctx, &cfg)
 	s.sweepsRun.Add(1)
 	if err != nil {
 		return sweepOutcome{status: http.StatusServiceUnavailable,

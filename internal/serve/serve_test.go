@@ -185,6 +185,7 @@ func TestSweepRequestValidation(t *testing.T) {
 		{"grid size overflows", fmt.Sprintf(`{"trace":%q,"grid":%s}`, dig, overflow), http.StatusBadRequest},
 		{"bad platform", fmt.Sprintf(`{"trace":%q,"platform":"gdx:2","grid":{}}`, dig), http.StatusBadRequest},
 		{"platform with full topo axis", fmt.Sprintf(`{"trace":%q,"platform":"bordereau:4","grid":{"topo":"fat-tree:4"}}`, dig), http.StatusBadRequest},
+		{"topology too large", fmt.Sprintf(`{"trace":%q,"grid":{"topo":"fat-tree:4000000"}}`, dig), http.StatusBadRequest},
 		{"not json", `lat=1`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

@@ -77,6 +77,42 @@ func TestSweepSynthetic(t *testing.T) {
 	}
 }
 
+// TestSweepSynthPastBordereau serves a synthetic world larger than the
+// bordereau cluster without naming a platform: the default base is the
+// whole 93-node cluster, and the world folds round-robin onto it. EP keeps
+// the 192-rank replay to a few actions per rank.
+func TestSweepSynthPastBordereau(t *testing.T) {
+	d := newTestDaemon(t, Config{})
+	perRank, err := npb.RecordAll("ep", npb.ClassS.Name, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := synth.Fit(perRank)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var model bytes.Buffer
+	if err := m.WriteJSON(&model); err != nil {
+		t.Fatal(err)
+	}
+
+	body := fmt.Sprintf(`{"grid":{"world":"192"},"synth":{"model":%s}}`, model.String())
+	st, _, raw := d.post(t, "/sweeps", body)
+	if st != http.StatusOK {
+		t.Fatalf("status %d: %s", st, raw)
+	}
+	var resp SweepResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Platform != "bordereau:93x1" {
+		t.Fatalf("platform %q, want bordereau:93x1", resp.Platform)
+	}
+	if len(resp.Scenarios) != 1 || resp.Scenarios[0].Err != "" || resp.Scenarios[0].Actions <= 0 {
+		t.Fatalf("want one replayed row: %s", raw)
+	}
+}
+
 // TestSweepSynthCanonicalKey pins the canonical identity of the model:
 // a respelled request (reordered keys, explicit default scale) hits the
 // same cache entry, while a different seed is a different sweep.

@@ -27,6 +27,10 @@ func FuzzScenarioEquivalence(f *testing.F) {
 		{"allReduce=ring", "none;bw:0.5@0.0001-0.005;cpu:0.25@0.001-0.002", "none;60/5"},
 		// Duplicated axis entries.
 		{"linear;linear", "none;none", "60/5;60/5;none"},
+		// Restart windows: converging ones, and one far longer than the
+		// MTBF that ends at the walker's failure bound.
+		{"binomial", "mtbf:0.001,seed:5", "0.005/0.0005/0.002/0.001;0.01/0/0.003/0"},
+		{"linear", "mtbf:0.000001", "0.01/0.001/100/0;none"},
 	} {
 		f.Add(seed[0], seed[1], seed[2])
 	}
@@ -57,10 +61,9 @@ func FuzzScenarioEquivalence(f *testing.F) {
 
 // fuzzableGrid bounds a fuzzed grid to the oracle's menu: at most 3
 // collective settings, 3 fault entries built from degradation windows, host
-// fail-stops and an MTBF stream, and 4 protocols of interval and cost alone
-// — 48 cells in all. The bounds on windows and intervals keep every cell
-// fast: the analytic walker steps once per checkpoint, and per absorbed
-// failure in a restart window.
+// fail-stops and an MTBF stream, and 4 protocols — 48 cells in all. The
+// bounds on windows and intervals keep every cell fast: the analytic walker
+// steps once per checkpoint.
 func fuzzableGrid(g Grid) bool {
 	if len(g.Coll) > 3 || len(g.Faults) > 3 || len(g.Ckpt) > 4 || g.Size() > 48 {
 		return false
@@ -79,7 +82,7 @@ func fuzzableGrid(g Grid) bool {
 		}
 	}
 	for _, ck := range g.Ckpt {
-		if ck != nil && (ck.Interval < 1e-6 || ck.Restart != 0 || ck.Down != 0) {
+		if ck != nil && ck.Interval < 1e-6 {
 			return false
 		}
 	}

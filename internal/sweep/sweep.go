@@ -13,10 +13,12 @@
 // only in their checkpoint protocol share one replay (Config.Fork): the
 // protocol applies analytically to the fault-free makespan.
 //
-// The package is the one front door for sweep inputs: GridSpec.Parse reads
-// every axis in the shared flag/request syntax, and Grid.CheckInputs decides
-// which inputs — recorded traces, a fitted synthetic model — a grid needs.
-// Engine.Run, tisweep and tiserved all apply that one check.
+// The package is the one front door for sweep inputs: tisweep and tiserved
+// both fill a Request, and Request.Plan checks and resolves it for both:
+// the axes (GridSpec.Parse), the inputs the grid needs (Grid.CheckInputs),
+// the metrics windows, every synthetic world and the base platform.
+// Engine.Run applies Grid.CheckInputs again for callers that build a
+// Config directly.
 package sweep
 
 import (
@@ -153,7 +155,7 @@ func (g Grid) MaxWorld() int {
 }
 
 // CheckInputs states which inputs a sweep over the grid needs, for every
-// front end (Engine.Run, tisweep, tiserved) alike: haveTraces reports a
+// front end (Engine.Run, Request.Plan) alike: haveTraces reports a
 // recorded trace set, haveModel a fitted synthetic model. A positive world
 // needs a model; a model needs at least one positive world; and recorded
 // cells — a grid with no world axis or a 0 entry — need traces. A grid
