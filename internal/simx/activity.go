@@ -31,6 +31,10 @@ const (
 type activity struct {
 	kind  actKind
 	phase phase
+	// route is the kernel ID of the transfer's route (comm only), the
+	// activity's share of a solve memo key (see solveMemo). It sits in the
+	// padding after kind and phase.
+	route int32
 
 	volume    float64 // total flops or bytes (0 for sleeps)
 	remaining float64
@@ -154,6 +158,7 @@ func (k *Kernel) startTransfer(src, dst *Host, srcName, dstName string, bytes fl
 	a.lastUpdate = k.now
 	a.start = k.now
 	a.links = route.Links
+	a.route = route.id
 	a.srcHost = src
 	a.dstHost = dst
 	a.srcName = srcName

@@ -314,7 +314,9 @@ func (k *Kernel) DegradeAllHostsAt(factor, from, to float64) {
 // DegradeAllLinksAt scales every declared link's bandwidth by factor over
 // [from, to) — the "bw:" clause of a fault spec. All links change together,
 // so the whole flow set is settled once and re-solved once; the original
-// bandwidths are restored bit-exactly at to. Windows must not overlap.
+// bandwidths are restored bit-exactly at to. Both edges reset the solve
+// memo, whose entries hold the old bandwidths' shares. Windows must not
+// overlap.
 func (k *Kernel) DegradeAllLinksAt(factor, from, to float64) {
 	if factor <= 0 {
 		panic("simx: DegradeAllLinksAt with non-positive factor")
@@ -326,6 +328,7 @@ func (k *Kernel) DegradeAllLinksAt(factor, from, to float64) {
 			prev[i] = l.Bandwidth
 			l.Bandwidth = prev[i] * factor
 		}
+		k.memo.reset()
 		k.reshareFlows(k.flows)
 	})
 	k.At(to, func() {
@@ -333,6 +336,7 @@ func (k *Kernel) DegradeAllLinksAt(factor, from, to float64) {
 		for i, l := range k.linkList {
 			l.Bandwidth = prev[i]
 		}
+		k.memo.reset()
 		k.reshareFlows(k.flows)
 	})
 }

@@ -253,6 +253,11 @@ func TestPartialReshareMatchesGlobalRing(t *testing.T) {
 		if n > 2 && k.LazySkips() == 0 {
 			t.Fatalf("ring %d: lazy path recorded no skipped reschedules", n)
 		}
+		// From three flows on, solves go through the memo, and the ring's
+		// flow sets repeat: the memo must have answered some of them.
+		if n > 2 && k.MemoHits() == 0 {
+			t.Fatalf("ring %d: the solve memo never hit", n)
+		}
 	}
 }
 
@@ -280,6 +285,9 @@ func TestLazyRescheduleMatchesEager(t *testing.T) {
 			if k.LazySkips() == 0 {
 				t.Fatalf("%s window, ring %d: lazy path recorded no skipped reschedules", w.name, n)
 			}
+			if k.MemoHits() == 0 {
+				t.Fatalf("%s window, ring %d: the solve memo never hit", w.name, n)
+			}
 		}
 	}
 }
@@ -288,10 +296,17 @@ func TestLazyRescheduleMatchesEager(t *testing.T) {
 // multi-hop topologies under each degradation window.
 func TestLazyRescheduleRandomTopologies(t *testing.T) {
 	for _, w := range degradeWindows {
+		var hits uint64
 		for seed := int64(1); seed <= 8; seed++ {
 			k := randomContendedKernel(seed)
 			w.inject(k)
 			runChecked(t, k, fmt.Sprintf("%s window, seed %d", w.name, seed))
+			hits += k.MemoHits()
+		}
+		// Not every seed repeats a solve of three or more flows, but the
+		// seeds together do.
+		if hits == 0 {
+			t.Fatalf("%s window: the solve memo never hit on any seed", w.name)
 		}
 	}
 }

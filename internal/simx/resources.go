@@ -62,6 +62,10 @@ const (
 // (seconds). Concurrent flows crossing a link share its bandwidth according
 // to the kernel's max-min fairness model, or each use the full bandwidth
 // when the link is a fatpipe.
+//
+// Bandwidth and Sharing are set before the first transfer. Once a simulation
+// runs, only DegradeAllLinksAt writes Bandwidth: the kernel memoizes solves
+// (see solveMemo) and resets the memo there, nowhere else.
 type Link struct {
 	Name      string
 	Bandwidth float64
@@ -93,6 +97,10 @@ type Link struct {
 type Route struct {
 	Links   []*Link
 	Latency float64
+	// id is the dense number the resolving kernel gave the route (1 up, 0
+	// until resolved); equal IDs mean equal link lists, which is what keys
+	// the solve memo.
+	id int32
 }
 
 // NewRoute builds a route over the given links with the summed latency.
@@ -109,7 +117,10 @@ func NewRoute(links []*Link) *Route {
 // pair and caches the result for the rest of the simulation, so a router may
 // compose routes on demand (zone hierarchies, generated topologies) instead
 // of materializing a per-pair table — the returned route must simply stay
-// valid once handed out. Route returns nil when no route exists.
+// valid once handed out: its Links do not change. Route returns nil when no
+// route exists. A route belongs to the one kernel that resolved it (it
+// carries that kernel's route ID), so a router instance, like the links its
+// routes cross, serves one kernel.
 type Router interface {
 	Route(src, dst *Host) *Route
 }
@@ -166,7 +177,7 @@ func (k *Kernel) AddHost(name string, speed float64, cores int) *Host {
 			Latency:   loopLatency,
 		},
 	}
-	h.loopRt = &Route{Links: []*Link{h.loop}, Latency: h.loop.Latency}
+	h.loopRt = &Route{Links: []*Link{h.loop}, Latency: h.loop.Latency, id: k.newRouteID()}
 	k.hosts[name] = h
 	k.hostList = append(k.hostList, h)
 	return h
@@ -250,7 +261,7 @@ func (k *Kernel) AppendRouteLinks(src, dst *Host, idx []int32) []int32 {
 // routeBetween resolves the route for a transfer, falling back to the
 // host-private loopback when source and destination coincide. The first
 // resolution of a pair goes through the router; the result is cached under a
-// pointer key on the source host.
+// pointer key on the source host and numbered if it is new to the kernel.
 func (k *Kernel) routeBetween(src, dst *Host) *Route {
 	if src == dst {
 		return src.loopRt
@@ -262,9 +273,18 @@ func (k *Kernel) routeBetween(src, dst *Host) *Route {
 	if r == nil {
 		panic(fmt.Sprintf("simx: no route from %q to %q", src.Name, dst.Name))
 	}
+	if r.id == 0 {
+		r.id = k.newRouteID()
+	}
 	if src.routeTo == nil {
 		src.routeTo = make(map[*Host]*Route)
 	}
 	src.routeTo[dst] = r
 	return r
+}
+
+// newRouteID issues the next dense route ID.
+func (k *Kernel) newRouteID() int32 {
+	k.routeIDs++
+	return k.routeIDs
 }

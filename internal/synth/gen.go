@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"tireplay/internal/trace"
 )
@@ -20,7 +21,8 @@ type Gen struct {
 	spec Spec
 
 	world, gw, gh int
-	script        []int // expanded top-level phase script
+	reps          int   // effective top-level script body reps
+	scriptLen     int   // phases in the expanded script (see phaseAt)
 	segReps       []int // effective SegPhase reps per phase index
 
 	compScale float64
@@ -60,17 +62,20 @@ func NewGen(m *Model, spec Spec) (*Gen, error) {
 	// per-segment repeat counts (apps like LU keep their whole iteration
 	// loop inside segment phases, so the script body is empty).
 	repsScale := math.Pow(rho, spec.Law.Reps)
-	scaleReps := func(n int) int {
-		s := int(math.Round(float64(n) * repsScale))
-		if s < 1 {
-			s = 1
+	scaleReps := func(n int) (int, error) {
+		s := math.Round(float64(n) * repsScale)
+		if !(s < math.MaxInt) { // NaN, infinite or past an int
+			return 0, fmt.Errorf("synth: reps law %g scales %d repetitions to %g at world %d, more than an int holds",
+				spec.Law.Reps, n, s, spec.World)
 		}
-		return s
+		return max(int(s), 1), nil
 	}
-	reps := m.Reps
+	g.reps = m.Reps
 	scriptScaled := m.Reps > 0 && len(m.Body) > 0
 	if scriptScaled {
-		reps = scaleReps(m.Reps)
+		if g.reps, err = scaleReps(m.Reps); err != nil {
+			return nil, err
+		}
 	}
 	g.segReps = make([]int, len(m.Phases))
 	for i, ph := range m.Phases {
@@ -79,15 +84,35 @@ func NewGen(m *Model, spec Spec) (*Gen, error) {
 		}
 		g.segReps[i] = ph.Seg.Reps
 		if !scriptScaled && ph.Seg.Reps > 0 {
-			g.segReps[i] = scaleReps(ph.Seg.Reps)
+			if g.segReps[i], err = scaleReps(ph.Seg.Reps); err != nil {
+				return nil, err
+			}
 		}
 	}
-	g.script = append(g.script, m.Prologue...)
-	for i := 0; i < reps; i++ {
-		g.script = append(g.script, m.Body...)
+	// The script is indexed, not expanded (phaseAt), but its length must
+	// still be an int.
+	ends := len(m.Prologue) + len(m.Tail)
+	if len(m.Body) > 0 && g.reps > (math.MaxInt-ends)/len(m.Body) {
+		return nil, fmt.Errorf("synth: %d repetitions of a %d-phase script body at world %d are more phases than an int holds",
+			g.reps, len(m.Body), spec.World)
 	}
-	g.script = append(g.script, m.Tail...)
+	g.scriptLen = ends + g.reps*len(m.Body)
 	return g, nil
+}
+
+// phaseAt returns the model phase at position i of the expanded script:
+// the prologue, then reps copies of the body, then the tail.
+func (g *Gen) phaseAt(i int) int {
+	m := g.m
+	if i < len(m.Prologue) {
+		return m.Prologue[i]
+	}
+	i -= len(m.Prologue)
+	body := g.reps * len(m.Body)
+	if i < body {
+		return m.Body[i%len(m.Body)]
+	}
+	return m.Tail[i-body]
 }
 
 // World returns the target world size.
@@ -129,10 +154,17 @@ func chooseGrid(m *Model, spec Spec) (int, int, error) {
 			bestW, bestDev = w, dev
 		}
 	}
-	for w := 1; w <= spec.World; w++ {
-		if spec.World%w != 0 {
-			continue
+	// The divisors in ascending order, from the pairs (d, world/d) with d up
+	// to the square root: pick breaks near-ties by order.
+	var divs []int
+	for d := 1; d <= spec.World/d; d++ {
+		if spec.World%d == 0 {
+			divs = append(divs, d, spec.World/d)
 		}
+	}
+	slices.Sort(divs)
+	divs = slices.Compact(divs) // a square's root came twice
+	for _, w := range divs {
 		if hasXor && w&(w-1) != 0 {
 			continue // keep butterflies total: power-of-two rows only
 		}
@@ -141,10 +173,8 @@ func chooseGrid(m *Model, spec Spec) (int, int, error) {
 	if bestW == 0 {
 		// No power-of-two divisor matched (odd world with XOR dirs);
 		// fall back to the plain aspect search.
-		for w := 1; w <= spec.World; w++ {
-			if spec.World%w == 0 {
-				pick(w)
-			}
+		for _, w := range divs {
+			pick(w)
 		}
 	}
 	return bestW, spec.World / bestW, nil
@@ -339,10 +369,11 @@ func (r *RankGen) Next() (trace.Action, bool, error) {
 func (r *RankGen) rawNext() (trace.Action, bool) {
 	g := r.g
 	for {
-		if r.phaseIdx >= len(g.script) {
+		if r.phaseIdx >= g.scriptLen {
 			return trace.Action{}, false
 		}
-		ph := &g.m.Phases[g.script[r.phaseIdx]]
+		phase := g.phaseAt(r.phaseIdx)
+		ph := &g.m.Phases[phase]
 		if ph.Coll != nil {
 			c := ph.Coll
 			if c.Comp > 0 && !r.collComp {
@@ -367,7 +398,7 @@ func (r *RankGen) rawNext() (trace.Action, bool) {
 			ops = seg.Tail
 		}
 		if r.opIdx >= len(ops) {
-			segR := g.segReps[g.script[r.phaseIdx]]
+			segR := g.segReps[phase]
 			switch r.part {
 			case 0:
 				r.opIdx = 0

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"tireplay/internal/npb"
@@ -264,6 +266,130 @@ func TestGenGridChoice(t *testing.T) {
 	}
 	if w, h := g.Grid(); w != 3 || h != 4 {
 		t.Errorf("override ignored: got %dx%d", w, h)
+	}
+}
+
+// chooseGridScan is chooseGrid's former search, kept as the reference its
+// divisor enumeration must agree with: every width from 1 to the world.
+func chooseGridScan(m *Model, spec Spec) (int, int) {
+	hasXor := false
+	for _, d := range m.Dirs {
+		if d.Kind == DirXor {
+			hasXor = true
+		}
+	}
+	want := math.Log(float64(m.GridW) / float64(m.GridH))
+	bestW, bestDev := 0, math.Inf(1)
+	pick := func(w int) {
+		dev := math.Abs(math.Log(float64(w)/float64(spec.World/w)) - want)
+		if dev < bestDev-1e-12 || (dev <= bestDev+1e-12 && w > bestW) {
+			bestW, bestDev = w, dev
+		}
+	}
+	for w := 1; w <= spec.World; w++ {
+		if spec.World%w != 0 {
+			continue
+		}
+		if hasXor && w&(w-1) != 0 {
+			continue
+		}
+		pick(w)
+	}
+	if bestW == 0 {
+		for w := 1; w <= spec.World; w++ {
+			if spec.World%w == 0 {
+				pick(w)
+			}
+		}
+	}
+	return bestW, spec.World / bestW
+}
+
+// TestChooseGridMatchesScan: enumerating divisors up to the square root
+// picks the grid the full scan picked, on LU and on CG (XOR directions), at
+// every world up to 5000 and at large, prime and highly composite ones.
+func TestChooseGridMatchesScan(t *testing.T) {
+	lu, _ := fixture(t, "lu", "S", 16)
+	cg, _ := fixture(t, "cg", "S", 16)
+	worlds := []int{1 << 20, 10_000_000, 9_999_991, 9_699_690}
+	for w := 1; w <= 5000; w++ {
+		worlds = append(worlds, w)
+	}
+	for _, m := range []*Model{lu, cg} {
+		for _, world := range worlds {
+			spec := Spec{World: world}
+			gw, gh, err := chooseGrid(m, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ww, wh := chooseGridScan(m, spec); gw != ww || gh != wh {
+				t.Fatalf("%s at world %d: grid %dx%d, the scan picks %dx%d", m.App, world, gw, gh, ww, wh)
+			}
+		}
+	}
+}
+
+// TestGenScriptIndexMatchesScript: the generator indexes the top-level
+// script arithmetically; position for position it must be the script the
+// model expands, at every small repetition count.
+func TestGenScriptIndexMatchesScript(t *testing.T) {
+	cg, _ := fixture(t, "cg", "S", 16) // prologue, body and tail all non-empty
+	for reps := 0; reps <= 4; reps++ {
+		m := *cg
+		m.Reps = reps
+		g, err := NewGen(&m, Spec{World: m.World})
+		if err != nil {
+			t.Fatal(err)
+		}
+		script := m.Script()
+		if g.scriptLen != len(script) {
+			t.Fatalf("reps %d: script length %d, want %d", reps, g.scriptLen, len(script))
+		}
+		for i, want := range script {
+			if got := g.phaseAt(i); got != want {
+				t.Fatalf("reps %d position %d: phase %d, want %d", reps, i, got, want)
+			}
+		}
+	}
+}
+
+// TestGenRepsLawBounded: a reps law that stretches the script body to
+// hundreds of millions of phases costs the generator no memory, and a
+// count past an int is an error instead of one silent repetition.
+func TestGenRepsLawBounded(t *testing.T) {
+	cg, _ := fixture(t, "cg", "S", 16)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := NewGen(cg, Spec{World: 1024, Law: Law{Reps: 3}})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(cg.Prologue) + 14*64*64*64*len(cg.Body) + len(cg.Tail); g.scriptLen != want {
+		t.Fatalf("script of %d phases, want %d", g.scriptLen, want)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+		t.Fatalf("NewGen allocated %d bytes for a %d-phase script", b, g.scriptLen)
+	}
+
+	// At world 16384 the models scale by 1024 = 2^10 per unit of the law:
+	// LU's segment reps and CG's 14 body reps overflow at 10 and 20, and at
+	// 5.72 CG's reps (about 2^61) fit while its 76-phase script does not.
+	lu, _ := fixture(t, "lu", "S", 16)
+	for _, tc := range []struct {
+		m    *Model
+		law  float64
+		want string
+	}{
+		{lu, 10, "repetitions to"},
+		{cg, 20, "repetitions to"},
+		{cg, math.Inf(1), "repetitions to +Inf"},
+		{cg, 5.72, "more phases than an int holds"},
+	} {
+		_, err := NewGen(tc.m, Spec{World: 16384, Law: Law{Reps: tc.law}})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s under reps law %g: error %v, want one saying %q", tc.m.App, tc.law, err, tc.want)
+		}
 	}
 }
 

@@ -269,9 +269,16 @@ func (m *Model) Validate() error {
 	if m.Reps < 0 || (m.Reps > 0 && len(m.Body) == 0) {
 		return fmt.Errorf("synth: script repeats an empty body")
 	}
-	for _, idx := range m.Script() {
-		if idx < 0 || idx >= len(m.Phases) {
-			return fmt.Errorf("synth: script phase index %d out of range", idx)
+	// The indices Script would expand, checked without expanding it.
+	parts := [][]int{m.Prologue, m.Tail}
+	if m.Reps > 0 {
+		parts = append(parts, m.Body)
+	}
+	for _, part := range parts {
+		for _, idx := range part {
+			if idx < 0 || idx >= len(m.Phases) {
+				return fmt.Errorf("synth: script phase index %d out of range", idx)
+			}
 		}
 	}
 	return nil
