@@ -5,6 +5,13 @@
 // worker pool, and prints the per-scenario makespan table (optionally a
 // JSON report and per-scenario timed traces).
 //
+// With -timed-dir, each scenario's timed trace streams into
+// <dir>/scenario<i>.timed.tmp while the scenario replays and is renamed to
+// scenario<i>.timed once its row completes, so files appear as scenarios
+// complete, memory stays bounded by the scenarios in flight, and a failed
+// or interrupted scenario leaves no file. The directory is created before
+// the first replay.
+//
 // Usage:
 //
 //	tisweep -dir ti/ -ranks 8 -power 1,2 -bw 1,10            # built-in bordereau platform
@@ -42,7 +49,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"path/filepath"
 
 	"tireplay/internal/cli"
 	"tireplay/internal/metrics"
@@ -137,10 +143,18 @@ func main() {
 	engine := sweep.NewEngine(*workers)
 	defer engine.Close()
 	fmt.Fprintf(os.Stderr, "tisweep: %d scenarios on %d workers\n", cfg.Grid.Size(), engine.Workers())
+	// The timed traces are the sweep's output, so their directory is
+	// created with the sweep, before its first replay.
+	if *timedDir != "" {
+		if cfg.OpenTimed, err = sweep.TimedDir(*timedDir); err != nil {
+			fail(err)
+		}
+	}
 
 	// Interrupt stops scheduling new scenarios; running kernels finish,
-	// their rows are flushed below (table and JSON alike), the unstarted
-	// remainder stays marked "sweep: canceled", and the exit status is 130.
+	// their rows are flushed below (table and JSON alike) and their timed
+	// traces published, the unstarted remainder stays marked "sweep:
+	// canceled", and the exit status is 130.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	res, err := engine.Run(ctx, &cfg)
@@ -153,21 +167,6 @@ func main() {
 	}
 
 	res.RenderTable(os.Stdout)
-	if *timedDir != "" {
-		if err := os.MkdirAll(*timedDir, 0o755); err != nil {
-			fail(err)
-		}
-		for i := range res.Scenarios {
-			sc := &res.Scenarios[i]
-			if sc.Err != "" {
-				continue
-			}
-			p := filepath.Join(*timedDir, fmt.Sprintf("scenario%d.timed", sc.Index))
-			if err := os.WriteFile(p, sc.TimedTrace, 0o644); err != nil {
-				fail(err)
-			}
-		}
-	}
 	writeReport(*jsonPath, res.WriteJSON)
 	writeReport(*metricsJSON, res.WriteMetricsJSON)
 	if interrupted {

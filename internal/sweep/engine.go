@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -46,9 +47,22 @@ type Config struct {
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Timed collects each scenario's timed trace (the secondary output of
-	// Figure 4) into its result. Traces are byte-identical whatever the
-	// worker count.
+	// Figure 4) into its result's TimedTrace, or streams it when OpenTimed
+	// is set. Traces are byte-identical whatever the worker count.
 	Timed bool
+	// OpenTimed, when non-nil with Timed set, opens the destination of a
+	// scenario's timed trace (TimedDir opens files) just before the
+	// scenario replays, and the replay writes the trace straight into it:
+	// the sweep holds one writer buffer per running replay rather than
+	// every trace of the grid, and TimedTrace stays nil. The destination is
+	// published when its row completes and discarded otherwise, so a failed
+	// row publishes nothing. A row that reuses another's replay gets its own
+	// destination, filled with a copy of the finished trace after the
+	// replay, so at most two destinations per worker are open at once. An
+	// open, write, copy or publish error fails the row with "sweep: timed
+	// trace: …"; a cancelled row never opens one. It must be safe for
+	// concurrent use.
+	OpenTimed func(sc *Scenario) (TimedDest, error)
 	// Profile collects a per-process profile for each scenario.
 	Profile bool
 	// Metrics computes each scenario's time-resolved POP metrics report
@@ -89,7 +103,8 @@ type ScenarioResult struct {
 	// Components is 1 for every completed scenario, including one that
 	// reuses another's replay, and 0 on a failed or cancelled row.
 	Components int `json:"components"`
-	// TimedTrace is the scenario's timed trace when Config.Timed is set.
+	// TimedTrace is the scenario's timed trace when Config.Timed is set
+	// and Config.OpenTimed is not.
 	TimedTrace []byte `json:"-"`
 	// Profile holds the per-process profile rows when Config.Profile is
 	// set, sorted by process name.
@@ -121,7 +136,8 @@ type Result struct {
 // outcome is the raw outcome of one scenario's replay.
 type outcome struct {
 	res    *replay.Result
-	timed  []byte
+	timed  []byte       // the buffered timed trace
+	stream *timedStream // the streamed one, until settle releases it
 	sink   *replay.MetricsSink
 	forked bool // reuses the replay of an earlier scenario of its group
 	err    error
@@ -133,15 +149,20 @@ type outcome struct {
 // pre-interns the deployment's process names so ranks that record no event
 // still get a (fully idle) row in the analysis.
 type taskTracers struct {
-	tee replay.Tee
-	buf bytes.Buffer
-	tw  *replay.TimedTraceWriter
+	tee    replay.Tee
+	buf    bytes.Buffer
+	stream *timedStream // where the timed trace goes instead of buf
+	tw     *replay.TimedTraceWriter
 }
 
-func newTaskTracers(cfg *Config, out *outcome, procs []platform.ProcessDef) *taskTracers {
-	t := &taskTracers{}
+func newTaskTracers(cfg *Config, out *outcome, procs []platform.ProcessDef, stream *timedStream) *taskTracers {
+	t := &taskTracers{stream: stream}
 	if cfg.Timed {
-		t.tw = replay.NewTimedTraceWriter(&t.buf)
+		var w io.Writer = &t.buf
+		if stream != nil {
+			w = stream
+		}
+		t.tw = replay.NewTimedTraceWriter(w)
 		t.tee = append(t.tee, t.tw)
 	}
 	switch {
@@ -170,9 +191,9 @@ func (t *taskTracers) config(cfg *Config, model *smpi.Model, sc Scenario) replay
 	return rcfg
 }
 
-// finish flushes the timed trace into the outcome; a write error that
-// slipped by mid-replay (sticky in the writer) fails the scenario rather than
-// passing off a truncated trace.
+// finish flushes the timed trace into the outcome or its destination; a
+// write error that slipped by mid-replay (sticky in the writer) fails the
+// scenario rather than passing off a truncated trace.
 func (t *taskTracers) finish(out *outcome) {
 	if t.tw == nil {
 		return
@@ -180,7 +201,9 @@ func (t *taskTracers) finish(out *outcome) {
 	if err := t.tw.Flush(); err != nil && out.err == nil {
 		out.err = fmt.Errorf("sweep: timed trace: %w", err)
 	}
-	out.timed = t.buf.Bytes()
+	if t.stream == nil {
+		out.timed = t.buf.Bytes()
+	}
 }
 
 // Run executes the sweep on a pool created for this one call: it expands
@@ -282,20 +305,31 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 	// runGroup replays the group's first scenario and derives the others
 	// from it (see fork.go). An error is never shared: after a failed first
 	// replay, each other scenario replays alone. A cancelled context skips
-	// the replays, leaving their rows canceled.
+	// the replays, leaving their rows canceled. Every row settles its timed
+	// destination before it is recorded; the derived rows copy the first
+	// row's trace before the first row settles, which releases it.
 	runGroup := func(g []int) {
 		if ctx.Err() != nil {
 			return
 		}
-		first := safeRunTask(cfg, model, scenarios[g[0]], depls[g[0]])
-		record(g[0], first)
-		for _, si := range g[1:] {
-			switch {
-			case first.err == nil:
-				record(si, first.sharedWith(scenarios[si]))
-			case ctx.Err() == nil:
-				record(si, safeRunTask(cfg, model, scenarios[si], depls[si]))
+		outs := make([]outcome, len(g))
+		outs[0] = replayScenario(cfg, model, scenarios[g[0]], depls[g[0]])
+		shared := outs[0].err == nil
+		for k := 1; shared && k < len(g); k++ {
+			outs[k] = outs[0].sharedWith(cfg, scenarios[g[k]])
+			outs[k].settle()
+		}
+		outs[0].settle()
+		record(g[0], outs[0])
+		for k := 1; k < len(g); k++ {
+			if !shared {
+				if ctx.Err() != nil {
+					return
+				}
+				outs[k] = replayScenario(cfg, model, scenarios[g[k]], depls[g[k]])
+				outs[k].settle()
 			}
+			record(g[k], outs[k])
 		}
 	}
 
@@ -328,26 +362,38 @@ func scenarioDeployment(hosts []string, sc Scenario, n int) (*platform.Deploymen
 	return platform.RoundRobin(use, n, fold)
 }
 
+// replayScenario replays sc alone, into its own timed-trace destination
+// when the sweep streams them. The caller settles the outcome.
+func replayScenario(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment) outcome {
+	stream, err := openTimed(cfg, &sc)
+	if err != nil {
+		return outcome{err: err}
+	}
+	out := safeRunTask(cfg, model, sc, depl, stream)
+	out.stream = stream
+	return out
+}
+
 // safeRunTask shields the worker pool from a crashing scenario: a panic
 // anywhere in its replay — a custom handler bug, a pathological trace, a
 // kernel invariant violation — becomes that scenario's error instead of
 // taking down the whole sweep, so sibling scenarios complete and their
 // results are still flushed.
-func safeRunTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment) (out outcome) {
+func safeRunTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, stream *timedStream) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = outcome{err: fmt.Errorf("sweep: scenario %d (%s) panicked: %v",
 				sc.Index, sc.Name(), r)}
 		}
 	}()
-	return runTask(cfg, model, sc, depl)
+	return runTask(cfg, model, sc, depl, stream)
 }
 
 // runTask replays one scenario from scratch on its own kernel. Every mutable
 // structure — the scaled description, the instantiated kernel with its
 // pools and interning tables, the sources, the tracers — is created here
-// and owned by this task alone.
-func runTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment) outcome {
+// and owned by this task alone. A non-nil stream receives the timed trace.
+func runTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deployment, stream *timedStream) outcome {
 	b, err := scenarioBuild(cfg, sc)
 	if err != nil {
 		return outcome{err: err}
@@ -357,7 +403,7 @@ func runTask(cfg *Config, model *smpi.Model, sc Scenario, depl *platform.Deploym
 		return outcome{err: err}
 	}
 	var out outcome
-	tr := newTaskTracers(cfg, &out, depl.Processes)
+	tr := newTaskTracers(cfg, &out, depl.Processes, stream)
 	out.res, out.err = replay.Run(b, depl, tr.config(cfg, model, sc), sources)
 	tr.finish(&out)
 	return out

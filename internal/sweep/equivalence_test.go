@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"tireplay/internal/platform"
@@ -12,7 +11,9 @@ import (
 // must give the same rows, errors, timed traces, profiles and metrics JSON
 // whatever the execution toggles. It maps its input to a coll x fault x
 // ckpt grid over the 4-rank forkSweepTrace and compares sharing off on one
-// worker against sharing on across two.
+// worker with buffered timed traces against sharing on across two with the
+// traces streamed to files: every completed row's file must hold its
+// buffered trace, and a row with Err must publish nothing.
 func FuzzScenarioEquivalence(f *testing.F) {
 	for _, seed := range [][3]string{
 		// A protocol that does not converge replays first in its group, so
@@ -41,18 +42,18 @@ func FuzzScenarioEquivalence(f *testing.F) {
 		if err != nil || !fuzzableGrid(grid) {
 			t.Skip()
 		}
-		run := func(fork bool, workers int) *Result {
-			res, err := Run(context.Background(), &Config{
+		run := func(fork bool, workers int, stream bool) *Result {
+			res, err := runTimed(t, &Config{
 				Platform: base, Grid: grid, Traces: ts, Workers: workers,
 				Timed: true, Profile: true, Metrics: true, Fork: fork,
-			})
+			}, stream)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		alone, shared := run(false, 1), run(true, 2)
-		compareSweeps(t, "fork=off workers=1 vs fork=on workers=2", alone, shared)
+		alone, shared := run(false, 1, false), run(true, 2, true)
+		compareSweeps(t, "fork=off workers=1 buffered vs fork=on workers=2 streamed", alone, shared)
 		if a, s := metricsJSON(t, alone), metricsJSON(t, shared); !bytes.Equal(a, s) {
 			t.Fatalf("metrics JSON differs:\n%s\nvs\n%s", a, s)
 		}

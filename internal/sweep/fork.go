@@ -42,8 +42,9 @@ func shareGroups(cfg *Config, scenarios []Scenario) [][]int {
 
 // sharedWith derives the outcome of sc, a later cell of the group whose
 // first cell replayed into o without error. The timed trace and the sink
-// are only read from here on.
-func (o outcome) sharedWith(sc Scenario) outcome {
+// are only read from here on; a streamed trace is copied into sc's own
+// destination, which the caller settles.
+func (o *outcome) sharedWith(cfg *Config, sc Scenario) outcome {
 	faultFree := o.res.SimulatedTime
 	if o.res.Resilience != nil {
 		faultFree = o.res.Resilience.FaultFree
@@ -56,7 +57,11 @@ func (o outcome) sharedWith(sc Scenario) outcome {
 		}
 		res.SimulatedTime, res.Resilience = ra.Effective, ra
 	}
-	return outcome{res: res, timed: o.timed, sink: o.sink, forked: true}
+	out := outcome{res: res, timed: o.timed, sink: o.sink, forked: true}
+	if o.stream != nil {
+		out.stream, out.err = o.stream.copyTo(cfg, &sc)
+	}
+	return out
 }
 
 // scenarioBuild instantiates the scenario's scaled platform.

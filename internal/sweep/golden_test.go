@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"flag"
@@ -100,6 +99,35 @@ func goldenGrids(f goldenFixture) map[string]GridSpec {
 // outputs with testdata/golden.json: a differing, missing or extra entry
 // fails, naming it.
 func TestGoldenCorpus(t *testing.T) {
+	got := goldenDigests(t, false)
+	if *update {
+		b, err := json.MarshalIndent(goldenFile{
+			Note:    "SHA-256 digests of the replay outputs; regenerate with go test ./internal/sweep -run TestGoldenCorpus -update",
+			Digests: got,
+		}, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d digests to %s", len(got), goldenPath)
+		return
+	}
+	checkGolden(t, got)
+}
+
+// TestGoldenCorpusStreamed replays the corpus with the timed traces
+// streamed into files (TimedDir) and checks the traces read back from disk
+// against the same corpus entries: streamed output is buffered output, byte
+// for byte, on shared and error rows alike.
+func TestGoldenCorpusStreamed(t *testing.T) {
+	checkGolden(t, goldenDigests(t, true))
+}
+
+// goldenDigests replays the corpus and digests its outputs, reading the
+// timed traces back from their files when stream is set.
+func goldenDigests(t *testing.T, stream bool) map[string]string {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("the corpus pins float bits as compiled for amd64; %s may fuse multiply-adds", runtime.GOARCH)
 	}
@@ -111,7 +139,7 @@ func TestGoldenCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(context.Background(), &Config{
+			cfg := &Config{
 				Platform: platform.Bordereau(f.ranks),
 				Grid:     grid,
 				Traces:   ts,
@@ -120,7 +148,8 @@ func TestGoldenCorpus(t *testing.T) {
 				Profile:  true,
 				Metrics:  true,
 				Fork:     true,
-			})
+			}
+			res, err := runTimed(t, cfg, stream)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", f.name, name, err)
 			}
@@ -140,22 +169,12 @@ func TestGoldenCorpus(t *testing.T) {
 			got[prefix+"metrics"] = digest([]byte(mj.String()))
 		}
 	}
+	return got
+}
 
-	if *update {
-		b, err := json.MarshalIndent(goldenFile{
-			Note:    "SHA-256 digests of the replay outputs; regenerate with go test ./internal/sweep -run TestGoldenCorpus -update",
-			Digests: got,
-		}, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(got), goldenPath)
-		return
-	}
-
+// checkGolden compares digests with testdata/golden.json.
+func checkGolden(t *testing.T, got map[string]string) {
+	t.Helper()
 	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
