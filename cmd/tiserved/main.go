@@ -1,6 +1,6 @@
 // Command tiserved runs the replay stack as a resident sweep service:
-// clients upload time-independent traces once (content-addressed, parsed
-// and cached under a byte budget) and then ask what-if questions against
+// clients upload time-independent traces once (content-addressed, encoded
+// into binary images and cached under a byte budget) and then ask what-if questions against
 // them over HTTP. Determinism makes every answer perfectly cacheable —
 // repeated questions are served byte-identically with zero replay, and
 // identical questions in flight coalesce onto one kernel run.

@@ -1,12 +1,12 @@
 // Package serve turns the replay stack into a long-running service: a
-// resident daemon holding a content-addressed store of parsed traces and a
+// resident daemon holding a content-addressed store of loaded traces and a
 // single-flight cache of sweep results, executing sweep requests on one
 // shared worker pool.
 //
 // This is the paper's economics taken to its conclusion. Acquiring a
 // time-independent trace is expensive and done once; every what-if question
 // against it is deterministic, so the unit of work worth optimizing is the
-// scenario-hour served, not the process launched. The daemon parses a trace
+// scenario-hour served, not the process launched. The daemon loads a trace
 // once (mmapped binary traces are shared straight out of the page cache),
 // answers repeated questions from cache byte-identically with zero replay,
 // coalesces identical concurrent questions onto one kernel run, and sheds
@@ -247,15 +247,15 @@ func (s *Server) registerInline(texts []string) (*uploadResponse, *httpError) {
 		resp.Existed = true
 		return resp, nil
 	}
-	perRank := make([][]trace.Action, len(texts))
+	images := make([][]byte, len(texts))
 	for r, t := range texts {
-		acts, err := trace.ParseAll(strings.NewReader(t))
+		img, err := trace.EncodeText(strings.NewReader(t))
 		if err != nil {
 			return nil, httpErrorf(http.StatusBadRequest, "rank %d: %v", r, err)
 		}
-		perRank[r] = acts
+		images[r] = img
 	}
-	resp.Existed = s.traces.Add(digest, sweep.TracesFromActions(perRank), bytes)
+	resp.Existed = s.traces.Add(digest, sweep.TracesFromImages(images), bytes)
 	return resp, nil
 }
 

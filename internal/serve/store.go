@@ -7,10 +7,12 @@ import (
 	"tireplay/internal/sweep"
 )
 
-// TraceStore is the daemon's content-addressed trace store: parsed (or
-// memory-mapped) TraceSets keyed by the SHA-256 digest of their per-rank
-// files, refcounted by the sweeps replaying them and evicted
-// least-recently-used under a byte budget.
+// TraceStore is the daemon's content-addressed trace store: TraceSets keyed
+// by the SHA-256 digest of their per-rank files, refcounted by the sweeps
+// replaying them and evicted least-recently-used under a byte budget. The
+// budget counts upload bytes. Every rank is held as one binary image: an
+// uploaded or path-registered text or gzip trace is encoded into memory at
+// about 0.7 times its text size, and a .tib file stays memory-mapped.
 //
 // Eviction and refcounting compose carefully: evicting an entry removes it
 // from the index (no new Acquire can find it) but its TraceSet is unmapped
@@ -58,7 +60,7 @@ func NewTraceStore(budget int64) *TraceStore {
 	return &TraceStore{budget: budget, byDig: make(map[string]*traceEntry), lru: list.New()}
 }
 
-// Add registers a parsed trace set under its digest. When the digest is
+// Add registers a loaded trace set under its digest. When the digest is
 // already stored, the existing entry is refreshed and kept — the caller's ts
 // is NOT adopted and remains the caller's to close — and existed reports the
 // dedup. Adding may evict colder entries to fit the budget.

@@ -212,6 +212,9 @@ func TestSweepSynthErrors(t *testing.T) {
 			http.StatusBadRequest, "bad synth scale"},
 		{"bad world list", `{"grid":{"world":"8,-1"}}`,
 			http.StatusBadRequest, "bad grid"},
+		{"reps law past the action bound",
+			fmt.Sprintf(`{"grid":{"world":"64"},"synth":{"model":%s,"scale":"reps=20"}}`, model),
+			http.StatusBadRequest, "one sweep cell may replay"},
 	}
 	for _, tc := range cases {
 		st, _, resp := d.post(t, "/sweeps", tc.body)

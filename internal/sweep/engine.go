@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -199,7 +200,7 @@ func (t *taskTracers) finish(out *outcome) {
 		return
 	}
 	if err := t.tw.Flush(); err != nil && out.err == nil {
-		out.err = fmt.Errorf("sweep: timed trace: %w", err)
+		out.err = &timedError{err}
 	}
 	if t.stream == nil {
 		out.timed = t.buf.Bytes()
@@ -303,11 +304,14 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		}
 	}
 	// runGroup replays the group's first scenario and derives the others
-	// from it (see fork.go). An error is never shared: after a failed first
-	// replay, each other scenario replays alone. A cancelled context skips
-	// the replays, leaving their rows canceled. Every row settles its timed
-	// destination before it is recorded; the derived rows copy the first
-	// row's trace before the first row settles, which releases it.
+	// from it (see fork.go). A failed simulation is never shared: after
+	// one, each other scenario replays alone. A failed timed-trace
+	// destination fails the other scenarios with its error, since
+	// replaying them would only fill destinations of their own on the same
+	// disk. A cancelled context skips the replays, leaving their rows
+	// canceled. Every row settles its timed destination before it is
+	// recorded; the derived rows copy the first row's trace before the
+	// first row settles, which releases it.
 	runGroup := func(g []int) {
 		if ctx.Err() != nil {
 			return
@@ -321,8 +325,13 @@ func (e *Engine) Run(ctx context.Context, cfg *Config) (*Result, error) {
 		}
 		outs[0].settle()
 		record(g[0], outs[0])
+		destFailed := errors.As(outs[0].err, new(*timedError))
 		for k := 1; k < len(g); k++ {
-			if !shared {
+			switch {
+			case shared: // derived above
+			case destFailed:
+				outs[k] = outcome{err: outs[0].err}
+			default:
 				if ctx.Err() != nil {
 					return
 				}

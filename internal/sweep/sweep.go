@@ -6,10 +6,11 @@
 //
 // This realises at scale the paper's core promise (Section 5: "a wide range
 // of what-if scenarios can be explored without any modification of the
-// simulator"): the trace is acquired once, parsed once, and shared read-only
-// between workers; each replay runs on its own kernel and owns every piece of
-// mutable state it touches (kernel, pools, interning tables, tracer), so
-// results are byte-identical whatever the worker count. Scenarios that differ
+// simulator"): the trace is acquired once, loaded once as one binary image
+// per rank, and shared read-only between workers; each replay runs on its
+// own kernel and owns every piece of mutable state it touches (kernel,
+// pools, interning tables, tracer), so results are byte-identical whatever
+// the worker count. Scenarios that differ
 // only in their checkpoint protocol share one replay (Config.Fork): the
 // protocol applies analytically to the fault-free makespan.
 //

@@ -74,6 +74,15 @@ func (f *timedFile) Discard() {
 	_ = os.Remove(f.f.Name())
 }
 
+// timedError is a failure of a timed-trace destination: to open, write,
+// copy or publish it. The simulation is not at fault, so the engine fails
+// the other rows of the group with it instead of replaying them.
+type timedError struct{ err error }
+
+func (e *timedError) Error() string { return "sweep: timed trace: " + e.err.Error() }
+
+func (e *timedError) Unwrap() error { return e.err }
+
 // timedStream is an open destination. It counts the bytes written so that
 // the rows sharing the replay can copy them back out.
 type timedStream struct {
@@ -95,7 +104,7 @@ func openTimed(cfg *Config, sc *Scenario) (*timedStream, error) {
 	}
 	d, err := cfg.OpenTimed(sc)
 	if err != nil {
-		return nil, fmt.Errorf("sweep: timed trace: %w", err)
+		return nil, &timedError{err}
 	}
 	return &timedStream{dest: d}, nil
 }
@@ -109,7 +118,7 @@ func (s *timedStream) copyTo(cfg *Config, sc *Scenario) (*timedStream, error) {
 		return nil, err
 	}
 	if _, err := io.Copy(c, io.NewSectionReader(s.dest, 0, s.n)); err != nil {
-		return c, fmt.Errorf("sweep: timed trace: %w", err)
+		return c, &timedError{err}
 	}
 	return c, nil
 }
@@ -128,6 +137,6 @@ func (o *outcome) settle() {
 		return
 	}
 	if err := s.dest.Publish(); err != nil {
-		o.err = fmt.Errorf("sweep: timed trace: %w", err)
+		o.err = &timedError{err}
 	}
 }

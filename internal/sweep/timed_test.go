@@ -170,11 +170,12 @@ func (d failingPublish) Publish() error {
 // after 100 KB of an LU class S trace (about 1 MB, so the writer fails
 // mid-replay and its sticky error meets real I/O), or at publish. Those
 // rows, and only those, must fail with "sweep: timed trace: …" and publish
-// nothing; the others publish the bytes the buffered sweep holds. A failed
-// replay is never shared, so when the replayed row of a group fails, its
-// sibling replays into a failing destination of its own; when only the
-// sibling's copy fails, the replayed row still publishes, and when only the
-// replayed row's publish fails, the sibling has already copied the trace.
+// nothing; the others publish the bytes the buffered sweep holds. When the
+// replayed row of a group fails to open or write its destination, its
+// sibling fails with that error without opening a destination or
+// replaying; when only the sibling's copy fails, the replayed row still
+// publishes, and when only the replayed row's publish fails, the sibling
+// has already copied the trace.
 func TestStreamedTimedDestErrors(t *testing.T) {
 	ts := luTraces(t, npb.ClassS, 4)
 	grid := mustGrid(t, GridSpec{Coll: "linear;binomial", Ckpt: "none;60/5"})
@@ -190,17 +191,25 @@ func TestStreamedTimedDestErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name, fails string // fails is "open", "write" or "publish"
 		fail        func(sc *Scenario) bool
+		// siblingsFail: the replayed row's destination fails, so the
+		// failing rows of its group must fail without opening one.
+		siblingsFail bool
 	}{
-		{"replayed row", "write", binomial},
-		{"copied row", "write", func(sc *Scenario) bool { return binomial(sc) && sc.Ckpt != nil }},
-		{"group", "open", binomial},
-		{"replayed row", "publish", func(sc *Scenario) bool { return binomial(sc) && sc.Ckpt == nil }},
+		{"replayed row", "write", binomial, true},
+		{"copied row", "write", func(sc *Scenario) bool { return binomial(sc) && sc.Ckpt != nil }, false},
+		{"group", "open", binomial, true},
+		{"replayed row", "publish", func(sc *Scenario) bool { return binomial(sc) && sc.Ckpt == nil }, false},
 	} {
 		t.Run(tc.fails+"/"+tc.name, func(t *testing.T) {
 			cfg := newCfg()
 			dir := streamTimed(t, cfg)
 			open := cfg.OpenTimed
+			var mu sync.Mutex
+			opened := make(map[int]bool)
 			cfg.OpenTimed = func(sc *Scenario) (TimedDest, error) {
+				mu.Lock()
+				opened[sc.Index] = true
+				mu.Unlock()
 				d, err := open(sc)
 				if err != nil || !tc.fail(sc) {
 					return d, err
@@ -233,6 +242,10 @@ func TestStreamedTimedDestErrors(t *testing.T) {
 				}
 				if !strings.HasPrefix(r.Err, "sweep: timed trace: ") || !strings.Contains(r.Err, errDiskFull.Error()) {
 					t.Errorf("scenario %d (%s): err %q, want the destination's error", i, r.Name, r.Err)
+				}
+				if tc.siblingsFail && r.Ckpt != nil && opened[r.Index] {
+					t.Errorf("scenario %d (%s) opened a destination after its group's replayed row lost its own",
+						i, r.Name)
 				}
 			}
 		})

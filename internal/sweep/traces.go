@@ -8,91 +8,116 @@ import (
 	"tireplay/internal/trace"
 )
 
-// TraceSet is the one shared input of a sweep: the per-rank time-independent
-// traces, parsed (or memory-mapped) exactly once and handed to every
-// scenario read-only. Per-scenario cursors are created by source(), so
-// concurrent workers never share a decoder position; binary traces stay
-// mapped and are decoded in place by each scenario's own cursor, directly
-// out of the shared page cache.
+// TraceSet is the one shared input of a sweep: every rank's
+// time-independent trace held once as a binary (.tib) image and handed to
+// every scenario read-only. A .tib file stays memory-mapped, so its image
+// is the page cache itself; a text or gzip file is encoded into an image in
+// memory at load, at about 7.5 B per action. Each scenario decodes each
+// rank with a cursor of its own (source), so concurrent workers never share
+// a decoder position.
 type TraceSet struct {
-	perRank [][]trace.Action     // slice-backed ranks (nil entry: mapped)
-	mapped  []*trace.MappedTrace // mapped binary ranks (nil entry: slice)
+	images [][]byte             // rank r's image
+	errs   []error              // rank r's encoding error, if TracesFromActions met one
+	mapped []*trace.MappedTrace // the mappings behind the .tib images
 }
 
-// TracesFromActions wraps already-parsed per-rank action lists. The slices
-// are retained and must not be mutated while a sweep runs.
+// TracesFromActions encodes per-rank action lists into images; the lists
+// are not retained. A rank holding an action that fails Validate keeps the
+// error instead of an image, and every scenario replaying that rank fails
+// with it.
 func TracesFromActions(perRank [][]trace.Action) *TraceSet {
-	return &TraceSet{perRank: perRank, mapped: make([]*trace.MappedTrace, len(perRank))}
+	t := &TraceSet{images: make([][]byte, len(perRank))}
+	for r, acts := range perRank {
+		img := trace.AppendBinaryHeader(nil)
+		for i, a := range acts {
+			var err error
+			if img, err = trace.AppendBinary(img, a); err != nil {
+				if t.errs == nil {
+					t.errs = make([]error, len(perRank))
+				}
+				t.errs[r] = fmt.Errorf("sweep: rank %d: action %d: %w", r, i+1, err)
+				img = nil
+				break
+			}
+		}
+		t.images[r] = img
+	}
+	return t
+}
+
+// TracesFromImages wraps per-rank images (trace.EncodeText,
+// trace.ReadImage), which are retained and must not be mutated while a
+// sweep runs. A rank whose image lacks a valid header fails every scenario
+// replaying it.
+func TracesFromImages(images [][]byte) *TraceSet {
+	return &TraceSet{images: images}
 }
 
 // LoadDir loads the n per-rank trace files of dir, resolving each rank's
 // file among the three encodings tau2ti emits (SG_process<r>.trace, .trace.gz,
-// .tib). Text and gzip traces are parsed into memory once; binary traces are
-// memory-mapped and never copied. Close the set when the sweep is done.
+// .tib). A .tib file is memory-mapped and never copied, and its records are
+// checked as scenarios decode them; a text or gzip file is encoded into an
+// image once (trace.ReadImage), so its errors surface here. Close the set
+// when the sweep is done.
 func LoadDir(dir string, n int) (*TraceSet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sweep: need a positive rank count")
 	}
-	ts := &TraceSet{
-		perRank: make([][]trace.Action, n),
-		mapped:  make([]*trace.MappedTrace, n),
-	}
+	ts := &TraceSet{images: make([][]byte, n)}
 	for r := 0; r < n; r++ {
 		path, err := trace.RankFile(dir, r)
 		if err != nil {
 			ts.Close()
 			return nil, err
 		}
-		if strings.HasSuffix(path, ".tib") {
-			m, err := trace.OpenMapped(path)
-			if err != nil {
+		if !strings.HasSuffix(path, ".tib") {
+			if ts.images[r], err = trace.ReadImage(path); err != nil {
 				ts.Close()
 				return nil, err
 			}
-			if _, err := m.Cursor(); err != nil {
-				m.Close()
-				ts.Close()
-				return nil, fmt.Errorf("sweep: %s: %w", path, err)
-			}
-			ts.mapped[r] = m
 			continue
 		}
-		acts, err := trace.ReadFile(path)
+		m, err := trace.OpenMapped(path)
 		if err != nil {
 			ts.Close()
 			return nil, err
 		}
-		ts.perRank[r] = acts
+		ts.mapped = append(ts.mapped, m)
+		if _, err := m.Cursor(); err != nil {
+			ts.Close()
+			return nil, fmt.Errorf("sweep: %s: %w", path, err)
+		}
+		ts.images[r] = m.Data()
 	}
 	return ts, nil
 }
 
 // Ranks returns the number of ranks in the set.
-func (t *TraceSet) Ranks() int { return len(t.perRank) }
+func (t *TraceSet) Ranks() int { return len(t.images) }
 
-// Close releases the mapped views. Safe on a partially loaded set.
+// Close releases the mapped views and drops every image, so a scenario
+// that replays the set afterwards fails instead of reading unmapped pages.
+// Safe on a partially loaded set.
 func (t *TraceSet) Close() error {
+	clear(t.images)
 	var first error
-	for i, m := range t.mapped {
-		if m == nil {
-			continue
-		}
+	for _, m := range t.mapped {
 		if err := m.Close(); err != nil && first == nil {
 			first = err
 		}
-		t.mapped[i] = nil
 	}
+	t.mapped = nil
 	return first
 }
 
-// source returns a fresh Source over rank r's trace for one scenario run.
+// source returns a fresh cursor over rank r's image for one scenario run.
 func (t *TraceSet) source(r int) (replay.Source, error) {
-	if m := t.mapped[r]; m != nil {
-		cur, err := m.Cursor()
-		if err != nil {
-			return nil, err
-		}
-		return cur, nil
+	if t.errs != nil && t.errs[r] != nil {
+		return nil, t.errs[r]
 	}
-	return replay.SliceSource(t.perRank[r]), nil
+	cur, err := trace.NewBinaryCursor(t.images[r])
+	if err != nil {
+		return nil, err
+	}
+	return cur, nil
 }

@@ -97,7 +97,56 @@ func NewGen(m *Model, spec Spec) (*Gen, error) {
 			g.reps, len(m.Body), spec.World)
 	}
 	g.scriptLen = ends + g.reps*len(m.Body)
+	if n := g.actionBound(); n > maxWorldActions {
+		return nil, fmt.Errorf("synth: world %d generates up to %d actions, more than the %d one sweep cell may replay",
+			spec.World, n, maxWorldActions)
+	}
 	return g, nil
+}
+
+// maxWorldActions bounds the actions a generator may yield over its whole
+// world, all of which one sweep cell replays: about six minutes of replay
+// at 3 M actions/s. LU class S fitted on 16 ranks and strong-scaled to
+// 16384 yields 109 M, bounded at 110 M.
+const maxWorldActions = 1 << 30
+
+// actionBound returns an upper bound on the actions the generator yields
+// over its world, saturating at math.MaxInt, without expanding the script:
+// every rank opens with comm_size, then yields at most one action per
+// segment op and two per collective phase (its compute burst and the
+// collective) over the prologue, reps copies of the body and the tail.
+// Coalescing compute bursts only lowers the count.
+func (g *Gen) actionBound() int {
+	m := g.m
+	phases := func(ids []int) int {
+		n := 0
+		for _, i := range ids {
+			c := 2
+			if seg := m.Phases[i].Seg; seg != nil {
+				c = satAdd(len(seg.Pre)+len(seg.Tail), satMul(g.segReps[i], len(seg.Body)))
+			}
+			n = satAdd(n, c)
+		}
+		return n
+	}
+	perRank := satAdd(satAdd(satAdd(1, phases(m.Prologue)), satMul(g.reps, phases(m.Body))), phases(m.Tail))
+	return satMul(perRank, g.world)
+}
+
+// satAdd and satMul add and multiply non-negative ints, saturating at
+// math.MaxInt.
+func satAdd(a, b int) int {
+	if a > math.MaxInt-b {
+		return math.MaxInt
+	}
+	return a + b
+}
+
+func satMul(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
+	}
+	return a * b
 }
 
 // phaseAt returns the model phase at position i of the expanded script:

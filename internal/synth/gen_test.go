@@ -354,22 +354,35 @@ func TestGenScriptIndexMatchesScript(t *testing.T) {
 }
 
 // TestGenRepsLawBounded: a reps law that stretches the script body to
-// hundreds of millions of phases costs the generator no memory, and a
-// count past an int is an error instead of one silent repetition.
+// tens of thousands of phases costs the generator no memory, one that
+// stretches it to hundreds of millions is refused by the action bound as
+// cheaply, and a count past an int is an error instead of one silent
+// repetition.
 func TestGenRepsLawBounded(t *testing.T) {
 	cg, _ := fixture(t, "cg", "S", 16)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g, err := NewGen(cg, Spec{World: 1024, Law: Law{Reps: 3}})
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(cg.Prologue) + 14*64*64*64*len(cg.Body) + len(cg.Tail); g.scriptLen != want {
-		t.Fatalf("script of %d phases, want %d", g.scriptLen, want)
-	}
-	if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
-		t.Fatalf("NewGen allocated %d bytes for a %d-phase script", b, g.scriptLen)
+	for _, tc := range []struct {
+		law  float64
+		reps int // the scaled body reps at world 1024, 64 times the model's
+	}{{1, 14 * 64}, {3, 14 * 64 * 64 * 64}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		g, err := NewGen(cg, Spec{World: 1024, Law: Law{Reps: tc.law}})
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Fatalf("NewGen allocated %d bytes for %d body reps", b, tc.reps)
+		}
+		if tc.law == 3 {
+			if err == nil || !strings.Contains(err.Error(), "one sweep cell may replay") {
+				t.Fatalf("%d body reps at world 1024: error %v, want the action bound's", tc.reps, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(cg.Prologue) + tc.reps*len(cg.Body) + len(cg.Tail); g.scriptLen != want {
+			t.Fatalf("script of %d phases, want %d", g.scriptLen, want)
+		}
 	}
 
 	// At world 16384 the models scale by 1024 = 2^10 per unit of the law:
@@ -390,6 +403,57 @@ func TestGenRepsLawBounded(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s under reps law %g: error %v, want one saying %q", tc.m.App, tc.law, err, tc.want)
 		}
+	}
+}
+
+// TestGenActionBound: NewGen bounds the actions of a world from the model
+// alone. A reps law whose counts still fit an int can ask for about 10^14
+// segment repetitions (LU S fitted on 16 ranks, at world 64 under
+// reps=20), which would replay for ever; NewGen refuses it. Admitted
+// worlds yield no more actions than the bound, and the largest world the
+// project replays (16384 strong-scaled LU ranks) stays admitted.
+func TestGenActionBound(t *testing.T) {
+	lu, _ := fixture(t, "lu", "S", 16)
+	if _, err := NewGen(lu, Spec{World: 64, Law: Law{Reps: 20}}); err == nil ||
+		!strings.Contains(err.Error(), "one sweep cell may replay") {
+		t.Fatalf("reps=20 at world 64: error %v, want the action bound's", err)
+	}
+	for _, sp := range []Spec{
+		{World: 64, Law: Law{Reps: 1}},
+		{World: 64, Law: Law{Reps: 2}},
+		{World: 12, Law: StrongLaw},
+	} {
+		g, err := NewGen(lu, sp)
+		if err != nil {
+			t.Fatalf("%v: %v", sp, err)
+		}
+		n := 0
+		for r := 0; r < sp.World; r++ {
+			rg, err := g.Rank(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, ok, err := rg.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				n++
+			}
+		}
+		if bound := g.actionBound(); n > bound {
+			t.Errorf("%v: %d actions, past the bound %d", sp, n, bound)
+		}
+	}
+	g, err := NewGen(lu, Spec{World: 16384, Law: StrongLaw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound := g.actionBound(); bound > maxWorldActions/4 {
+		t.Errorf("16384 strong-scaled LU ranks bounded at %d actions, within 4x of the %d limit", bound, maxWorldActions)
 	}
 }
 

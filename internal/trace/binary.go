@@ -18,6 +18,12 @@ import (
 // rank as an unsigned varint, the peer (when the type has one) as an
 // unsigned varint, and each volume as an 8-byte little-endian float64. A
 // receive with no explicit volume sets the high bit of the type byte.
+//
+// The codec has one record encoder, appendRecord, exported with validation
+// as AppendBinary. BinaryWriter streams its records to files, and
+// EncodeText, ReadImage and AppendBinary's callers build in-memory images
+// with it, so an image is byte-identical to the .tib file of the same
+// trace.
 const (
 	binaryMagic   = "TITB"
 	binaryVersion = 1
@@ -37,10 +43,53 @@ func sniffBinary(br *bufio.Reader) (bool, error) {
 	return string(head) == binaryMagic, nil
 }
 
+// AppendBinaryHeader appends the binary header, magic and version, to dst:
+// the start of every image and .tib file.
+func AppendBinaryHeader(dst []byte) []byte {
+	return append(append(dst, binaryMagic...), binaryVersion)
+}
+
+// AppendBinary validates a and appends its binary record to dst. On a
+// validation error dst is returned unchanged.
+func AppendBinary(dst []byte, a Action) ([]byte, error) {
+	if err := a.Validate(); err != nil {
+		return dst, err
+	}
+	return appendRecord(dst, a), nil
+}
+
+// appendRecord appends the record of a validated action.
+func appendRecord(dst []byte, a Action) []byte {
+	tb := byte(a.Type)
+	if (a.Type == Recv || a.Type == Irecv) && !a.HasVolume {
+		tb |= flagNoVolume
+	}
+	dst = binary.AppendUvarint(append(dst, tb), uint64(a.Proc))
+	switch a.Type {
+	case Compute, Bcast, CommSize, Gather, AllGather, AllToAll, Scatter:
+		dst = appendFloat(dst, a.Volume)
+	case Send, Isend:
+		dst = appendFloat(binary.AppendUvarint(dst, uint64(a.Peer)), a.Volume)
+	case Recv, Irecv:
+		dst = binary.AppendUvarint(dst, uint64(a.Peer))
+		if a.HasVolume {
+			dst = appendFloat(dst, a.Volume)
+		}
+	case Reduce, AllReduce:
+		dst = appendFloat(appendFloat(dst, a.Volume), a.Volume2)
+	case Barrier, Wait, WaitAll:
+	}
+	return dst
+}
+
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
 // BinaryWriter streams actions in the binary format.
 type BinaryWriter struct {
 	bw      *bufio.Writer
-	scratch [binary.MaxVarintLen64]byte
+	rec     []byte // the record being written, reused
 	started bool
 }
 
@@ -55,22 +104,7 @@ func (bw *BinaryWriter) ensureHeader() error {
 		return nil
 	}
 	bw.started = true
-	if _, err := bw.bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	return bw.bw.WriteByte(binaryVersion)
-}
-
-func (bw *BinaryWriter) putUvarint(v uint64) error {
-	n := binary.PutUvarint(bw.scratch[:], v)
-	_, err := bw.bw.Write(bw.scratch[:n])
-	return err
-}
-
-func (bw *BinaryWriter) putFloat(v float64) error {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-	_, err := bw.bw.Write(buf[:])
+	_, err := bw.bw.Write(AppendBinaryHeader(bw.rec[:0]))
 	return err
 }
 
@@ -82,47 +116,9 @@ func (bw *BinaryWriter) Write(a Action) error {
 	if err := bw.ensureHeader(); err != nil {
 		return err
 	}
-	tb := byte(a.Type)
-	if (a.Type == Recv || a.Type == Irecv) && !a.HasVolume {
-		tb |= flagNoVolume
-	}
-	if err := bw.bw.WriteByte(tb); err != nil {
-		return err
-	}
-	if err := bw.putUvarint(uint64(a.Proc)); err != nil {
-		return err
-	}
-	switch a.Type {
-	case Compute, Bcast, CommSize, Gather, AllGather, AllToAll, Scatter:
-		if err := bw.putFloat(a.Volume); err != nil {
-			return err
-		}
-	case Send, Isend:
-		if err := bw.putUvarint(uint64(a.Peer)); err != nil {
-			return err
-		}
-		if err := bw.putFloat(a.Volume); err != nil {
-			return err
-		}
-	case Recv, Irecv:
-		if err := bw.putUvarint(uint64(a.Peer)); err != nil {
-			return err
-		}
-		if a.HasVolume {
-			if err := bw.putFloat(a.Volume); err != nil {
-				return err
-			}
-		}
-	case Reduce, AllReduce:
-		if err := bw.putFloat(a.Volume); err != nil {
-			return err
-		}
-		if err := bw.putFloat(a.Volume2); err != nil {
-			return err
-		}
-	case Barrier, Wait, WaitAll:
-	}
-	return nil
+	bw.rec = appendRecord(bw.rec[:0], a)
+	_, err := bw.bw.Write(bw.rec)
+	return err
 }
 
 // Flush drains the internal buffer.

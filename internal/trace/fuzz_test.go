@@ -122,33 +122,41 @@ func TestDecodeBinaryRobustnessProperty(t *testing.T) {
 	}
 }
 
+// parseLineSeeds seed FuzzParseLine and, one per line and all together,
+// FuzzEncodeText.
+var parseLineSeeds = []string{
+	"p0 compute 1e6",
+	"p1 send p0 163840",
+	"p3 recv p2",
+	"p2 Irecv p1 4096",
+	"p0 allReduce 1e5 2e6",
+	"p7 comm_size 8",
+	"p4 barrier",
+	"p5 wait",
+	"p0 gather 4096",
+	"p2 allGather 8192",
+	"p6 allToAll 512",
+	"p0 scatter 1e6",
+	"p3 waitAll",
+	"p1 ALLGATHER 64",
+	"# comment",
+	"",
+	"p0 compute 1e999",
+	"p0 send p1 NaN",
+	"p0 compute NaN",
+	"p0 Irecv p1 NaN",
+	"p0 comm_size Inf",
+	"p0 allGather -Inf",
+	"\x00\x01\x02",
+}
+
 // FuzzParseLine is the native fuzz target behind the CI fuzz-smoke step: a
 // line of any bytes must parse without panicking, anything accepted must
 // validate, and the textual round trip must be exact.
 func FuzzParseLine(f *testing.F) {
-	f.Add("p0 compute 1e6")
-	f.Add("p1 send p0 163840")
-	f.Add("p3 recv p2")
-	f.Add("p2 Irecv p1 4096")
-	f.Add("p0 allReduce 1e5 2e6")
-	f.Add("p7 comm_size 8")
-	f.Add("p4 barrier")
-	f.Add("p5 wait")
-	f.Add("p0 gather 4096")
-	f.Add("p2 allGather 8192")
-	f.Add("p6 allToAll 512")
-	f.Add("p0 scatter 1e6")
-	f.Add("p3 waitAll")
-	f.Add("p1 ALLGATHER 64")
-	f.Add("# comment")
-	f.Add("")
-	f.Add("p0 compute 1e999")
-	f.Add("p0 send p1 NaN")
-	f.Add("p0 compute NaN")
-	f.Add("p0 Irecv p1 NaN")
-	f.Add("p0 comm_size Inf")
-	f.Add("p0 allGather -Inf")
-	f.Add("\x00\x01\x02")
+	for _, line := range parseLineSeeds {
+		f.Add(line)
+	}
 	f.Fuzz(func(t *testing.T, line string) {
 		a, ok, err := ParseLine(line)
 		if err != nil && ok {
@@ -216,6 +224,40 @@ func FuzzBinaryCursor(f *testing.F) {
 		for i, a := range got {
 			if verr := a.Validate(); verr != nil {
 				t.Fatalf("record %d decoded invalid: %v", i, verr)
+			}
+		}
+	})
+}
+
+// FuzzEncodeText checks the text-to-image encoder against the text parser:
+// for any text, EncodeText succeeds exactly when ParseAll does, fails with
+// the same error text, and a cursor over its image yields exactly
+// ParseAll's actions.
+func FuzzEncodeText(f *testing.F) {
+	for _, line := range parseLineSeeds {
+		f.Add(line + "\n")
+	}
+	f.Add(strings.Join(parseLineSeeds[:14], "\n"))
+	f.Add(strings.Join(parseLineSeeds, "\r\n"))
+	f.Fuzz(func(t *testing.T, text string) {
+		want, werr := ParseAll(strings.NewReader(text))
+		img, err := EncodeText(strings.NewReader(text))
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("EncodeText error %v, ParseAll error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		got, err := DecodeBinaryBytes(img)
+		if err != nil {
+			t.Fatalf("image does not decode: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("image holds %d actions, ParseAll %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("action %d: image %+v, ParseAll %+v", i+1, got[i], want[i])
 			}
 		}
 	})

@@ -75,3 +75,35 @@ func BenchmarkParseLine(b *testing.B) {
 	}
 	_ = strings.TrimSpace
 }
+
+// BenchmarkBinaryCursor measures decoding an in-memory image record by
+// record, the per-action cost a replay pays on every recorded rank.
+func BenchmarkBinaryCursor(b *testing.B) {
+	img, err := EncodeText(bytes.NewReader(benchTraceText(50_000)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(img)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := NewBinaryCursor(img)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			_, ok, err := c.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+		if n != 50_000 {
+			b.Fatalf("decoded %d actions", n)
+		}
+	}
+}

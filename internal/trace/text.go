@@ -210,28 +210,38 @@ func WriteSplit(dir string, nprocs int, actions []Action) ([]string, error) {
 	return paths, nil
 }
 
+// openTrace opens the trace file at path for reading, through gzip for a
+// ".gz" name, and reports whether its content starts with the binary magic.
+// The caller closes f.
+func openTrace(path string) (f *os.File, br *bufio.Reader, isBinary bool, err error) {
+	if f, err = os.Open(path); err != nil {
+		return nil, nil, false, err
+	}
+	var r io.Reader = f
+	if strings.HasSuffix(path, ".gz") {
+		if r, err = gzip.NewReader(f); err != nil {
+			f.Close()
+			return nil, nil, false, fmt.Errorf("trace: %s: %w", path, err)
+		}
+	}
+	br = bufio.NewReaderSize(r, 1<<16)
+	if isBinary, err = sniffBinary(br); err != nil {
+		f.Close()
+		return nil, nil, false, fmt.Errorf("trace: %s: %w", path, err)
+	}
+	return f, br, isBinary, nil
+}
+
 // ReadFile loads every action of a trace file; transparently decompresses
 // ".gz" files and decodes the binary format based on its magic header.
 func ReadFile(path string) ([]Action, error) {
-	f, err := os.Open(path)
+	f, br, isBinary, err := openTrace(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", path, err)
-		}
-		defer gz.Close()
-		r = gz
-	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	if isBinary, err := sniffBinary(br); err != nil {
-		return nil, fmt.Errorf("trace: %s: %w", path, err)
-	} else if isBinary {
-		if r == io.Reader(f) {
+	if isBinary {
+		if !strings.HasSuffix(path, ".gz") {
 			// Uncompressed binary file: decode it through the memory map
 			// instead of draining the reader into a second copy.
 			return ReadFileMapped(path)
