@@ -12,7 +12,7 @@ import (
 // replaying them and evicted least-recently-used under a byte budget. The
 // budget counts upload bytes. Every rank is held as one binary image: an
 // uploaded or path-registered text or gzip trace is encoded into memory at
-// about 0.7 times its text size, and a .tib file stays memory-mapped.
+// about half its text size, and a .tib file stays memory-mapped.
 //
 // Eviction and refcounting compose carefully: evicting an entry removes it
 // from the index (no new Acquire can find it) but its TraceSet is unmapped

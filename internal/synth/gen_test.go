@@ -354,26 +354,33 @@ func TestGenScriptIndexMatchesScript(t *testing.T) {
 }
 
 // TestGenRepsLawBounded: a reps law that stretches the script body to
-// tens of thousands of phases costs the generator no memory, one that
-// stretches it to hundreds of millions is refused by the action bound as
-// cheaply, and a count past an int is an error instead of one silent
-// repetition.
+// millions of phases costs the generator no memory, one that stretches it
+// to hundreds of millions is refused by the action bound as cheaply, and a
+// count past an int is an error instead of one silent repetition.
 func TestGenRepsLawBounded(t *testing.T) {
 	cg, _ := fixture(t, "cg", "S", 16)
 	for _, tc := range []struct {
-		law  float64
-		reps int // the scaled body reps at world 1024, 64 times the model's
-	}{{1, 14 * 64}, {3, 14 * 64 * 64 * 64}} {
+		world int
+		law   float64
+		reps  int // the scaled body reps: the model's 14 times (world/16)^law
+		ok    bool
+	}{
+		// 4.4 M phases (35 MB as an expanded script), bounded at 600 M
+		// actions: admitted.
+		{32, 12, 14 << 12, true},
+		// 2.8·10^8 phases, bounded at 1.2·10^12 actions: refused.
+		{1024, 3, 14 << 18, false},
+	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		g, err := NewGen(cg, Spec{World: 1024, Law: Law{Reps: tc.law}})
+		g, err := NewGen(cg, Spec{World: tc.world, Law: Law{Reps: tc.law}})
 		runtime.ReadMemStats(&after)
 		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
 			t.Fatalf("NewGen allocated %d bytes for %d body reps", b, tc.reps)
 		}
-		if tc.law == 3 {
+		if !tc.ok {
 			if err == nil || !strings.Contains(err.Error(), "one sweep cell may replay") {
-				t.Fatalf("%d body reps at world 1024: error %v, want the action bound's", tc.reps, err)
+				t.Fatalf("%d body reps at world %d: error %v, want the action bound's", tc.reps, tc.world, err)
 			}
 			continue
 		}

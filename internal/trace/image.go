@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // An image is a whole trace held in memory in the binary format: header and
@@ -17,11 +16,7 @@ import (
 // what ParseAll accepts and fails with ParseAll's error text, and a cursor
 // over the image yields ParseAll's actions.
 func EncodeText(r io.Reader) ([]byte, error) {
-	return appendText(AppendBinaryHeader(nil), r)
-}
-
-// appendText appends the records of the textual trace r to img.
-func appendText(img []byte, r io.Reader) ([]byte, error) {
+	img := AppendBinaryHeader(nil)
 	s := NewScanner(r)
 	for s.Scan() {
 		img = appendRecord(img, s.Action())
@@ -59,14 +54,7 @@ func ReadImage(path string) ([]byte, error) {
 			img = clip(img)
 		}
 	} else {
-		// An image takes about half the bytes of its text: reserving that
-		// much up front (up to 1 GiB, which an int holds everywhere) spares
-		// most of the copies a growing image would leave to the collector.
-		hint := 0
-		if fi, err := f.Stat(); err == nil && !strings.HasSuffix(path, ".gz") {
-			hint = int(min(fi.Size()/2, 1<<30))
-		}
-		img, err = appendText(AppendBinaryHeader(make([]byte, 0, hint)), br)
+		img, err = EncodeText(br)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)

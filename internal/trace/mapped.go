@@ -2,7 +2,6 @@ package trace
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -104,24 +103,13 @@ func NewBinaryCursor(data []byte) (*BinaryCursor, error) {
 	return &BinaryCursor{data: data, off: len(binaryMagic) + 1}, nil
 }
 
-// Errors of truncated or malformed records, shared so that the decoders
-// below stay small enough to inline.
-var (
-	errShortVarint = fmt.Errorf("trace: binary varint: %w", io.ErrUnexpectedEOF)
-	errLongVarint  = errors.New("trace: binary varint overflow")
-	errShortVolume = fmt.Errorf("trace: binary volume: %w", io.ErrUnexpectedEOF)
-)
-
-// uvarint decodes the varint at the cursor. Next decodes one-byte values
-// (every rank of a world up to 128 processes) itself and calls this for the
-// others.
 func (c *BinaryCursor) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.data[c.off:])
 	if n <= 0 {
 		if n == 0 {
-			return 0, errShortVarint
+			return 0, fmt.Errorf("trace: binary varint: %w", io.ErrUnexpectedEOF)
 		}
-		return 0, errLongVarint
+		return 0, fmt.Errorf("trace: binary varint overflow")
 	}
 	c.off += n
 	return v, nil
@@ -129,10 +117,11 @@ func (c *BinaryCursor) uvarint() (uint64, error) {
 
 func (c *BinaryCursor) float() (float64, error) {
 	if len(c.data)-c.off < 8 {
-		return 0, errShortVolume
+		return 0, fmt.Errorf("trace: binary volume: %w", io.ErrUnexpectedEOF)
 	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(c.data[c.off:]))
 	c.off += 8
-	return math.Float64frombits(binary.LittleEndian.Uint64(c.data[c.off-8:])), nil
+	return v, nil
 }
 
 // fail positions a record-decoding error: "record N: ...", counting records
@@ -155,33 +144,22 @@ func (c *BinaryCursor) Next() (a Action, ok bool, err error) {
 	if int(typ) >= numActionTypes {
 		return c.fail(fmt.Errorf("trace: bad binary action type %d", typ))
 	}
-	a = Action{Type: typ, Peer: -1}
-	if c.off < len(c.data) && c.data[c.off] < 0x80 {
-		a.Proc = int(c.data[c.off])
-		c.off++
-	} else {
-		proc, err := c.uvarint()
-		if err != nil {
-			return c.fail(err)
-		}
-		a.Proc = int(proc)
+	proc, err := c.uvarint()
+	if err != nil {
+		return c.fail(err)
 	}
+	a = Action{Proc: int(proc), Type: typ, Peer: -1}
 	switch typ {
 	case Compute, Bcast, CommSize, Gather, AllGather, AllToAll, Scatter:
 		if a.Volume, err = c.float(); err != nil {
 			return c.fail(err)
 		}
 	case Send, Isend, Recv, Irecv:
-		if c.off < len(c.data) && c.data[c.off] < 0x80 {
-			a.Peer = int(c.data[c.off])
-			c.off++
-		} else {
-			peer, err := c.uvarint()
-			if err != nil {
-				return c.fail(err)
-			}
-			a.Peer = int(peer)
+		peer, err := c.uvarint()
+		if err != nil {
+			return c.fail(err)
 		}
+		a.Peer = int(peer)
 		if typ == Send || typ == Isend || !noVol {
 			if a.Volume, err = c.float(); err != nil {
 				return c.fail(err)
