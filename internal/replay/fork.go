@@ -330,8 +330,9 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 		return nil, err
 	}
 	pr := &PrefixRun{depl: depl, opt: opt, park: make([]float64, len(r.hosts)), rec: rec}
-	for slot := range r.hosts {
-		r.spawnRankPrefix(slot, opt.Cuts[slot], pr)
+	r.prefix = pr
+	for slot, cut := range opt.Cuts {
+		r.spawnRank(slot).cut = int64(cut)
 	}
 	if _, err := r.k.Run(); err != nil {
 		return nil, fmt.Errorf("replay: prefix run: %w", err)
@@ -344,25 +345,6 @@ func RunPrefix(b *platform.Build, depl *platform.Deployment, cfg Config, sources
 	}
 	pr.Actions = r.actions()
 	return pr, nil
-}
-
-// spawnRankPrefix is spawnRank bounded to the first cut actions, recording
-// the rank's park time and park order for the resumed members.
-func (r *run) spawnRankPrefix(slot, cut int, pr *PrefixRun) {
-	r.k.Spawn(r.depl.Processes[slot].Function, r.hosts[slot], func(sp *simx.Proc) {
-		p, src := r.newProc(sp, slot), r.sources[slot]
-		for i := 0; i < cut; i++ {
-			if !r.stepAction(p, src, slot) {
-				return
-			}
-		}
-		// Park: record when and in which order this rank reached its
-		// divergence point — the resumed members sleep to exactly here, and
-		// same-instant resumptions wake in park order, preserving the
-		// interleaving of a from-scratch run.
-		pr.park[slot] = sp.Now()
-		pr.order = append(pr.order, slot) // one rank runs at a time: no race
-	})
 }
 
 // RunForked replays one member of the fork group from the shared prefix on
@@ -402,7 +384,9 @@ func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) 
 	// the order they parked, so the event queue wakes them exactly as the
 	// from-scratch interleaving would.
 	for _, slot := range pr.order {
-		r.spawnRankResumed(slot, pr.opt.Cuts[slot], pr.park[slot])
+		if err := r.spawnRankResumed(slot, pr.opt.Cuts[slot], pr.park[slot]); err != nil {
+			return nil, err
+		}
 	}
 	start := time.Now()
 	makespan, runErr := r.k.Run()
@@ -425,20 +409,16 @@ func (pr *PrefixRun) RunForked(b *platform.Build, cfg Config, sources []Source) 
 }
 
 // spawnRankResumed creates the kernel process replaying rank slot's
-// post-divergence actions: skip the prefix on the source, sleep to the park
-// time, continue.
-func (r *run) spawnRankResumed(slot, cut int, park float64) {
-	r.k.Spawn(r.depl.Processes[slot].Function, r.hosts[slot], func(sp *simx.Proc) {
-		src := r.sources[slot]
-		for i := 0; i < cut; i++ {
-			if _, ok, err := src.Next(); err != nil || !ok {
-				r.errs[slot] = fmt.Errorf("replay: p%d trace shrank under fork (action %d of %d)", slot, i, cut)
-				return
-			}
+// post-divergence actions: it skips the prefix on the source, and the rank
+// sleeps to the park time before it continues.
+func (r *run) spawnRankResumed(slot, cut int, park float64) error {
+	src := r.sources[slot]
+	for i := 0; i < cut; i++ {
+		if _, ok, err := src.Next(); err != nil || !ok {
+			return fmt.Errorf("replay: p%d trace shrank under fork (action %d of %d)", slot, i, cut)
 		}
-		sp.SleepUntil(park)
-		p := r.newProc(sp, slot)
-		for r.stepAction(p, src, slot) {
-		}
-	})
+	}
+	rk := r.spawnRank(slot)
+	rk.p.cont, rk.park = contPark, park
+	return nil
 }

@@ -9,6 +9,26 @@ import (
 	"tireplay/internal/trace"
 )
 
+// This file holds the built-in actions of Table 1, each written once as
+// steps of the rank's state machine: begin posts an action's first kernel
+// operations and parks the rank when it must wait, resume continues it
+// after the wake. A stackless rank (simx.Kernel.SpawnFunc) returns to the
+// kernel at each park; a rank running as a coroutine, and the Handler that
+// Lookup returns for a built-in, suspend instead (see builtin).
+
+// cont says what a parked rank resumes when it is woken: the continuation
+// of its action in flight.
+type cont uint8
+
+const (
+	contNone    cont = iota // between actions
+	contPark                // a forked member's rank, not yet advanced to its park time
+	contDone                // a compute burst; its wake completes the action
+	contWait                // waiting on p.wait (send, recv, wait)
+	contWaitAll             // draining the pending requests
+	contColl                // running p.steps
+)
+
 // p2pMbox resolves the mailbox of src-to-dst point-to-point traffic from
 // the world's pair table, created on the pair's first message.
 func (p *Proc) p2pMbox(src, dst int) simx.MailboxID {
@@ -24,50 +44,6 @@ func (p *Proc) collMbox(seq int64, src, dst int) simx.MailboxID {
 	return p.world.pairMbox(&p.world.round(seq).pairs, src, dst)
 }
 
-// runCollective decomposes one traced collective into the point-to-point
-// schedule of the configured algorithm and executes it through the mailbox
-// machinery: the generalisation of the paper's star decomposition. The
-// schedule is a pure function of (rank, world size, volume), so every rank
-// reserves the same span of round numbers and the rendezvous mailboxes
-// derive from the shared counter exactly as before — multi-round algorithms
-// simply consume several seqs per collective.
-func (p *Proc) runCollective(kind coll.Kind, vcomm, vcomp float64) error {
-	alg := coll.Resolve(kind, p.cfg.Collectives.For(kind), p.cfg.Model, p.N, vcomm)
-	rounds := coll.Rounds(kind, alg, p.N)
-	base := p.reserveColl(rounds)
-	p.steps = coll.AppendSchedule(p.steps[:0], kind, alg, p.Rank, p.N, vcomm, vcomp)
-	for i := range p.steps {
-		s := &p.steps[i]
-		switch s.Op {
-		case coll.OpSend:
-			p.Sim.Send(p.collMbox(base+int64(s.Round), p.Rank, s.To), s.Volume)
-		case coll.OpRecv:
-			p.Sim.Recv(p.collMbox(base+int64(s.Round), s.From, p.Rank))
-		case coll.OpShift:
-			// Pairwise exchange: post the send asynchronously so two ranks
-			// shifting to each other cannot deadlock, then complete both.
-			c := p.Sim.ISend(p.collMbox(base+int64(s.Round), p.Rank, s.To), s.Volume)
-			p.Sim.Recv(p.collMbox(base+int64(s.Round), s.From, p.Rank))
-			p.Sim.WaitComm(c)
-			p.Sim.ReleaseComm(c)
-		case coll.OpCompute:
-			p.Sim.Execute(s.Volume)
-		}
-	}
-	// All of this rank's transfers in [base, base+rounds) have completed
-	// (every step above blocks); once the last rank passes here the rounds'
-	// mailboxes are drained and recycle.
-	p.world.release(base, rounds)
-	return nil
-}
-
-// handleCompute simulates a CPU burst: the paper's example handler creating
-// and executing a SimGrid task of the traced volume.
-func handleCompute(p *Proc, a trace.Action) error {
-	p.Sim.Execute(a.Volume)
-	return nil
-}
-
 // checkPeer rejects peers outside the deployment: the run loop does not
 // re-validate actions (a custom Source can hand over anything), and the pair
 // table keys src*n+dst alias across ranks for an out-of-range peer, so such
@@ -81,144 +57,219 @@ func (p *Proc) checkPeer(peer int) error {
 	return nil
 }
 
-// handleSend simulates a blocking send: synchronous above
-// smpi.EagerThreshold (the sender waits for the transfer), buffered up to
-// it.
-func handleSend(p *Proc, a trace.Action) error {
-	if a.Peer == p.Rank {
-		return fmt.Errorf("replay: p%d sends to itself", p.Rank)
-	}
-	if err := p.checkPeer(a.Peer); err != nil {
-		return err
-	}
-	if a.Volume <= smpi.EagerThreshold {
+// begin starts action a with the semantics of built-in action t and reports
+// whether the rank parked before the action completed; resume then
+// continues it. Errors are trace inconsistencies found before any kernel
+// operation.
+func (p *Proc) begin(t trace.ActionType, a trace.Action) (parked bool, err error) {
+	switch t {
+	case trace.Compute:
+		// A CPU burst: the paper's example handler creating and executing a
+		// SimGrid task of the traced volume.
+		p.Sim.ParkExecute(a.Volume)
+		p.cont = contDone
+		return true, nil
+	case trace.Send:
+		// A blocking send: synchronous above smpi.EagerThreshold (the
+		// sender waits for the transfer), buffered up to it.
+		if a.Peer == p.Rank {
+			return false, fmt.Errorf("replay: p%d sends to itself", p.Rank)
+		}
+		if err := p.checkPeer(a.Peer); err != nil {
+			return false, err
+		}
+		if a.Volume <= smpi.EagerThreshold {
+			p.Sim.ISendDetached(p.p2pMbox(p.Rank, a.Peer), a.Volume)
+			return false, nil
+		}
+		p.wait = p.Sim.ISend(p.p2pMbox(p.Rank, a.Peer), a.Volume)
+		p.cont = contWait
+	case trace.Isend:
+		// Following the MSG replay design the message is detached:
+		// completion is the network's business.
+		if a.Peer == p.Rank {
+			return false, fmt.Errorf("replay: p%d Isends to itself", p.Rank)
+		}
+		if err := p.checkPeer(a.Peer); err != nil {
+			return false, err
+		}
 		p.Sim.ISendDetached(p.p2pMbox(p.Rank, a.Peer), a.Volume)
-		return nil
+		return false, nil
+	case trace.Recv:
+		if err := p.checkPeer(a.Peer); err != nil {
+			return false, err
+		}
+		p.wait = p.Sim.IRecv(p.p2pMbox(a.Peer, p.Rank))
+		p.cont = contWait
+	case trace.Irecv:
+		// The request joins the rank's FIFO of pending requests consumed by
+		// wait actions.
+		if err := p.checkPeer(a.Peer); err != nil {
+			return false, err
+		}
+		p.pending.Push(p.Sim.IRecv(p.p2pMbox(a.Peer, p.Rank)))
+		return false, nil
+	case trace.Wait:
+		// Completes the oldest pending asynchronous receive.
+		if p.pending.Empty() {
+			return false, fmt.Errorf("replay: p%d waits with no pending request", p.Rank)
+		}
+		p.wait = p.pending.Pop()
+		p.cont = contWait
+	case trace.WaitAll:
+		// The MPI_Waitall of a traced request batch drains the whole FIFO
+		// in post order. It implies outstanding requests, so an empty FIFO
+		// is a trace inconsistency, diagnosed like a stray wait.
+		if p.pending.Empty() {
+			return false, fmt.Errorf("replay: p%d waitAlls with no pending request", p.Rank)
+		}
+		p.cont = contWaitAll
+	case trace.CommSize:
+		// Validates the communicator size declared by the trace against the
+		// deployment, the consistency check the paper's format enables.
+		if int(a.Volume) != p.N {
+			return false, fmt.Errorf("replay: p%d declares comm_size %d but deployment has %d processes",
+				p.Rank, int(a.Volume), p.N)
+		}
+		return false, nil
+	case trace.Bcast:
+		// From rank 0 as a set of point-to-point messages, the
+		// decomposition the paper chooses over monolithic collective
+		// models — by default the linear star, or the algorithm
+		// Config.Collectives selects.
+		p.startCollective(coll.KindBcast, a.Volume, 0)
+	case trace.Reduce:
+		// Gathers vcomm bytes to rank 0, then every rank executes the traced
+		// reduction work vcomp.
+		p.startCollective(coll.KindReduce, a.Volume, a.Volume2)
+	case trace.AllReduce:
+		// By default a reduce followed by a broadcast of the result, then
+		// the local reduction work; recursive-doubling and ring schedules
+		// are selectable.
+		p.startCollective(coll.KindAllReduce, a.Volume, a.Volume2)
+	case trace.Barrier:
+		// 1-byte tokens, by default through rank 0.
+		p.startCollective(coll.KindBarrier, 0, 0)
+	case trace.Gather:
+		// One block of the traced volume per rank, collected at rank 0.
+		p.startCollective(coll.KindGather, a.Volume, 0)
+	case trace.AllGather:
+		// Leaves every rank with all blocks.
+		p.startCollective(coll.KindAllGather, a.Volume, 0)
+	case trace.AllToAll:
+		// The personalised all-to-all exchange, as pairwise shifts.
+		p.startCollective(coll.KindAllToAll, a.Volume, 0)
+	case trace.Scatter:
+		// One block per rank, distributed from rank 0.
+		p.startCollective(coll.KindScatter, a.Volume, 0)
+	default:
+		return false, fmt.Errorf("replay: no built-in action %q", t.String())
 	}
-	p.Sim.Send(p.p2pMbox(p.Rank, a.Peer), a.Volume)
-	return nil
+	return p.resume(), nil
 }
 
-// handleIsend simulates an asynchronous send; following the MSG replay
-// design the message is detached — completion is the network's business.
-func handleIsend(p *Proc, a trace.Action) error {
-	if a.Peer == p.Rank {
-		return fmt.Errorf("replay: p%d Isends to itself", p.Rank)
+// resume continues the action in flight and reports whether the rank
+// parked again; once it completes, the rank is between actions.
+func (p *Proc) resume() bool {
+	parked := false
+	switch p.cont {
+	case contWait:
+		parked = p.await()
+	case contWaitAll:
+		for {
+			if parked = p.await(); parked || p.pending.Empty() {
+				break
+			}
+			p.wait = p.pending.Pop()
+		}
+	case contColl:
+		parked = p.collective()
 	}
-	if err := p.checkPeer(a.Peer); err != nil {
+	if !parked {
+		p.cont = contNone
+	}
+	return parked
+}
+
+// await parks on p.wait until it completes, then hands the handle back to
+// the kernel pool; a nil p.wait has nothing to wait for.
+func (p *Proc) await() bool {
+	if p.wait == nil {
+		return false
+	}
+	if p.Sim.ParkComm(p.wait) {
+		return true
+	}
+	p.Sim.ReleaseComm(p.wait)
+	p.wait = nil
+	return false
+}
+
+// startCollective decomposes one traced collective into the point-to-point
+// schedule of the configured algorithm (the generalisation of the paper's
+// star decomposition), which collective then executes through the mailbox
+// machinery. The schedule is a pure function of (rank, world size, volume),
+// so every rank reserves the same span of round numbers and the rendezvous
+// mailboxes derive from the shared counter: multi-round algorithms simply
+// consume several seqs per collective.
+func (p *Proc) startCollective(kind coll.Kind, vcomm, vcomp float64) {
+	alg := coll.Resolve(kind, p.cfg.Collectives.For(kind), p.cfg.Model, p.N, vcomm)
+	p.rounds = coll.Rounds(kind, alg, p.N)
+	p.base = p.collSeq
+	p.collSeq += int64(p.rounds)
+	p.steps = coll.AppendSchedule(p.steps[:0], kind, alg, p.Rank, p.N, vcomm, vcomp)
+	p.step = 0
+	p.cont = contColl
+}
+
+// collective runs the schedule from p.step, one step at a time: each step's
+// transfers complete before the next step starts.
+func (p *Proc) collective() bool {
+	for {
+		for p.wait != nil {
+			if p.await() {
+				return true
+			}
+			// A pairwise exchange waits for its send after its receive.
+			p.wait, p.shift = p.shift, nil
+		}
+		if p.step == len(p.steps) {
+			// All of this rank's transfers in the collective's rounds have
+			// completed; once the last rank passes here the rounds'
+			// mailboxes are drained and recycle.
+			p.world.release(p.base, p.rounds)
+			return false
+		}
+		s := &p.steps[p.step]
+		p.step++
+		seq := p.base + int64(s.Round)
+		switch s.Op {
+		case coll.OpSend:
+			p.wait = p.Sim.ISend(p.collMbox(seq, p.Rank, s.To), s.Volume)
+		case coll.OpRecv:
+			p.wait = p.Sim.IRecv(p.collMbox(seq, s.From, p.Rank))
+		case coll.OpShift:
+			// Pairwise exchange: post the send asynchronously so two ranks
+			// shifting to each other cannot deadlock, then complete both.
+			p.shift = p.Sim.ISend(p.collMbox(seq, p.Rank, s.To), s.Volume)
+			p.wait = p.Sim.IRecv(p.collMbox(seq, s.From, p.Rank))
+		case coll.OpCompute:
+			p.Sim.ParkExecute(s.Volume)
+			return true
+		}
+	}
+}
+
+// builtin returns the Handler of built-in action t, the one Lookup hands
+// out: it drives the action's steps from the calling rank's coroutine,
+// suspending where a stackless rank would return to the kernel.
+func builtin(t trace.ActionType) Handler {
+	return func(p *Proc, a trace.Action) error {
+		parked, err := p.begin(t, a)
+		for parked {
+			p.Sim.Suspend()
+			parked = p.resume()
+		}
 		return err
 	}
-	p.Sim.ISendDetached(p.p2pMbox(p.Rank, a.Peer), a.Volume)
-	return nil
-}
-
-// handleRecv simulates a blocking receive from the traced source.
-func handleRecv(p *Proc, a trace.Action) error {
-	if err := p.checkPeer(a.Peer); err != nil {
-		return err
-	}
-	p.Sim.Recv(p.p2pMbox(a.Peer, p.Rank))
-	return nil
-}
-
-// handleIrecv posts an asynchronous receive; the request joins the rank's
-// FIFO of pending requests consumed by wait actions.
-func handleIrecv(p *Proc, a trace.Action) error {
-	if err := p.checkPeer(a.Peer); err != nil {
-		return err
-	}
-	p.pending.Push(p.Sim.IRecv(p.p2pMbox(a.Peer, p.Rank)))
-	return nil
-}
-
-// handleWait completes the oldest pending asynchronous receive and returns
-// the consumed handle to the kernel pool.
-func handleWait(p *Proc, a trace.Action) error {
-	if p.pending.Empty() {
-		return fmt.Errorf("replay: p%d waits with no pending request", p.Rank)
-	}
-	h := p.pending.Pop()
-	p.Sim.WaitComm(h)
-	p.Sim.ReleaseComm(h)
-	return nil
-}
-
-// handleWaitAll drains the whole pending-request FIFO in post order,
-// releasing every handle — the MPI_Waitall of a traced request batch. A
-// traced waitAll implies outstanding requests, so an empty FIFO is a trace
-// inconsistency, diagnosed like a stray wait.
-func handleWaitAll(p *Proc, a trace.Action) error {
-	if p.pending.Empty() {
-		return fmt.Errorf("replay: p%d waitAlls with no pending request", p.Rank)
-	}
-	for !p.pending.Empty() {
-		h := p.pending.Pop()
-		p.Sim.WaitComm(h)
-		p.Sim.ReleaseComm(h)
-	}
-	return nil
-}
-
-// handleBcast broadcasts from rank 0 as a set of point-to-point messages,
-// the decomposition the paper chooses over monolithic collective models —
-// by default the linear star, or the algorithm Config.Collectives selects.
-func handleBcast(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindBcast, a.Volume, 0)
-}
-
-// handleReduce gathers vcomm bytes to rank 0, then every rank executes the
-// traced reduction work vcomp.
-func handleReduce(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindReduce, a.Volume, a.Volume2)
-}
-
-// handleAllReduce is by default a reduce followed by a broadcast of the
-// result, then the local reduction work; recursive-doubling and ring
-// schedules are selectable.
-func handleAllReduce(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindAllReduce, a.Volume, a.Volume2)
-}
-
-// handleBarrier synchronises with 1-byte tokens, by default through rank 0.
-func handleBarrier(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindBarrier, 0, 0)
-}
-
-// handleGather collects one block of the traced volume per rank at rank 0.
-func handleGather(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindGather, a.Volume, 0)
-}
-
-// handleAllGather leaves every rank with all blocks.
-func handleAllGather(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindAllGather, a.Volume, 0)
-}
-
-// handleAllToAll performs the personalised all-to-all exchange as pairwise
-// shifts.
-func handleAllToAll(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindAllToAll, a.Volume, 0)
-}
-
-// handleScatter distributes one block per rank from rank 0.
-func handleScatter(p *Proc, a trace.Action) error {
-	return p.runCollective(coll.KindScatter, a.Volume, 0)
-}
-
-// handleCommSize validates the communicator size declared by the trace
-// against the deployment, the consistency check the paper's format enables.
-func handleCommSize(p *Proc, a trace.Action) error {
-	if int(a.Volume) != p.N {
-		return fmt.Errorf("replay: p%d declares comm_size %d but deployment has %d processes",
-			p.Rank, int(a.Volume), p.N)
-	}
-	return nil
-}
-
-// interface check: all default handlers match the Handler signature.
-var _ = []Handler{
-	handleCompute, handleSend, handleIsend, handleRecv, handleIrecv,
-	handleWait, handleWaitAll, handleBcast, handleReduce, handleAllReduce,
-	handleBarrier, handleGather, handleAllGather, handleAllToAll,
-	handleScatter, handleCommSize,
 }

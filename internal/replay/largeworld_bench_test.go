@@ -15,7 +15,7 @@ import (
 // counts so one op replays a single iteration sweep per world — large
 // enough to exercise every layer (p2p stencil, collectives, waits), small
 // enough that 16k ranks stay benchable.
-func largeWorldGen(b *testing.B, world int) *synth.Gen {
+func largeWorldGen(b testing.TB, world int) *synth.Gen {
 	b.Helper()
 	perRank, err := npb.RecordAll("lu", "S", 16)
 	if err != nil {

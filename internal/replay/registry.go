@@ -8,7 +8,9 @@
 // to a handler function through a registry (the MSG_action_register
 // mechanism), per-process replayers execute their action streams as kernel
 // processes, and collective operations are decomposed into sets of
-// point-to-point communications rooted at process 0.
+// point-to-point communications rooted at process 0. A replayer is a
+// resumable state machine: with the built-in actions it runs as a simx step
+// process, parking where an action waits instead of blocking a goroutine.
 package replay
 
 import (
@@ -18,9 +20,13 @@ import (
 	"tireplay/internal/trace"
 )
 
-// Handler implements the simulated behaviour of one action keyword. It runs
-// inside the replayer process's coroutine (see simx.Proc) and may use every
-// blocking operation of p.Sim.
+// Handler implements the simulated behaviour of one action keyword and may
+// use every blocking operation of p.Sim. A registry with a registered
+// handler runs each of its ranks as a coroutine (a simx body process), which
+// gives handlers a stack to block on; a registry of built-in actions only,
+// such as Default(), runs its ranks stackless (see simx.Proc). The Handler
+// that Lookup returns for a built-in action drives the action's steps from
+// the calling rank's coroutine.
 type Handler func(p *Proc, a trace.Action) error
 
 // Registry binds action keywords to handlers, the analogue of
@@ -32,6 +38,9 @@ type Registry struct {
 	// so the per-action Lookup on the replay hot path is an index, not a
 	// map hash.
 	byType [trace.NumTypes]Handler
+	// registered marks the action types bound by Register; a type bound by
+	// Default runs its built-in steps directly.
+	registered [trace.NumTypes]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -45,7 +54,19 @@ func (r *Registry) Register(keyword string, h Handler) {
 	r.handlers[keyword] = h
 	if t, ok := trace.TypeFromName(keyword); ok {
 		r.byType[t] = h
+		r.registered[t] = true
 	}
+}
+
+// stackless reports whether no action type is bound by Register, so the
+// registry's ranks need no stack.
+func (r *Registry) stackless() bool {
+	for _, reg := range r.registered {
+		if reg {
+			return false
+		}
+	}
+	return true
 }
 
 // Lookup resolves the handler of an action type.
@@ -72,21 +93,10 @@ func (r *Registry) Keywords() []string {
 // Table 1.
 func Default() *Registry {
 	r := NewRegistry()
-	r.Register("compute", handleCompute)
-	r.Register("send", handleSend)
-	r.Register("Isend", handleIsend)
-	r.Register("recv", handleRecv)
-	r.Register("Irecv", handleIrecv)
-	r.Register("wait", handleWait)
-	r.Register("bcast", handleBcast)
-	r.Register("reduce", handleReduce)
-	r.Register("allReduce", handleAllReduce)
-	r.Register("barrier", handleBarrier)
-	r.Register("comm_size", handleCommSize)
-	r.Register("waitAll", handleWaitAll)
-	r.Register("gather", handleGather)
-	r.Register("allGather", handleAllGather)
-	r.Register("allToAll", handleAllToAll)
-	r.Register("scatter", handleScatter)
+	for t := trace.ActionType(0); t < trace.NumTypes; t++ {
+		h := builtin(t)
+		r.handlers[t.String()] = h
+		r.byType[t] = h
+	}
 	return r
 }

@@ -388,7 +388,7 @@ func TestRegistryLookupUnknown(t *testing.T) {
 	if _, err := r.Lookup(trace.Compute); err == nil {
 		t.Fatal("expected lookup failure")
 	}
-	r.Register("compute", handleCompute)
+	r.Register("compute", builtin(trace.Compute))
 	if _, err := r.Lookup(trace.Compute); err != nil {
 		t.Fatal(err)
 	}

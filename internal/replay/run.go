@@ -78,8 +78,10 @@ type Result struct {
 // holds only rank-local state; the mailboxes a rank meets its peers in live
 // in the shared world.
 type Proc struct {
-	// Sim is the simulation process executing this rank's actions: a kernel
-	// coroutine that suspends whenever a handler blocks.
+	// Sim is the simulation process executing this rank's actions. With
+	// built-in actions only (the default registry) it is a step process the
+	// kernel calls on its own goroutine; with a registered handler it is a
+	// coroutine, whose blocking operations the handler may use.
 	Sim *simx.Proc
 	// Rank is the process id of the trace being replayed.
 	Rank int
@@ -98,17 +100,17 @@ type Proc struct {
 	// stabilises after the first few collectives, keeping the collective
 	// steady state allocation-free like the point-to-point one.
 	steps []coll.Step
-}
 
-// reserveColl reserves the next `rounds` consecutive collective round
-// numbers for one collective and returns the first. Every rank executes the
-// same collective sequence with the same deterministic schedule shape (an
-// MPI requirement), so all ranks reserve identical spans and meet in the
-// same rounds.
-func (p *Proc) reserveColl(rounds int) int64 {
-	s := p.collSeq
-	p.collSeq += int64(rounds)
-	return s
+	// The action in flight (see cont): wait is the handle the rank waits
+	// on; a collective runs steps from index step over the rounds
+	// [base, base+rounds), and shift is the send an OpShift step posted
+	// alongside the receive in wait.
+	cont   cont
+	wait   *simx.Comm
+	shift  *simx.Comm
+	step   int
+	base   int64
+	rounds int
 }
 
 // world is the replay state shared by every rank of one run. The kernel
@@ -312,12 +314,12 @@ func ScannerSource(sc *trace.Scanner) Source {
 
 // run owns every piece of mutable state of one replay: the kernel (with its
 // activity/comm pools and interning tables), the collective round table, the
-// per-rank error slots and the action counter. Nothing in this struct — or
-// reachable from it — is shared with any other run, which is what lets a
-// sweep execute many runs concurrently over one read-only trace; the inputs
-// a caller may share between concurrent runs (Registry, *smpi.Model, Source
-// backing arrays, the parsed platform description) are all immutable during
-// a run.
+// ranks, the per-rank error slots and the action counter. Nothing in this
+// struct — or reachable from it — is shared with any other run, which is
+// what lets a sweep execute many runs concurrently over one read-only
+// trace; the inputs a caller may share between concurrent runs (Registry,
+// *smpi.Model, Source backing arrays, the parsed platform description) are
+// all immutable during a run.
 type run struct {
 	cfg     Config
 	k       *simx.Kernel
@@ -325,15 +327,30 @@ type run struct {
 	hosts   []*simx.Host // hosts[slot] runs deployment slot's rank
 	sources []Source
 	world   *world
+	ranks   []rank
 	errs    []error
 
-	// rankActions[slot] counts the actions rank slot completed; failed[slot]
-	// records the fail-stop that killed it. Plain slices: the kernel
-	// schedules one rank at a time and k.Run establishes the happens-before
-	// with the caller — which is also why the run needs no atomic total, the
-	// per-slot counters sum up after k.Run returns.
+	// rankActions[slot] counts the actions rank slot completed. A plain
+	// slice: the kernel schedules one rank at a time and k.Run establishes
+	// the happens-before with the caller — which is also why the run needs
+	// no atomic total, the per-slot counters sum up after k.Run returns.
 	rankActions []int64
-	failed      []*simx.FailedError
+	// prefix receives the park times of a donor run's ranks (RunPrefix).
+	prefix *PrefixRun
+}
+
+// rank replays one deployment slot's source: a resumable state machine the
+// kernel steps. A waiting rank costs its Proc and no goroutine.
+type rank struct {
+	p   Proc
+	r   *run
+	src Source
+	// cut is the number of actions a donor's rank replays before it parks
+	// (RunPrefix); -1 replays the whole source.
+	cut int64
+	// park is the donor park time a forked member's rank sleeps to before
+	// its first action (p.cont = contPark, RunForked).
+	park float64
 }
 
 // newRun prepares one replay of the deployment on the build's kernel — the
@@ -389,9 +406,9 @@ func newRun(b *platform.Build, depl *platform.Deployment, cfg Config, sources []
 		hosts:       hosts,
 		sources:     sources,
 		world:       &world{k: k, n: n},
+		ranks:       make([]rank, n),
 		errs:        make([]error, n),
 		rankActions: make([]int64, n),
-		failed:      make([]*simx.FailedError, n),
 	}, nil
 }
 
@@ -454,7 +471,8 @@ func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Sou
 		return nil, err
 	}
 	var lost []RankFailure
-	for slot, fe := range r.failed {
+	for slot := range r.ranks {
+		fe := r.ranks[slot].p.Sim.Killed()
 		if fe == nil {
 			continue
 		}
@@ -476,63 +494,85 @@ func Run(b *platform.Build, depl *platform.Deployment, cfg Config, sources []Sou
 	return r.result(makespan, r.actions(), wall)
 }
 
-// spawnRank creates the kernel process replaying deployment slot's whole
-// source.
-func (r *run) spawnRank(slot int) {
-	r.k.Spawn(r.depl.Processes[slot].Function, r.hosts[slot], func(sp *simx.Proc) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
+// spawnRank creates the kernel process replaying deployment slot's source
+// and returns its rank, which replays the whole source unless the caller
+// bounds it before the kernel runs. With built-in actions only the rank is
+// a step process; with a registered handler, whose blocking calls need a
+// stack, a coroutine drives the same machine.
+func (r *run) spawnRank(slot int) *rank {
+	rk := &r.ranks[slot]
+	rk.p = Proc{Rank: slot, N: r.world.n, cfg: &r.cfg, world: r.world}
+	rk.r, rk.src, rk.cut = r, r.sources[slot], -1
+	name, host := r.depl.Processes[slot].Function, r.hosts[slot]
+	if r.cfg.Registry.stackless() {
+		rk.p.Sim = r.k.SpawnFunc(name, host, func(*simx.Proc) { rk.step() })
+	} else {
+		rk.p.Sim = r.k.Spawn(name, host, func(sp *simx.Proc) {
+			for rk.step() {
+				sp.Suspend()
 			}
-			if fe := simx.FailureOf(rec); fe != nil {
-				// A fail-stop killed the rank (its own host, or a peer's
-				// death propagated through a rendezvous): record the loss
-				// and die quietly — Run diagnoses it after the simulation.
-				r.failed[slot] = fe
-				return
-			}
-			panic(rec)
-		}()
-		p, src := r.newProc(sp, slot), r.sources[slot]
-		for r.stepAction(p, src, slot) {
+		})
+	}
+	return rk
+}
+
+// step advances the rank until it parks (true) or ends (false): it
+// finishes the action in flight, then replays actions from the source until
+// one parks, the source ends, an action fails or the cut is reached.
+func (rk *rank) step() bool {
+	p, r := &rk.p, rk.r
+	switch p.cont {
+	case contNone:
+		// Between actions: nothing to finish.
+	case contPark:
+		p.cont = contNone
+		p.Sim.ParkSleepUntil(rk.park)
+		return true
+	default:
+		if p.resume() {
+			return true
 		}
-	})
-}
-
-// newProc creates the handler context of deployment slot's rank. It holds
-// no per-peer state (point-to-point mailboxes live in the world's pair
-// table), so spawning a rank costs O(1) regardless of the world size.
-func (r *run) newProc(sp *simx.Proc, slot int) *Proc {
-	return &Proc{Sim: sp, Rank: slot, N: r.world.n, cfg: &r.cfg, world: r.world}
-}
-
-// stepAction fetches and executes one action of rank slot; false stops the
-// rank (end of trace or recorded error).
-func (r *run) stepAction(p *Proc, src Source, slot int) bool {
-	a, ok, err := src.Next()
-	if err != nil {
-		r.errs[slot] = fmt.Errorf("replay: p%d trace: %w", p.Rank, err)
-		return false
+		r.rankActions[p.Rank]++
 	}
-	if !ok {
-		return false
+	reg := r.cfg.Registry
+	for r.rankActions[p.Rank] != rk.cut {
+		a, ok, err := rk.src.Next()
+		if err != nil {
+			r.errs[p.Rank] = fmt.Errorf("replay: p%d trace: %w", p.Rank, err)
+			return false
+		}
+		if !ok {
+			return false
+		}
+		if a.Proc != p.Rank {
+			r.errs[p.Rank] = fmt.Errorf("replay: p%d trace contains action of p%d", p.Rank, a.Proc)
+			return false
+		}
+		h, err := reg.Lookup(a.Type)
+		parked := false
+		if err == nil {
+			if reg.registered[a.Type] {
+				err = h(p, a)
+			} else {
+				parked, err = p.begin(a.Type, a)
+			}
+		}
+		if err != nil {
+			r.errs[p.Rank] = err
+			return false
+		}
+		if parked {
+			return true
+		}
+		r.rankActions[p.Rank]++
 	}
-	if a.Proc != p.Rank {
-		r.errs[slot] = fmt.Errorf("replay: p%d trace contains action of p%d", p.Rank, a.Proc)
-		return false
-	}
-	h, err := r.cfg.Registry.Lookup(a.Type)
-	if err != nil {
-		r.errs[slot] = err
-		return false
-	}
-	if err := h(p, a); err != nil {
-		r.errs[slot] = err
-		return false
-	}
-	r.rankActions[slot]++
-	return true
+	// The donor's rank reached its divergence point: record when and in
+	// which order it parked. The resumed members sleep to exactly here, and
+	// same-instant resumptions wake in park order, preserving the
+	// interleaving of a from-scratch run.
+	r.prefix.park[p.Rank] = p.Sim.Now()
+	r.prefix.order = append(r.prefix.order, p.Rank)
+	return false
 }
 
 // RunActions replays in-memory per-rank action lists.
@@ -548,8 +588,9 @@ func RunActions(b *platform.Build, depl *platform.Deployment, cfg Config, perRan
 // process arguments — the configuration of Section 5 where
 // MSG_action_trace_run receives no file name and each process entry carries
 // its own trace file. Plain-text traces are streamed so traces larger than
-// memory (the class D scale of Section 6.5) replay in constant space;
-// gzip-compressed and binary traces are decoded up front.
+// memory (the class D scale of Section 6.5) replay in constant space, binary
+// traces are decoded in place from a memory map, and gzip-compressed traces
+// are held as binary images (see openSource).
 func RunFiles(b *platform.Build, depl *platform.Deployment, cfg Config) (*Result, error) {
 	sources := make([]Source, len(depl.Processes))
 	var closers []io.Closer
@@ -577,15 +618,20 @@ func RunFiles(b *platform.Build, depl *platform.Deployment, cfg Config) (*Result
 }
 
 // openSource returns a streaming source for plain-text traces, a mapped
-// in-place decoder for binary traces, and an in-memory list for compressed
-// ones.
+// in-place decoder for binary traces, and for compressed ones a decoder
+// over the binary image trace.ReadImage encodes them into (a few bytes per
+// action, where decoded actions take 48).
 func openSource(path string) (Source, io.Closer, error) {
 	if strings.HasSuffix(path, ".gz") {
-		actions, err := trace.ReadFile(path)
+		img, err := trace.ReadImage(path)
 		if err != nil {
 			return nil, nil, err
 		}
-		return SliceSource(actions), nil, nil
+		cur, err := trace.NewBinaryCursor(img)
+		if err != nil {
+			return nil, nil, fmt.Errorf("trace: %s: %w", path, err)
+		}
+		return cur, nil, nil
 	}
 	f, err := os.Open(path)
 	if err != nil {

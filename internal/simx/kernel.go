@@ -14,10 +14,13 @@
 //     and hierarchical cluster topologies are contended realistically;
 //   - mailboxes with rendezvous semantics used to match sends and receives.
 //
-// Simulated processes are coroutines (iter.Pull) scheduled cooperatively:
-// exactly one process runs at a time and control returns to the kernel
-// whenever the process blocks on a simulation call, which keeps simulations
-// fully deterministic.
+// Simulated processes are scheduled cooperatively: exactly one process runs
+// at a time and control returns to the kernel whenever the process waits on
+// a simulation call, which keeps simulations fully deterministic. A step
+// process (SpawnFunc) is a function the kernel calls on its own goroutine
+// each time the process is runnable; it posts an operation, parks and
+// returns. A body process (Spawn) is a coroutine (iter.Pull) whose blocking
+// calls post, park and yield. See Proc.
 //
 // # Kernel performance notes
 //
@@ -67,11 +70,13 @@
 //     counts it. Events that do move are sifted in place
 //     (eventq.Queue.Update) instead of removed and re-pushed.
 //
-//   - Processes switch as coroutines: the kernel resumes a process with the
-//     coroutine's next and the process hands control back with its yield,
-//     a direct goroutine switch that bypasses the Go scheduler (no channel
-//     operation, no run-queue wake-up). Every blocking simulation call pays
-//     one such round trip, so it bounds the per-action cost of a replay.
+//   - Step processes switch by function call: the kernel resumes a step
+//     process by calling its step function and regains control when the
+//     step returns, with no goroutine switch, and a parked step process
+//     keeps no stack (a body process's coroutine starts at 4 KB). The
+//     replay's ranks are step processes, so a 16k-rank world runs on the
+//     one goroutine that calls Run. Body processes pay a coroutine round
+//     trip per blocking call.
 //
 //   - Activities, queue events and communication handles are pooled on free
 //     lists, mailboxes have no names — a MailboxID indexes a dense table, so
@@ -225,8 +230,8 @@ func (e *DeadlockError) Error() string {
 // Run executes the simulation until no process can progress. It returns the
 // final simulated time (the makespan) and a non-nil *DeadlockError if
 // processes remained blocked when the event queue drained. Before returning
-// a deadlock or a process panic it releases every unfinished process, so an
-// aborted simulation leaves no coroutine behind.
+// a deadlock or a process panic it releases every unfinished body process,
+// so an aborted simulation leaves no coroutine behind.
 func (k *Kernel) Run() (float64, error) {
 	for {
 		for !k.runq.Empty() {

@@ -14,7 +14,7 @@ import "fmt"
 // the clock plus the static platform. That is why a shared-prefix fork
 // donor must quiesce: its members then need nothing from it but the
 // per-process park times, and resume on kernels of their own
-// (Proc.SleepUntil).
+// (Proc.ParkSleepUntil).
 func (k *Kernel) Quiescent() error {
 	switch {
 	case k.living != 0:

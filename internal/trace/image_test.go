@@ -82,7 +82,9 @@ func TestReadImageErrors(t *testing.T) {
 	if err := os.WriteFile(badBinary, append(tib.Bytes(), 0x7f), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{badText, badBinary} {
+	badGzip := filepath.Join(dir, "bad-binary.trace.gz")
+	writeGzip(t, badGzip, append(tib.Bytes(), 0x7f))
+	for _, path := range []string{badText, badBinary, badGzip} {
 		_, want := ReadFile(path)
 		_, err := ReadImage(path)
 		if want == nil || err == nil || err.Error() != want.Error() {
@@ -92,8 +94,6 @@ func TestReadImageErrors(t *testing.T) {
 	if _, err := ReadImage(badText); err == nil || !strings.Contains(err.Error(), "bad.trace: line 13: ") {
 		t.Errorf("bad text: error %v, want it to name the file and line 13", err)
 	}
-	badGzip := filepath.Join(dir, "bad-binary.trace.gz")
-	writeGzip(t, badGzip, append(tib.Bytes(), 0x7f))
 	if _, err := ReadImage(badGzip); err == nil || !strings.Contains(err.Error(), "bad-binary.trace.gz: record 11: ") {
 		t.Errorf("bad gzip binary: error %v, want it to name the file and record 11", err)
 	}

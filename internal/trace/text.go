@@ -240,15 +240,17 @@ func ReadFile(path string) ([]Action, error) {
 		return nil, err
 	}
 	defer f.Close()
+	var actions []Action
 	if isBinary {
 		if !strings.HasSuffix(path, ".gz") {
 			// Uncompressed binary file: decode it through the memory map
 			// instead of draining the reader into a second copy.
 			return ReadFileMapped(path)
 		}
-		return DecodeBinary(br)
+		actions, err = DecodeBinary(br)
+	} else {
+		actions, err = ParseAll(br)
 	}
-	actions, err := ParseAll(br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
 	}
