@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"tireplay/internal/cli"
@@ -48,6 +49,9 @@ func main() {
 		ckptSpec     = flag.String("ckpt", "", "checkpoint/restart protocol riding through fail-stop faults: \"interval[/cost[/restart[/down]]]\" in seconds")
 	)
 	flag.Parse()
+	if !(*power > 0 && !math.IsInf(*power, 1)) {
+		fail(cli.Usagef("-power %g is not a positive finite flop rate", *power))
+	}
 
 	var (
 		b   *platform.Build

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -48,19 +49,33 @@ func Instantiate(p *Platform) (*Build, error) {
 	return b, nil
 }
 
-// addHost declares a host, refusing a name the kernel already holds.
+// addHost declares a host, refusing a name the kernel already holds and a
+// power that is not positive and finite (a zero, negative or NaN flop rate
+// would give its bursts a completion time the kernel cannot schedule).
 func (b *Build) addHost(name string, power float64, cores int) (*simx.Host, error) {
 	if b.Kernel.Host(name) != nil {
 		return nil, fmt.Errorf("platform: duplicate host %q", name)
+	}
+	if !(power > 0 && !math.IsInf(power, 1)) {
+		return nil, fmt.Errorf("platform: host %q: power %g is not positive and finite", name, power)
 	}
 	b.HostNames = append(b.HostNames, name)
 	return b.Kernel.AddHost(name, power, cores), nil
 }
 
-// addLink declares a link, refusing an id the kernel already holds.
+// addLink declares a link, refusing an id the kernel already holds, a
+// bandwidth that is not positive and finite and a latency that is negative
+// or not finite (either would put a transfer's completion at an infinite,
+// NaN or past time).
 func (b *Build) addLink(id string, bw, lat float64, sharing simx.Sharing) (*simx.Link, error) {
 	if b.Kernel.Link(id) != nil {
 		return nil, fmt.Errorf("platform: duplicate link %q", id)
+	}
+	if !(bw > 0 && !math.IsInf(bw, 1)) {
+		return nil, fmt.Errorf("platform: link %q: bandwidth %g is not positive and finite", id, bw)
+	}
+	if !(lat >= 0 && !math.IsInf(lat, 1)) {
+		return nil, fmt.Errorf("platform: link %q: latency %g is negative or not finite", id, lat)
 	}
 	l := b.Kernel.AddLink(id, bw, lat)
 	l.Sharing = sharing

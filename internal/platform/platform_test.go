@@ -481,3 +481,53 @@ func TestHostsMatchesInstantiate(t *testing.T) {
 		t.Fatalf("Hosts() = %v, Instantiate order = %v", hosts, b.HostNames)
 	}
 }
+
+// TestInstantiateRejectsBadQuantities: a link bandwidth or host power that is
+// not positive and finite, or a link latency that is negative or not finite,
+// fails the load with a platform error naming the link or host, for explicit
+// links and hosts and for a cluster's links and hosts alike. Before the
+// check each of them parsed, and the replay panicked in the kernel.
+func TestInstantiateRejectsBadQuantities(t *testing.T) {
+	link := func(bw, lat string) string {
+		return `<link id="l" bandwidth="` + bw + `" latency="` + lat + `"/>`
+	}
+	host := func(power string) string { return `<host id="h" power="` + power + `"/>` }
+	cluster := func(power, bw, lat, bbBw string) string {
+		return `<cluster id="c" prefix="n" suffix="" radical="0-1" power="` + power +
+			`" bw="` + bw + `" lat="` + lat + `" bb_bw="` + bbBw + `"/>`
+	}
+	for _, tc := range []struct{ as, want string }{
+		{link("0", "1E-5"), `platform: link "l": bandwidth 0 is not positive and finite`},
+		{link("-1", "1E-5"), `platform: link "l": bandwidth -1 is not positive and finite`},
+		{link("NaN", "1E-5"), `platform: link "l": bandwidth NaN is not positive and finite`},
+		{link("Inf", "1E-5"), `platform: link "l": bandwidth +Inf is not positive and finite`},
+		{link("1E8", "-1"), `platform: link "l": latency -1 is negative or not finite`},
+		{link("1E8", "NaN"), `platform: link "l": latency NaN is negative or not finite`},
+		{link("1E8", "Inf"), `platform: link "l": latency +Inf is negative or not finite`},
+		{host("0"), `platform: host "h": power 0 is not positive and finite`},
+		{host("-1"), `platform: host "h": power -1 is not positive and finite`},
+		{host("NaN"), `platform: host "h": power NaN is not positive and finite`},
+		{cluster("0", "1E8", "1E-5", "1E9"), `platform: host "n0": power 0 is not positive and finite`},
+		{cluster("1E9", "0", "1E-5", "1E9"), `platform: link "c_link_0": bandwidth 0 is not positive and finite`},
+		{cluster("1E9", "1E8", "-1E-5", "1E9"), `platform: link "c_backbone": latency -1e-05 is negative or not finite`},
+		{cluster("1E9", "1E8", "1E-5", "0"), `platform: link "c_backbone": bandwidth 0 is not positive and finite`},
+	} {
+		doc := `<platform version="3"><AS id="AS0" routing="Full">` + tc.as + `</AS></platform>`
+		p, err := Parse(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.as, err)
+		}
+		if _, err := Instantiate(p); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: err = %v, want %s", tc.as, err, tc.want)
+		}
+	}
+	// A zero latency is a valid link.
+	p, err := Parse(strings.NewReader(`<platform version="3"><AS id="AS0" routing="Full">` +
+		link("1E8", "0") + `</AS></platform>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Instantiate(p); err != nil {
+		t.Fatalf("zero latency: %v", err)
+	}
+}

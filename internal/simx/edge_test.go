@@ -67,6 +67,26 @@ func TestRouteToUndeclaredHostPanics(t *testing.T) {
 	k.AddRoute("a", "ghost", nil)
 }
 
+// TestInvalidCompletionDelayNamesTransfer: a transfer over a zero-bandwidth
+// link can never complete, and the kernel's panic names its two endpoints
+// (platform loading refuses such a link before a replay can reach this).
+func TestInvalidCompletionDelayNamesTransfer(t *testing.T) {
+	k := New()
+	k.AddHost("a", 1e9, 1)
+	k.AddHost("b", 1e9, 1)
+	k.AddRoute("a", "b", []*Link{k.AddLink("l", 0, 1e-6)})
+	mb := k.NewMailbox()
+	k.SpawnFunc("src", k.Host("a"), sendThenCompute(mb, 1e6, 0))
+	k.SpawnFunc("dst", k.Host("b"), recvThenSleep(mb, 0))
+	defer func() {
+		msg, _ := recover().(string)
+		if want := `simx: invalid completion delay +Inf for transfer "src" -> "dst"`; msg != want {
+			t.Fatalf("panic %q, want %q", msg, want)
+		}
+	}()
+	k.Run()
+}
+
 func TestZeroCoreHostClamped(t *testing.T) {
 	k := New()
 	h := k.AddHost("a", 1e9, 0)

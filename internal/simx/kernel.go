@@ -27,9 +27,10 @@
 // The hot path of a replay is the pair of bandwidth-sharing updates done
 // when a transfer joins or leaves the contended flow set. The kernel keeps
 // that path allocation-free, and confines the expensive work — the max-min
-// solve and the event rescheduling — to the flows actually affected (the
-// per-transition bookkeeping that remains is one sequential pointer scan of
-// the active-flow list):
+// solve and the event rescheduling — to the flows actually affected. What a
+// transition costs besides is a look at the changed flow's links and one
+// sequential pass over the flows it re-solves, plus a walk of the flow/link
+// graph when no single link couples the whole set:
 //
 //   - Flow and compute sets are intrusive slices: every activity stores its
 //     index (activity.pos) in the set that holds it, the same position-index
@@ -39,14 +40,19 @@
 //   - Resharing is partial. Max-min fair allocations decompose by connected
 //     components of the flow/link sharing graph: flows that share no link
 //     (directly or transitively) with a changed flow cannot see their rate
-//     change. When a flow joins or leaves, the kernel walks only the
-//     connected component of the changed flow (via per-link flow lists),
-//     settles and re-solves those flows, and leaves every other component's
-//     rates and completion events untouched. The fair shares are
+//     change. When a flow joins or leaves, the kernel settles and re-solves
+//     only the connected component of the changed flow, and leaves every
+//     other component's rates and completion events untouched. Each link
+//     lists the flows crossing it, each flow once. If one of the changed
+//     flow's links lists every flow of the set, the component is the whole
+//     set and the flow list is re-solved as it stands — every transition on
+//     a cluster whose backbone all routes cross. Otherwise the kernel walks
+//     the component through the per-link lists. The fair shares are
 //     bit-identical to a solve of the whole flow set: the solver processes
 //     the component's flows in the same relative order with the same link
 //     capacities (the invariant tests in reshare_test.go check every rate
-//     against such a solve after every event).
+//     against such a solve after every event, and that each transition
+//     settles exactly its component; FuzzPartialReshare fuzzes both).
 //
 //   - Solves are memoized, exactly. The kernel numbers every route it
 //     resolves, and a solve of three or more flows is keyed by its flows'
@@ -65,7 +71,8 @@
 //   - Rescheduling is lazy. After a component is re-solved, a flow whose
 //     fair share came out unchanged keeps its pending completion event: the
 //     event time is a mathematically equal expression of the same completion
-//     instant (within a few ulps of lastUpdate + remaining/rate), so the
+//     instant (lastUpdate + remaining/rate, which every settle since rounds
+//     anew, stays within a few ulps per settle of it), so the
 //     cancel+push round-trip (and its heap churn) is skipped and LazySkips
 //     counts it. Events that do move are sifted in place
 //     (eventq.Queue.Update) instead of removed and re-pushed.
@@ -160,8 +167,12 @@ type Kernel struct {
 	// lazySkips counts completion events left in place because a reshare
 	// handed the activity the rate it already progressed at.
 	lazySkips uint64
+	// transitions counts flows joining or leaving the contended set, and
+	// walkSkips those whose component one of the flow's links coupled
+	// whole, re-solved without walking the flow/link graph.
+	transitions, walkSkips uint64
 
-	// Partial-reshare scratch: BFS epoch, frontier stack and the collected
+	// Partial-reshare scratch: walk epoch, frontier stack and the collected
 	// component, reused across transitions.
 	epoch     uint64
 	compStack []*activity
@@ -382,11 +393,7 @@ func (k *Kernel) removeCompute(h *Host, a *activity) {
 // settleHost updates the progress of every compute activity on h up to now.
 func (k *Kernel) settleHost(h *Host) {
 	for _, a := range h.computes {
-		a.remaining -= a.rate * (k.now - a.lastUpdate)
-		if a.remaining < 0 {
-			a.remaining = 0
-		}
-		a.lastUpdate = k.now
+		k.settle(a)
 	}
 }
 
@@ -413,13 +420,15 @@ func (k *Kernel) reshareHost(h *Host) {
 	}
 }
 
-// addFlow appends a to the contended flow set and to the flow list of every
-// link it crosses.
+// addFlow appends a to the contended flow set and, once, to the flow list of
+// every distinct link it crosses.
 func (k *Kernel) addFlow(a *activity) {
 	a.pos = len(k.flows)
 	k.flows = append(k.flows, a)
-	for _, l := range a.links {
-		l.flows = append(l.flows, a)
+	for i, l := range a.links {
+		if !a.repeats || firstOnRoute(a.links, i) {
+			l.flows = append(l.flows, a)
+		}
 	}
 }
 
@@ -435,7 +444,10 @@ func (k *Kernel) removeFlow(a *activity) {
 	k.flows[last] = nil
 	k.flows = k.flows[:last]
 	a.pos = -1
-	for _, l := range a.links {
+	for j, l := range a.links {
+		if a.repeats && !firstOnRoute(a.links, j) {
+			continue
+		}
 		for i, f := range l.flows {
 			if f == a {
 				llast := len(l.flows) - 1
@@ -448,11 +460,76 @@ func (k *Kernel) removeFlow(a *activity) {
 	}
 }
 
+// firstOnRoute reports whether links[i] is the first occurrence of its link
+// on the route. A route may name a link twice, but a link's flow list holds
+// each flow once, so that its length counts the flows crossing it; the
+// kernel marks such routes (Route.repeats) when it numbers them, and only
+// their flows pay for the check.
+func firstOnRoute(links []*Link, i int) bool {
+	for _, l := range links[:i] {
+		if l == links[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // reshareTransition handles a flow joining (joining=true) or leaving the
 // contended set: it settles and re-solves only the connected component of
 // flows sharing links with a, leaving disjoint components untouched.
+//
+// When one of a's links carries every flow of the set (a joining flow
+// counts as part of it), that component is the whole set, and the flow list
+// is settled and re-solved as it stands, with no walk. This is every
+// transition on a cluster whose backbone every route crosses. Otherwise the
+// component is found by walking the flow/link graph. Both paths hand the
+// solver the component's flows in start order, so they give the same bits.
 func (k *Kernel) reshareTransition(a *activity, joining bool) {
-	// Mark the connected component reachable from a through shared links.
+	k.transitions++
+	// Before the membership change a joining flow is in no flow list and a
+	// leaving one is in every list of its links, so in both cases a link
+	// listing as many flows as k.flows carries every flow of the set.
+	whole := false
+	for _, l := range a.links {
+		if len(l.flows) == len(k.flows) {
+			whole = true
+			break
+		}
+	}
+	if !whole {
+		k.markComponent(a)
+	}
+
+	// Update membership first, then settle and re-solve the component in
+	// start order, so the solver's arithmetic matches what a global solve
+	// would do. Settling after the membership change is safe: rates have
+	// not been touched yet, and a itself needs no settling (it either just
+	// joined with lastUpdate=now and rate 0, or just completed and is gone
+	// from the list).
+	if joining {
+		k.addFlow(a)
+	} else {
+		k.removeFlow(a)
+	}
+	if whole {
+		k.walkSkips++
+		k.settleFlows(k.flows)
+		k.reshareFlows(k.flows)
+		return
+	}
+	k.comp = k.comp[:0]
+	for _, f := range k.flows {
+		if f.mark == k.epoch {
+			k.settle(f)
+			k.comp = append(k.comp, f)
+		}
+	}
+	k.reshareFlows(k.comp)
+}
+
+// markComponent marks, with a fresh epoch, the flows and links of the
+// connected component reachable from a through shared links.
+func (k *Kernel) markComponent(a *activity) {
 	k.epoch++
 	e := k.epoch
 	a.mark = e
@@ -474,42 +551,22 @@ func (k *Kernel) reshareTransition(a *activity, joining bool) {
 			}
 		}
 	}
-
-	// Update membership first, then settle and gather the marked flows in
-	// one pass over the flow list, in start order, so the solver's
-	// arithmetic matches what a global solve would do. Settling after the
-	// membership change is safe: rates have not been touched yet, and a
-	// itself needs no settling (it either just joined with lastUpdate=now
-	// and rate 0, or just completed and is gone from the list).
-	if joining {
-		k.addFlow(a)
-	} else {
-		k.removeFlow(a)
-	}
-	k.comp = k.comp[:0]
-	for _, f := range k.flows {
-		if f.mark != e {
-			continue
-		}
-		f.remaining -= f.rate * (k.now - f.lastUpdate)
-		if f.remaining < 0 {
-			f.remaining = 0
-		}
-		f.lastUpdate = k.now
-		k.comp = append(k.comp, f)
-	}
-	k.reshareFlows(k.comp)
 }
 
 // settleFlows updates the progress of the given flows up to now.
 func (k *Kernel) settleFlows(flows []*activity) {
 	for _, a := range flows {
-		a.remaining -= a.rate * (k.now - a.lastUpdate)
-		if a.remaining < 0 {
-			a.remaining = 0
-		}
-		a.lastUpdate = k.now
+		k.settle(a)
 	}
+}
+
+// settle updates the progress of one activity up to now.
+func (k *Kernel) settle(a *activity) {
+	a.remaining -= a.rate * (k.now - a.lastUpdate)
+	if a.remaining < 0 {
+		a.remaining = 0
+	}
+	a.lastUpdate = k.now
 }
 
 // reshareFlows recomputes the max-min fair allocation over the given flows
@@ -544,6 +601,9 @@ func (k *Kernel) reshareFlows(flows []*activity) {
 // in place when there is one (no free-list round-trip on the hot path).
 func (k *Kernel) reschedule(a *activity, dt float64) {
 	if math.IsInf(dt, 0) || math.IsNaN(dt) {
+		if a.kind == actComm {
+			panic(fmt.Sprintf("simx: invalid completion delay %g for transfer %q -> %q", dt, a.srcName, a.dstName))
+		}
 		panic(fmt.Sprintf("simx: invalid completion delay %g for activity of %q", dt, a.ownerName))
 	}
 	if a.doneEv != nil && k.queue.Update(a.doneEv, k.now+dt) {

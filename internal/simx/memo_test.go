@@ -180,7 +180,7 @@ func TestMemoForcedEvictionsMatchGlobal(t *testing.T) {
 			kernels = append(kernels, k)
 		}
 		for seed := int64(1); seed <= 8; seed++ {
-			kernels = append(kernels, randomContendedKernel(seed))
+			kernels = append(kernels, randomContendedKernel(seed, false))
 		}
 		for i, k := range kernels {
 			k.memo.sets, k.memo.arenaCap = 1, arenaCap

@@ -84,9 +84,12 @@ type Link struct {
 
 	// index assigned by the max-min solver for fast lookups.
 	idx int
-	// flows lists the transfers currently crossing the link; it is the
-	// adjacency structure the kernel walks to find the connected component
-	// affected by a flow joining or leaving (partial resharing).
+	// flows lists the transfers currently crossing the link, each once even
+	// when its route names the link twice, so its length counts them: a
+	// link listing every flow of the contended set couples the whole set,
+	// and otherwise the lists are the adjacency structure the kernel walks
+	// to find the connected component affected by a flow joining or leaving
+	// (partial resharing).
 	flows []*activity
 	// mark is the kernel's visit epoch during component traversal.
 	mark uint64
@@ -101,6 +104,9 @@ type Route struct {
 	// until resolved); equal IDs mean equal link lists, which is what keys
 	// the solve memo.
 	id int32
+	// repeats marks a route that names a link more than once, found when
+	// the kernel numbers it (see Kernel.addFlow).
+	repeats bool
 }
 
 // NewRoute builds a route over the given links with the summed latency.
@@ -275,6 +281,9 @@ func (k *Kernel) routeBetween(src, dst *Host) *Route {
 	}
 	if r.id == 0 {
 		r.id = k.newRouteID()
+		for i := range r.Links {
+			r.repeats = r.repeats || !firstOnRoute(r.Links, i)
+		}
 	}
 	if src.routeTo == nil {
 		src.routeTo = make(map[*Host]*Route)
