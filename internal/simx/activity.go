@@ -45,9 +45,6 @@ type activity struct {
 	lastUpdate float64
 	start      float64
 	done       bool
-	// repeats copies Route.repeats (comm only): the transfer's route names
-	// a link twice.
-	repeats bool
 
 	// pos is the activity's index in the set it currently belongs to —
 	// Kernel.flows for transfers, Host.computes for compute bursts — the
@@ -162,7 +159,6 @@ func (k *Kernel) startTransfer(src, dst *Host, srcName, dstName string, bytes fl
 	a.start = k.now
 	a.links = route.Links
 	a.route = route.id
-	a.repeats = route.repeats
 	a.srcHost = src
 	a.dstHost = dst
 	a.srcName = srcName

@@ -420,21 +420,25 @@ func (k *Kernel) reshareHost(h *Host) {
 	}
 }
 
-// addFlow appends a to the contended flow set and, once, to the flow list of
-// every distinct link it crosses.
+// addFlow appends a to the contended flow set and to the flow list of every
+// link it crosses, once per link: a route may name a link twice, and the
+// link's list then already ends with a, so that its length counts the flows
+// crossing it.
 func (k *Kernel) addFlow(a *activity) {
 	a.pos = len(k.flows)
 	k.flows = append(k.flows, a)
-	for i, l := range a.links {
-		if !a.repeats || firstOnRoute(a.links, i) {
-			l.flows = append(l.flows, a)
+	for _, l := range a.links {
+		if n := len(l.flows); n > 0 && l.flows[n-1] == a {
+			continue
 		}
+		l.flows = append(l.flows, a)
 	}
 }
 
 // removeFlow takes a out of the flow set, preserving the start order of the
 // remaining flows (the solver's floating-point accumulation order), and out
-// of its links' flow lists.
+// of its links' flow lists (a link the route names twice finds a gone the
+// second time).
 func (k *Kernel) removeFlow(a *activity) {
 	copy(k.flows[a.pos:], k.flows[a.pos+1:])
 	last := len(k.flows) - 1
@@ -444,10 +448,7 @@ func (k *Kernel) removeFlow(a *activity) {
 	k.flows[last] = nil
 	k.flows = k.flows[:last]
 	a.pos = -1
-	for j, l := range a.links {
-		if a.repeats && !firstOnRoute(a.links, j) {
-			continue
-		}
+	for _, l := range a.links {
 		for i, f := range l.flows {
 			if f == a {
 				llast := len(l.flows) - 1
@@ -458,20 +459,6 @@ func (k *Kernel) removeFlow(a *activity) {
 			}
 		}
 	}
-}
-
-// firstOnRoute reports whether links[i] is the first occurrence of its link
-// on the route. A route may name a link twice, but a link's flow list holds
-// each flow once, so that its length counts the flows crossing it; the
-// kernel marks such routes (Route.repeats) when it numbers them, and only
-// their flows pay for the check.
-func firstOnRoute(links []*Link, i int) bool {
-	for _, l := range links[:i] {
-		if l == links[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // reshareTransition handles a flow joining (joining=true) or leaving the

@@ -212,41 +212,70 @@ func ringKernel(n int) (*Kernel, *recTracer) {
 	return k, tr
 }
 
-// A pending completion event sits within maxCompletionUlps plus
-// ulpsPerSettle for every settle since it got its time of
-// lastUpdate + remaining/rate. When the kernel places the event it computes
-// that very expression, but an event the lazy path left in place keeps the
-// time it got from an earlier (lastUpdate, remaining) pair: each settle since
-// rounds both anew and moves the expression by up to about two ulps of the
-// instant, and computing and re-reading it rounds too. A flow that a long
-// run settles many times in place drifts past any fixed bound (the committed
-// fuzz input d06f2788d2a9da34 has one 5 ulps off after 11 settles); a wrong
-// rate or a missed reschedule is off by far more than either term.
-const (
-	maxCompletionUlps = 4
-	ulpsPerSettle     = 2
-)
+// maxCompletionUlps bounds how far a pending completion event may sit from
+// lastUpdate + remaining/rate: an event the lazy path left in place was
+// computed from an earlier (lastUpdate, remaining) pair, and settling since
+// reassociated the same instant. One ulp is not enough; four is.
+const maxCompletionUlps = 4
 
-// placement is what the checked runner keeps of an activity's pending
-// completion event from one check to the next: the event and its time, the
-// activity's lastUpdate, and how many settles moved lastUpdate since the
-// event got that time.
+// ulpsPerSettle is what FuzzPartialReshare allows beyond maxCompletionUlps
+// for every settle since a pending completion event got its time T, because
+// a flow the lazy path keeps in place through many settles drifts past any
+// fixed bound (the committed input d06f2788d2a9da34 has one 5 ulps off after
+// 11 settles). Settling from lastUpdate u to now rounds d = now-u, rate*d and
+// remaining-rate*d, each to within a factor 1±2^-53, so to first order it
+// moves lastUpdate + remaining/rate by at most 2^-53*(2d + remaining/rate),
+// which is at most 2^-52*(T-u): under two ulps of T. A missed reschedule is
+// off by far more.
+const ulpsPerSettle = 2
+
+// settleDrift counts, across the checks of one checked run, the settles that
+// moved each activity's lastUpdate since its pending completion event got its
+// time.
+type settleDrift struct{ placed, next map[*activity]placement }
+
+// placement is what settleDrift keeps of an activity from one check to the
+// next: its pending event and the event's time, its lastUpdate, and the
+// settles counted so far.
 type placement struct {
 	ev             *eventq.Event
 	at, lastUpdate float64
 	settles        int
 }
 
+// turn starts a check: the placements the last check recorded become the
+// ones to compare with.
+func (d *settleDrift) turn() {
+	d.placed, d.next = d.next, make(map[*activity]placement, len(d.next))
+}
+
+// settles records a's placement for the next check and returns how many
+// settles moved a's lastUpdate since its pending event got its time.
+func (d *settleDrift) settles(a *activity) int {
+	p, ok := d.placed[a]
+	switch {
+	case !ok || p.ev != a.doneEv || p.at != a.doneEv.Time:
+		p = placement{ev: a.doneEv, at: a.doneEv.Time}
+	case p.lastUpdate != a.lastUpdate:
+		p.settles++
+	}
+	p.lastUpdate = a.lastUpdate
+	d.next[a] = p
+	return p.settles
+}
+
 // checkReshareInvariant verifies between two events what the partial and
 // lazy sharing paths promise: every transfer's rate is, bit for bit, the
 // bandwidth-factored share a fresh solve of the whole flow set gives it;
 // every compute burst runs at its host's fair share; and every pending
-// completion event sits near lastUpdate + remaining/rate (see
-// maxCompletionUlps). placed holds the previous check's placements; it
-// returns this check's.
-func checkReshareInvariant(t *testing.T, k *Kernel, what string, placed map[*activity]placement) map[*activity]placement {
+// completion event sits within maxCompletionUlps of
+// lastUpdate + remaining/rate, plus ulpsPerSettle per settle counted by
+// drift when it is not nil.
+func checkReshareInvariant(t *testing.T, k *Kernel, what string, drift *settleDrift) {
 	t.Helper()
-	next := make(map[*activity]placement, len(placed))
+	if drift != nil {
+		drift.turn()
+	}
 	fresh := make([]*activity, len(k.flows))
 	for i, f := range k.flows {
 		fresh[i] = &activity{kind: actComm, links: f.links}
@@ -262,7 +291,7 @@ func checkReshareInvariant(t *testing.T, k *Kernel, what string, placed map[*act
 			t.Fatalf("%s t=%g: flow %s->%s rate %v, a global solve gives %v",
 				what, k.now, f.srcName, f.dstName, f.rate, want)
 		}
-		checkCompletion(t, k, f, what, f.srcName+"->"+f.dstName, placed, next)
+		checkCompletion(t, k, f, what, f.srcName+"->"+f.dstName, drift)
 	}
 	for _, h := range k.hostList {
 		share := h.Speed
@@ -277,30 +306,24 @@ func checkReshareInvariant(t *testing.T, k *Kernel, what string, placed map[*act
 				t.Fatalf("%s t=%g: burst of %s on %s rate %v, host share %v",
 					what, k.now, a.ownerName, h.Name, a.rate, share)
 			}
-			checkCompletion(t, k, a, what, a.ownerName, placed, next)
+			checkCompletion(t, k, a, what, a.ownerName, drift)
 		}
 	}
-	return next
 }
 
-func checkCompletion(t *testing.T, k *Kernel, a *activity, what, who string, placed, next map[*activity]placement) {
+func checkCompletion(t *testing.T, k *Kernel, a *activity, what, who string, drift *settleDrift) {
 	t.Helper()
 	if a.doneEv == nil {
 		t.Fatalf("%s t=%g: %s has no completion event", what, k.now, who)
 	}
-	p, ok := placed[a]
-	switch {
-	case !ok || p.ev != a.doneEv || p.at != a.doneEv.Time:
-		p = placement{ev: a.doneEv, at: a.doneEv.Time}
-	case p.lastUpdate != a.lastUpdate:
-		p.settles++
+	bound, settles := maxCompletionUlps, 0
+	if drift != nil {
+		settles = drift.settles(a)
+		bound += ulpsPerSettle * settles
 	}
-	p.lastUpdate = a.lastUpdate
-	next[a] = p
-	want := a.lastUpdate + a.remaining/a.rate
-	if ulps := ulpsApart(a.doneEv.Time, want); ulps > maxCompletionUlps+ulpsPerSettle*p.settles {
+	if want := a.lastUpdate + a.remaining/a.rate; ulpsApart(a.doneEv.Time, want) > bound {
 		t.Fatalf("%s t=%g: %s completes at %v, lastUpdate+remaining/rate = %v (%d ulps after %d settles)",
-			what, k.now, who, a.doneEv.Time, want, ulps, p.settles)
+			what, k.now, who, a.doneEv.Time, want, ulpsApart(a.doneEv.Time, want), settles)
 	}
 }
 
@@ -311,7 +334,13 @@ func checkCompletion(t *testing.T, k *Kernel, a *activity, what, who string, pla
 // that flow's component (see watchSettles).
 func runChecked(t *testing.T, k *Kernel, what string) float64 {
 	t.Helper()
-	var placed map[*activity]placement
+	return runCheckedDrift(t, k, what, nil)
+}
+
+// runCheckedDrift is runChecked, allowing each pending completion event the
+// drift of the settles that drift counts when it is not nil.
+func runCheckedDrift(t *testing.T, k *Kernel, what string, drift *settleDrift) float64 {
+	t.Helper()
 	for {
 		for !k.runq.Empty() {
 			k.step(k.runq.Pop())
@@ -319,7 +348,7 @@ func runChecked(t *testing.T, k *Kernel, what string) float64 {
 				t.Fatalf("%s: %v", what, k.procPanic)
 			}
 		}
-		placed = checkReshareInvariant(t, k, what, placed)
+		checkReshareInvariant(t, k, what, drift)
 		if k.living == 0 && k.pendingTimers == k.queue.Len() {
 			break
 		}
@@ -334,7 +363,7 @@ func runChecked(t *testing.T, k *Kernel, what string) float64 {
 		if check != nil {
 			check(t, what)
 		}
-		placed = checkReshareInvariant(t, k, what, placed)
+		checkReshareInvariant(t, k, what, drift)
 	}
 	if k.blocked > 0 {
 		t.Fatalf("%s: %d processes still blocked at t=%g", what, k.blocked, k.now)
@@ -493,7 +522,8 @@ func TestPartialReshareMatchesGlobalRing(t *testing.T) {
 // FuzzPartialReshare runs decoded contended platforms (see
 // decodeContendedKernel) through the checked runner: after every event each
 // rate must equal a global solve's bit for bit and each completion event sit
-// where an eager reschedule would put it, and each transition must settle
+// where an eager reschedule would put it, within the drift of the settles
+// since it was placed (see ulpsPerSettle), and each transition must settle
 // exactly its flow's component.
 func FuzzPartialReshare(f *testing.F) {
 	// Shapes like randomContendedKernel's: 6 hosts whose backbone routes
@@ -508,7 +538,7 @@ func FuzzPartialReshare(f *testing.F) {
 	f.Add([]byte{3, 15, 0, 0, 1, 1, 0, 200, 31, 140, 2, 1, 5, 3, 1, 6, 4, 2, 2, 7, 1, 0, 0, 0, 2,
 		10, 100, 50, 0, 150, 80, 20, 40, 60, 30, 250, 90, 13, 20, 30})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runChecked(t, decodeContendedKernel(data), fmt.Sprintf("input %x", data))
+		runCheckedDrift(t, decodeContendedKernel(data), fmt.Sprintf("input %x", data), &settleDrift{})
 	})
 }
 

@@ -104,9 +104,6 @@ type Route struct {
 	// until resolved); equal IDs mean equal link lists, which is what keys
 	// the solve memo.
 	id int32
-	// repeats marks a route that names a link more than once, found when
-	// the kernel numbers it (see Kernel.addFlow).
-	repeats bool
 }
 
 // NewRoute builds a route over the given links with the summed latency.
@@ -281,9 +278,6 @@ func (k *Kernel) routeBetween(src, dst *Host) *Route {
 	}
 	if r.id == 0 {
 		r.id = k.newRouteID()
-		for i := range r.Links {
-			r.repeats = r.repeats || !firstOnRoute(r.Links, i)
-		}
 	}
 	if src.routeTo == nil {
 		src.routeTo = make(map[*Host]*Route)
