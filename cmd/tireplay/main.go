@@ -41,7 +41,7 @@ func main() {
 		procs        = flag.Int("procs", 0, "number of processes when using -dir")
 		power        = flag.Float64("power", platform.BordereauPower, "per-core flop/s of the built-in platform")
 		identity     = flag.Bool("no-mpi-model", false, "disable the piece-wise linear MPI model")
-		timed        = flag.String("timed", "", "write a timed trace of the simulated execution to this file")
+		timed        = flag.String("timed", "", "write a timed trace of the simulated execution to this file (named file.tmp until the replay completes)")
 		profile      = flag.Bool("profile", false, "print a per-process profile of the simulated execution")
 		collSpec     = flag.String("coll", "", "collective algorithms: an algorithm for all collectives (linear, binomial, auto, ...) or per-collective choices (\"bcast=binomial,allReduce=ring\")")
 		topoSpec     = flag.String("topo", "", "replay on a generated topology instead of the built-in cluster (fat-tree:4 | torus:4x4x2 | dragonfly:2x4x2), with -dir/-procs")
@@ -129,7 +129,7 @@ func main() {
 	var tw *replay.TimedTraceWriter
 	var timedFile *os.File
 	if *timed != "" {
-		timedFile, err = os.Create(*timed)
+		timedFile, err = os.Create(*timed + ".tmp")
 		if err != nil {
 			fail(err)
 		}
@@ -141,19 +141,11 @@ func main() {
 	}
 
 	res, err := replay.RunFiles(b, d, cfg)
+	if tw != nil {
+		err = publishTimed(tw, timedFile, *timed, err)
+	}
 	if err != nil {
 		fail(err)
-	}
-	// A timed trace that lost even one record is worse than none: the
-	// writer's sticky error turns a short write anywhere in the run into a
-	// failed replay rather than a silently truncated trace.
-	if tw != nil {
-		if err := tw.Flush(); err != nil {
-			fail(fmt.Errorf("writing timed trace %s: %w", *timed, err))
-		}
-		if err := timedFile.Close(); err != nil {
-			fail(fmt.Errorf("writing timed trace %s: %w", *timed, err))
-		}
 	}
 	fmt.Printf("simulated execution time: %s\n", units.FormatSeconds(res.SimulatedTime))
 	fmt.Printf("replayed %d actions in %v\n", res.Actions, res.WallTime)
@@ -170,6 +162,33 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tireplay: warning: %s\n", warn)
 		}
 	}
+}
+
+// publishTimed finishes the timed trace held by f, the temporary file
+// path.tmp: after a replay that succeeded (runErr nil) it flushes, closes
+// and renames f to path; on any failure it removes f and returns the error,
+// so that path only ever holds the whole trace of a completed replay. A
+// trace that lost even one record is worse than none: the writer's sticky
+// error turns a short write anywhere in the run into a failed replay rather
+// than a silently truncated trace.
+func publishTimed(tw *replay.TimedTraceWriter, f *os.File, path string, runErr error) error {
+	err := runErr
+	if err == nil {
+		if err = tw.Flush(); err == nil {
+			err = f.Close()
+		}
+		if err == nil {
+			err = os.Rename(f.Name(), path)
+		}
+		if err != nil {
+			err = fmt.Errorf("writing timed trace %s: %w", path, err)
+		}
+	}
+	if err != nil {
+		_ = f.Close() // the file is removed; its close error has nowhere to go
+		_ = os.Remove(f.Name())
+	}
+	return err
 }
 
 func fail(err error) {

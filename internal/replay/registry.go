@@ -33,10 +33,8 @@ type Handler func(p *Proc, a trace.Action) error
 // MSG_action_register in the paper's prototype. A nil Registry in the replay
 // configuration means Default().
 type Registry struct {
-	handlers map[string]Handler
-	// byType caches handlers of the known action types in a dense array,
-	// so the per-action Lookup on the replay hot path is an index, not a
-	// map hash.
+	// byType holds the handler of each action type, so the per-action
+	// Lookup on the replay hot path is an index, not a map hash.
 	byType [trace.NumTypes]Handler
 	// registered marks the action types bound by Register; a type bound by
 	// Default runs its built-in steps directly.
@@ -45,17 +43,22 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{handlers: make(map[string]Handler)}
+	return &Registry{}
 }
 
 // Register binds keyword to handler, replacing any previous binding —
-// ablation studies use this to swap collective implementations.
+// ablation studies use this to swap collective implementations. The
+// keyword is resolved like a trace keyword, so "ALLREDUCE" binds allReduce,
+// and Keywords lists it under the action's own spelling. A keyword that
+// names no action panics: its handler could never be dispatched, and the
+// built-in would replay in its place.
 func (r *Registry) Register(keyword string, h Handler) {
-	r.handlers[keyword] = h
-	if t, ok := trace.TypeFromName(keyword); ok {
-		r.byType[t] = h
-		r.registered[t] = true
+	t, ok := trace.TypeFromName(keyword)
+	if !ok {
+		panic(fmt.Sprintf("replay: Register(%q): no action has that keyword", keyword))
 	}
+	r.byType[t] = h
+	r.registered[t] = true
 }
 
 // stackless reports whether no action type is bound by Register, so the
@@ -79,11 +82,13 @@ func (r *Registry) Lookup(t trace.ActionType) (Handler, error) {
 	return nil, fmt.Errorf("replay: no handler registered for action %q", t.String())
 }
 
-// Keywords lists the registered keywords in sorted order.
+// Keywords lists the keywords of the bound actions in sorted order.
 func (r *Registry) Keywords() []string {
-	out := make([]string, 0, len(r.handlers))
-	for k := range r.handlers {
-		out = append(out, k)
+	var out []string
+	for t, h := range r.byType {
+		if h != nil {
+			out = append(out, trace.ActionType(t).String())
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -94,9 +99,7 @@ func (r *Registry) Keywords() []string {
 func Default() *Registry {
 	r := NewRegistry()
 	for t := trace.ActionType(0); t < trace.NumTypes; t++ {
-		h := builtin(t)
-		r.handlers[t.String()] = h
-		r.byType[t] = h
+		r.byType[t] = builtin(t)
 	}
 	return r
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -395,6 +396,41 @@ func TestRegistryLookupUnknown(t *testing.T) {
 	if kw := r.Keywords(); len(kw) != 1 || kw[0] != "compute" {
 		t.Fatalf("keywords = %v", kw)
 	}
+}
+
+// TestRegisterResolvesKeyword checks that Register binds a keyword the way
+// a trace names its action: a different-case spelling binds the action and
+// is listed once, under the action's keyword, and a keyword that names no
+// action panics instead of leaving the built-in to replay.
+func TestRegisterResolvesKeyword(t *testing.T) {
+	r := Default()
+	called := false
+	r.Register("ALLREDUCE", func(*Proc, trace.Action) error {
+		called = true
+		return nil
+	})
+	h, err := r.Lookup(trace.AllReduce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h(nil, trace.Action{}); !called {
+		t.Fatal("Register(\"ALLREDUCE\") did not bind allReduce")
+	}
+	kw := r.Keywords()
+	if len(kw) != int(trace.NumTypes) || !slices.Contains(kw, "allReduce") || slices.Contains(kw, "ALLREDUCE") {
+		t.Fatalf("keywords = %v, want each action's keyword once", kw)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, `"computee"`) {
+			t.Fatalf("Register(\"computee\") panicked with %q, want a panic naming the keyword", msg)
+		}
+		if kw := r.Keywords(); len(kw) != int(trace.NumTypes) {
+			t.Fatalf("keywords after a bad keyword = %v", kw)
+		}
+	}()
+	r.Register("computee", func(*Proc, trace.Action) error { return nil })
 }
 
 func TestDefaultRegistryCoversAllActionTypes(t *testing.T) {

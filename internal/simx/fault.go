@@ -329,7 +329,7 @@ func (k *Kernel) DegradeAllLinksAt(factor, from, to float64) {
 			l.Bandwidth = prev[i] * factor
 		}
 		k.memo.reset()
-		k.reshareFlows(k.flows)
+		k.reshareAll()
 	})
 	k.At(to, func() {
 		k.settleFlows(k.flows)
@@ -337,6 +337,6 @@ func (k *Kernel) DegradeAllLinksAt(factor, from, to float64) {
 			l.Bandwidth = prev[i]
 		}
 		k.memo.reset()
-		k.reshareFlows(k.flows)
+		k.reshareAll()
 	})
 }

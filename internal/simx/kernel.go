@@ -54,19 +54,19 @@
 //     against such a solve after every event, and that each transition
 //     settles exactly its component; FuzzPartialReshare fuzzes both).
 //
-//   - Solves are memoized, exactly. The kernel numbers every route it
-//     resolves, and a solve of three or more flows is keyed by its flows'
-//     route IDs in order. The solver reads nothing but those flows' links
-//     and the links' Bandwidth and Sharing, so a solve that repeats an
-//     earlier one ID for ID gets the earlier allocations copied back, bit
-//     for bit (every candidate key is compared in full; the hash only
+//   - Whole-set solves are memoized, exactly. The kernel numbers every
+//     route it resolves, and a re-solve of the whole flow set (a transition
+//     that skips the walk, or a DegradeAllLinksAt edge) is keyed by its
+//     flows' route IDs in order. The solver reads nothing but those flows'
+//     links and the links' Bandwidth and Sharing, so a solve that repeats
+//     an earlier one ID for ID gets the earlier allocations copied back,
+//     bit for bit (every candidate key is compared in full; the hash only
 //     picks a slot). The memo is bounded: 2^14 slots in 4-way sets over an
 //     arena of at most 2^16 words, rewound with the slots cleared when
 //     full. DegradeAllLinksAt, the one writer of Bandwidth during a run,
-//     resets it at both edges. Where flow sets rarely repeat (under a
-//     quarter of a 1024-lookup window hits), solves bypass the memo for 16
-//     windows, doubling per failed window up to 4096. MemoHits counts the
-//     answered solves.
+//     resets it at both edges. A walked component, whose flow sets repeat
+//     far less often, is solved directly. MemoHits counts the answered
+//     solves.
 //
 //   - Rescheduling is lazy. After a component is re-solved, a flow whose
 //     fair share came out unchanged keeps its pending completion event: the
@@ -467,10 +467,11 @@ func (k *Kernel) removeFlow(a *activity) {
 //
 // When one of a's links carries every flow of the set (a joining flow
 // counts as part of it), that component is the whole set, and the flow list
-// is settled and re-solved as it stands, with no walk. This is every
-// transition on a cluster whose backbone every route crosses. Otherwise the
-// component is found by walking the flow/link graph. Both paths hand the
-// solver the component's flows in start order, so they give the same bits.
+// is settled and re-solved as it stands, with no walk, through the solve
+// memo. This is every transition on a cluster whose backbone every route
+// crosses. Otherwise the component is found by walking the flow/link graph
+// and solved directly. Both paths hand the solver the component's flows in
+// start order, so they give the same bits.
 func (k *Kernel) reshareTransition(a *activity, joining bool) {
 	k.transitions++
 	// Before the membership change a joining flow is in no flow list and a
@@ -501,7 +502,7 @@ func (k *Kernel) reshareTransition(a *activity, joining bool) {
 	if whole {
 		k.walkSkips++
 		k.settleFlows(k.flows)
-		k.reshareFlows(k.flows)
+		k.reshareAll()
 		return
 	}
 	k.comp = k.comp[:0]
@@ -511,7 +512,8 @@ func (k *Kernel) reshareTransition(a *activity, joining bool) {
 			k.comp = append(k.comp, f)
 		}
 	}
-	k.reshareFlows(k.comp)
+	k.maxmin.solve(k.comp)
+	k.rerate(k.comp)
 }
 
 // markComponent marks, with a fresh epoch, the flows and links of the
@@ -556,13 +558,18 @@ func (k *Kernel) settle(a *activity) {
 	a.lastUpdate = k.now
 }
 
-// reshareFlows recomputes the max-min fair allocation over the given flows
-// and reschedules their completion events.
-func (k *Kernel) reshareFlows(flows []*activity) {
-	if len(flows) == 0 {
-		return
+// reshareAll recomputes the max-min fair allocation of the whole flow set,
+// through the solve memo, and reschedules the flows' completion events.
+func (k *Kernel) reshareAll() {
+	if len(k.flows) > 0 {
+		k.memo.solve(&k.maxmin, k.flows)
+		k.rerate(k.flows)
 	}
-	k.memo.solve(&k.maxmin, flows)
+}
+
+// rerate sets every solved flow's rate from its allocation and reschedules
+// its completion event.
+func (k *Kernel) rerate(flows []*activity) {
 	for _, a := range flows {
 		// The bandwidth factor models protocol efficiency: the flow occupies
 		// its allocated share but progresses at bwFactor times it.

@@ -5,17 +5,12 @@ import (
 	"slices"
 )
 
-// Memo geometry and bypass rule (see solveMemo).
+// Memo geometry (see solveMemo).
 const (
 	memoWays      = 4       // slots per set
 	memoSlots     = 1 << 14 // slots in the table
 	memoArenaCap  = 1 << 16 // arena words; memoSlot.off and .n are 16 bits
 	memoArenaInit = 1 << 13 // arena words allocated with the table
-	memoMinFlows  = 3       // smaller solves are cheaper than a lookup
-	memoWindow    = 1024    // lookups per bypass window
-	memoWarmup    = 2       // first windows, filling a cold memo, not judged
-	memoMinSkip   = 16      // windows bypassed after a failed window
-	memoMaxSkip   = 4096    // cap of the doubling bypass, in windows
 	memoMul       = 0x9E3779B97F4A7C15
 )
 
@@ -47,11 +42,9 @@ type memoSlot struct {
 // reallocated at its cap once that is full; a full arena is rewound with
 // the table cleared.
 //
-// When lookups do not pay (flow sets that rarely repeat), the memo steps
-// aside: after a window of memoWindow lookups in which fewer than a quarter
-// hit, the next memoMinSkip windows of solves run without a lookup, doubling
-// after each failed window up to memoMaxSkip; one good window resets it.
-// The first memoWarmup windows fill a cold memo and are not judged.
+// The kernel hands the memo the solves that repeat, the re-solves of the
+// whole flow set (Kernel.reshareAll); a component it finds by walking the
+// flow/link graph repeats far less often and goes straight to the solver.
 type solveMemo struct {
 	slots []memoSlot
 	arena []uint64
@@ -60,26 +53,13 @@ type solveMemo struct {
 	// shrink them to force evictions and arena clears.
 	sets, arenaCap int
 
-	hits, misses, bypassed uint64
-	winHits                int // hits in the current window
-	skip                   int // solves left to run without a lookup
-	penalty                int // windows bypassed after the last failed one
+	hits, misses uint64
 }
 
 // solve assigns activity.allocated for every flow, bit for bit as s.solve
-// would.
+// would. flows must not be empty: n = 0 marks an empty slot.
 func (m *solveMemo) solve(s *maxMinSolver, flows []*activity) {
 	n := len(flows)
-	if n < memoMinFlows {
-		s.solve(flows)
-		return
-	}
-	if m.skip > 0 {
-		m.skip--
-		m.bypassed++
-		s.solve(flows)
-		return
-	}
 	nw := (n + 1) / 2
 	if !m.reserve(nw + n) {
 		s.solve(flows)
@@ -117,7 +97,6 @@ func (m *solveMemo) solve(s *maxMinSolver, flows []*activity) {
 		copy(ways[1:w+1], ways[:w])
 		ways[0] = sl
 		m.hits++
-		m.tally(true)
 		return
 	}
 	s.solve(flows)
@@ -128,7 +107,6 @@ func (m *solveMemo) solve(s *maxMinSolver, flows []*activity) {
 	copy(ways[1:], ways[:memoWays-1])
 	ways[0] = memoSlot{tag: tag, n: uint16(n), off: uint16(off)}
 	m.misses++
-	m.tally(false)
 }
 
 // reserve makes room for an entry of need words at the arena's tail,
@@ -155,29 +133,6 @@ func (m *solveMemo) reserve(need int) bool {
 		m.arena = append(make([]uint64, 0, m.arenaCap), m.arena...)
 	}
 	return true
-}
-
-// tally counts a lookup towards its window and applies the bypass rule at
-// the end of each window.
-func (m *solveMemo) tally(hit bool) {
-	if hit {
-		m.winHits++
-	}
-	lookups := m.hits + m.misses
-	if lookups%memoWindow != 0 {
-		return
-	}
-	good := 4*m.winHits >= memoWindow
-	m.winHits = 0
-	switch {
-	case lookups <= memoWarmup*memoWindow:
-		// A cold memo is still filling.
-	case good:
-		m.penalty = 0
-	default:
-		m.penalty = min(max(2*m.penalty, memoMinSkip), memoMaxSkip)
-		m.skip = m.penalty * memoWindow
-	}
 }
 
 // reset forgets every memoized solve, keeping the storage.

@@ -125,39 +125,61 @@ func TestSolveMemoBoundedStorage(t *testing.T) {
 	}
 }
 
-// TestSolveMemoBypass checks the bypass rule on flow sets that never
-// repeat: the warm-up windows are looked up, the first failed window after
-// them bypasses memoMinSkip windows, and a failed window after that doubles
-// the bypass.
+// TestSolveMemoBypass checks which solves skip the memo: a walked component,
+// whatever its size, while every re-solve of the whole flow set is looked
+// up, one- and two-flow sets included. Three transfers cross link A and
+// three cross the disjoint link B; B's transfers join after A's and leave
+// before them, so A's joins re-solve the whole set, B's transitions walk
+// components of up to three flows, and A's leaves re-solve the whole set
+// again, hitting the entries of A's joins.
 func TestSolveMemoBypass(t *testing.T) {
-	bb := &Link{Name: "bb", Bandwidth: 1e9}
-	nt := &memoNet{}
-	for i := 0; i < 64; i++ {
-		up := &Link{Name: fmt.Sprintf("up%d", i), Bandwidth: 1e8}
-		nt.routes = append(nt.routes, &Route{Links: []*Link{up, bb}, id: int32(i + 1)})
+	k := New()
+	for _, h := range []string{"a0", "a1", "b0", "b1"} {
+		k.AddHost(h, 1e9, 1)
 	}
-	m := &solveMemo{}
-	var s maxMinSolver
-	next := 0
-	solve := func() {
-		// Walk three-route combinations: no flow set repeats.
-		a, b, c := next%64, (next/64)%64, (next/4096)%64
-		next++
-		m.solve(&s, nt.flows([]int{a, b, c}))
+	k.AddRoute("a0", "a1", []*Link{k.AddLink("A", 1e8, 1e-6)})
+	k.AddRoute("b0", "b1", []*Link{k.AddLink("B", 1e8, 1e-3)})
+	for i := 0; i < 3; i++ {
+		for _, isl := range []struct {
+			src, dst string
+			bytes    float64
+		}{{"a0", "a1", 1e8}, {"b0", "b1", 1e4}} {
+			mb := k.mailboxAt(k.NewMailbox())
+			name := fmt.Sprintf("%s%d", isl.src, i)
+			k.post(&Proc{k: k, name: "send " + name, host: k.Host(isl.src)}, mb, isl.bytes*float64(i+1), true)
+			k.postRecv(&Proc{k: k, name: "recv " + name, host: k.Host(isl.dst)}, mb)
+		}
 	}
-	for i := 0; i < (memoWarmup+1)*memoWindow; i++ {
-		solve()
+	var lookups uint64
+	for i, want := range []struct {
+		whole bool
+		flows int // the flows re-solved: the whole set, or the walked component
+	}{
+		{true, 1}, {true, 2}, {true, 3}, // A's joins
+		{false, 1}, {false, 2}, {false, 3}, // B's joins
+		{false, 2}, {false, 1}, {false, 0}, // B's leaves
+		{true, 2}, {true, 1}, {true, 0}, // A's leaves
+	} {
+		skips := k.walkSkips
+		pumpOne(t, k)
+		whole, flows := k.walkSkips > skips, len(k.comp)
+		if whole {
+			flows = len(k.flows)
+		}
+		if want.whole && want.flows > 0 {
+			lookups++
+		}
+		if k.transitions != uint64(i+1) || whole != want.whole || flows != want.flows {
+			t.Fatalf("event %d: transition %d re-solved %d flows (whole set %v); want transition %d, %d flows (whole set %v)",
+				i, k.transitions, flows, whole, i+1, want.flows, want.whole)
+		}
+		if got := k.memo.hits + k.memo.misses; got != lookups {
+			t.Fatalf("event %d (%d flows, whole set %v): %d memo lookups, want %d",
+				i, flows, whole, got, lookups)
+		}
 	}
-	if m.bypassed != 0 || m.skip != memoMinSkip*memoWindow {
-		t.Fatalf("after a failed window: %d bypassed, %d to skip; want 0, %d",
-			m.bypassed, m.skip, memoMinSkip*memoWindow)
-	}
-	for i := 0; i < (memoMinSkip+1)*memoWindow; i++ {
-		solve()
-	}
-	if m.bypassed != memoMinSkip*memoWindow || m.skip != 2*memoMinSkip*memoWindow {
-		t.Fatalf("after a second failed window: %d bypassed, %d to skip; want %d, %d",
-			m.bypassed, m.skip, memoMinSkip*memoWindow, 2*memoMinSkip*memoWindow)
+	if k.memo.hits != 2 {
+		t.Fatalf("%d memo hits, want 2: A's leaves repeat the sets of its joins", k.memo.hits)
 	}
 }
 
@@ -167,12 +189,12 @@ func TestSolveMemoBypass(t *testing.T) {
 // arena, so entries are evicted and the arena is rewound throughout, plain
 // and under both degradation windows.
 func TestMemoForcedEvictionsMatchGlobal(t *testing.T) {
-	const arenaCap = 64
 	windows := append([]struct {
 		name   string
 		inject func(k *Kernel)
 	}{{"no", func(*Kernel) {}}}, degradeWindows...)
-	var hits, maxMisses uint64
+	var hits uint64
+	rewinds := 0
 	for _, w := range windows {
 		var kernels []*Kernel
 		for _, n := range []int{3, 8, 16} {
@@ -183,21 +205,44 @@ func TestMemoForcedEvictionsMatchGlobal(t *testing.T) {
 			kernels = append(kernels, randomContendedKernel(seed, false))
 		}
 		for i, k := range kernels {
-			k.memo.sets, k.memo.arenaCap = 1, arenaCap
+			k.memo.sets, k.memo.arenaCap = 1, 64
 			w.inject(k)
+			arena := &arenaWatch{m: &k.memo}
+			k.SetTracer(arena)
 			runChecked(t, k, fmt.Sprintf("%s window, kernel %d, tiny memo", w.name, i))
 			hits += k.MemoHits()
-			maxMisses = max(maxMisses, k.memo.misses)
+			if w.name == "no" {
+				// DegradeAllLinksAt empties the arena too.
+				rewinds += arena.drops
+			}
 		}
 	}
 	if hits == 0 {
 		t.Fatal("the shrunk memo never hit")
 	}
-	// Every entry takes at least five words (three flows).
-	if maxMisses*5 <= arenaCap {
-		t.Fatalf("at most %d misses per kernel never fill a %d-word arena", maxMisses, arenaCap)
+	if rewinds == 0 {
+		t.Fatal("the shrunk memo's arena was never rewound")
 	}
 }
+
+// arenaWatch is a tracer that counts the times a solve memo's arena is
+// shorter at a completion than at the one before. Without a degradation
+// window those are rewinds: the arena only grows between them.
+type arenaWatch struct {
+	m           *solveMemo
+	last, drops int
+}
+
+func (w *arenaWatch) see() {
+	n := len(w.m.arena)
+	if n < w.last {
+		w.drops++
+	}
+	w.last = n
+}
+
+func (w *arenaWatch) Compute(string, string, float64, float64, float64) { w.see() }
+func (w *arenaWatch) Comm(string, string, float64, float64, float64)    { w.see() }
 
 // TestMemoizedReshareZeroAllocs runs three flows contending on one link
 // through the memo: once warm, every cycle answers its three-flow solve from

@@ -508,9 +508,9 @@ func TestPartialReshareMatchesGlobalRing(t *testing.T) {
 		if n > 2 && k.LazySkips() == 0 {
 			t.Fatalf("ring %d: lazy path recorded no skipped reschedules", n)
 		}
-		// From three flows on, solves go through the memo, and the ring's
-		// flow sets repeat: the memo must have answered some of them.
-		if n > 2 && k.MemoHits() == 0 {
+		// Every transition re-solves the whole set through the memo, and
+		// the ring's flow sets repeat: the memo must have answered some.
+		if k.MemoHits() == 0 {
 			t.Fatalf("ring %d: the solve memo never hit", n)
 		}
 		if k.transitions == 0 || k.walkSkips != k.transitions {
@@ -584,8 +584,8 @@ func TestLazyRescheduleRandomTopologies(t *testing.T) {
 			runChecked(t, k, fmt.Sprintf("%s window, seed %d", w.name, seed))
 			hits += k.MemoHits()
 		}
-		// Not every seed repeats a solve of three or more flows, but the
-		// seeds together do.
+		// Not every seed repeats a whole-set solve, but the seeds together
+		// do.
 		if hits == 0 {
 			t.Fatalf("%s window: the solve memo never hit on any seed", w.name)
 		}
