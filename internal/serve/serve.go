@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -247,15 +246,11 @@ func (s *Server) registerInline(texts []string) (*uploadResponse, *httpError) {
 		resp.Existed = true
 		return resp, nil
 	}
-	images := make([][]byte, len(texts))
-	for r, t := range texts {
-		img, err := trace.EncodeText(strings.NewReader(t))
-		if err != nil {
-			return nil, httpErrorf(http.StatusBadRequest, "rank %d: %v", r, err)
-		}
-		images[r] = img
+	ts, err := sweep.TracesFromTexts(texts)
+	if err != nil {
+		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
-	resp.Existed = s.traces.Add(digest, sweep.TracesFromImages(images), bytes)
+	resp.Existed = s.traces.Add(digest, ts, bytes)
 	return resp, nil
 }
 
@@ -267,13 +262,9 @@ func (s *Server) registerPath(dir string, ranks int) (*uploadResponse, *httpErro
 	if ranks <= 0 {
 		return nil, httpErrorf(http.StatusBadRequest, "path registration needs a positive ranks count")
 	}
-	paths := make([]string, ranks)
-	for r := 0; r < ranks; r++ {
-		p, err := trace.RankFile(dir, r)
-		if err != nil {
-			return nil, httpErrorf(http.StatusBadRequest, "%v", err)
-		}
-		paths[r] = p
+	paths, err := trace.RankFiles(dir, ranks)
+	if err != nil {
+		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
 	digest, bytes, err := trace.DigestFiles(paths)
 	if err != nil {

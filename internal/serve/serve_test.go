@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 
 	"tireplay/internal/npb"
 	"tireplay/internal/sweep"
+	"tireplay/internal/trace"
 )
 
 // TestUploadSweepAndCacheHit is the core service contract: upload once,
@@ -154,6 +156,54 @@ func TestPathRegistrationDisabled(t *testing.T) {
 	st, _, resp := d.post(t, "/traces", string(body))
 	if st != http.StatusForbidden {
 		t.Fatalf("path registration without AllowPaths: status %d: %s", st, resp)
+	}
+}
+
+// TestUploadInlineLowestBadRank: an inline upload whose ranks 1 and 3 are
+// malformed is refused with rank 1's error, whichever rank's encode fails
+// first.
+func TestUploadInlineLowestBadRank(t *testing.T) {
+	d := newTestDaemon(t, Config{})
+	texts := luTexts(t, npb.ClassS, 4)
+	texts[1] += "p1 compute abc\n"
+	texts[3] += "p3 compute abc\n"
+	_, bad := trace.EncodeText(strings.NewReader(texts[1]))
+	if bad == nil {
+		t.Fatal("rank 1 is not malformed")
+	}
+	body, err := json.Marshal(uploadRequest{Traces: texts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		st, _, resp := d.post(t, "/traces", string(body))
+		var got struct{ Error string }
+		if err := json.Unmarshal(resp, &got); err != nil {
+			t.Fatal(err)
+		}
+		if st != http.StatusBadRequest || got.Error != "rank 1: "+bad.Error() {
+			t.Fatalf("upload %d: status %d: %s; want 400 rank 1: %v", i, st, resp, bad)
+		}
+	}
+}
+
+// TestRegisterPathSizedByFilesFound: a path registration asking for far
+// more ranks than the directory holds fails on the first missing rank
+// without allocating a table of the asked size.
+func TestRegisterPathSizedByFilesFound(t *testing.T) {
+	s := New(Config{AllowPaths: true})
+	defer s.Close()
+	dir := t.TempDir()
+	writeTraceDir(t, dir, luActions(t, npb.ClassS, 2))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, herr := s.registerPath(dir, 1<<20)
+	runtime.ReadMemStats(&after)
+	if herr == nil || herr.status != http.StatusBadRequest || !strings.Contains(herr.msg, "no trace for rank 2 ") {
+		t.Fatalf("registering 1<<20 ranks of a 2-rank directory: %+v, want 400 naming rank 2", herr)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 64<<10 {
+		t.Fatalf("failed registration allocated %d B, want under 64 KB", d)
 	}
 }
 

@@ -163,6 +163,23 @@ func RankFile(dir string, rank int) (string, error) {
 		rank, dir, strings.Join(names, ", "))
 }
 
+// RankFiles resolves the files of ranks 0..n-1 under dir with RankFile, in
+// rank order. It stops at the first rank it cannot find and returns the
+// paths of the ranks before it with that rank's error. The paths grow with
+// the files found, so a count past the directory's ranks costs one failed
+// lookup, not a table of n paths.
+func RankFiles(dir string, n int) ([]string, error) {
+	var paths []string
+	for r := 0; r < n; r++ {
+		p, err := RankFile(dir, r)
+		if err != nil {
+			return paths, err
+		}
+		paths = append(paths, p)
+	}
+	return paths, nil
+}
+
 // WriteSplit writes one trace file per process under dir, named with
 // ProcessFileName, and returns the file paths indexed by rank. Ranks with no
 // actions still get an (empty) file so deployments stay aligned.

@@ -365,6 +365,27 @@ func TestRankFile(t *testing.T) {
 	}
 }
 
+// TestRankFiles: the ranks resolve in order up to the first missing one,
+// whose error comes back with the paths found before it, however many
+// ranks were asked for.
+func TestRankFiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{ProcessFileName(0), BinaryFileName(1), ProcessFileName(3)} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{filepath.Join(dir, ProcessFileName(0)), filepath.Join(dir, BinaryFileName(1))}
+	got, err := RankFiles(dir, 2)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("RankFiles(dir, 2) = %q, %v; want %q", got, err, want)
+	}
+	got, err = RankFiles(dir, 1<<20)
+	if err == nil || !strings.Contains(err.Error(), "no trace for rank 2 ") || !reflect.DeepEqual(got, want) {
+		t.Fatalf("RankFiles(dir, 1<<20) = %q, %v; want %q and rank 2 missing", got, err, want)
+	}
+}
+
 func TestWriteSplitRejectsForeignRank(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := WriteSplit(dir, 2, []Action{{Proc: 5, Type: Barrier, Peer: -1}}); err == nil {
