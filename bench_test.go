@@ -76,14 +76,9 @@ func luProgram(b *testing.B, class npb.Class, procs int) mpi.Program {
 // recordedTrace generates the per-rank TI trace of an instance.
 func recordedTrace(b *testing.B, class npb.Class, procs int) [][]trace.Action {
 	b.Helper()
-	prog := luProgram(b, class, procs)
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		var err error
-		perRank[r], err = mpi.Record(r, procs, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
+	perRank, err := mpi.RecordAll(procs, luProgram(b, class, procs))
+	if err != nil {
+		b.Fatal(err)
 	}
 	return perRank
 }

@@ -89,15 +89,14 @@ func main() {
 				fail(err)
 			}
 		}
-		d, err = platform.RoundRobin(b.HostNames, *procs, 1)
+		// The deployment is sized by the files found, not by -procs.
+		files, err := trace.RankFiles(*dir, *procs)
 		if err != nil {
 			fail(err)
 		}
-		files := make([]string, *procs)
-		for r := range files {
-			if files[r], err = trace.RankFile(*dir, r); err != nil {
-				fail(err)
-			}
+		d, err = platform.RoundRobin(b.HostNames, len(files), 1)
+		if err != nil {
+			fail(err)
 		}
 		d, err = d.WithTraceArgs(files)
 		if err != nil {

@@ -40,14 +40,12 @@ func main() {
 		"app", "actions", "comm bytes", "flops", "predicted")
 	for _, bm := range benchmarks {
 		// Generate the time-independent trace with the recorder engine.
-		perRank := make([][]trace.Action, procs)
+		perRank, err := mpi.RecordAll(procs, bm.prog)
+		if err != nil {
+			log.Fatal(err)
+		}
 		var stats trace.Stats
-		for r := 0; r < procs; r++ {
-			acts, err := mpi.Record(r, procs, bm.prog)
-			if err != nil {
-				log.Fatal(err)
-			}
-			perRank[r] = acts
+		for _, acts := range perRank {
 			for _, a := range acts {
 				stats.Observe(a)
 			}

@@ -15,7 +15,7 @@ import (
 	"math"
 	"os"
 
-	"tireplay/internal/mpi"
+	"tireplay/internal/convert"
 	"tireplay/internal/npb"
 	"tireplay/internal/platform"
 	"tireplay/internal/replay"
@@ -29,24 +29,16 @@ const procs = 8
 func main() {
 	// 1. Acquire one time-independent trace and split it into the
 	// per-process files of Section 5 (SG_process<r>.trace).
-	prog, err := npb.LU(npb.LUConfig{Class: npb.ClassA, Procs: procs})
-	if err != nil {
-		log.Fatal(err)
-	}
 	dir, err := os.MkdirTemp("", "tifaults-example-")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	var all []trace.Action
-	for r := 0; r < procs; r++ {
-		acts, err := mpi.Record(r, procs, prog)
-		if err != nil {
-			log.Fatal(err)
-		}
-		all = append(all, acts...)
+	perRank, err := npb.RecordAll("lu", npb.ClassA.Name, procs)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if _, err := trace.WriteSplit(dir, procs, all); err != nil {
+	if _, err := trace.WriteSplit(dir, procs, convert.Flatten(perRank)); err != nil {
 		log.Fatal(err)
 	}
 	traces, err := sweep.LoadDir(dir, procs)

@@ -21,11 +21,9 @@ import (
 	"log"
 	"os"
 
-	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
 	"tireplay/internal/platform"
 	"tireplay/internal/sweep"
-	"tireplay/internal/trace"
 )
 
 const procs = 8
@@ -34,18 +32,13 @@ func main() {
 	// Acquire the trace once. The recorder engine generates the exact
 	// per-rank traces the full acquisition pipeline would produce (verified
 	// by the test suite), which keeps this example fast.
-	prog, err := npb.LU(npb.LUConfig{Class: npb.ClassA, Procs: procs})
+	perRank, err := npb.RecordAll("lu", npb.ClassA.Name, procs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	perRank := make([][]trace.Action, procs)
 	var total int
-	for r := 0; r < procs; r++ {
-		perRank[r], err = mpi.Record(r, procs, prog)
-		if err != nil {
-			log.Fatal(err)
-		}
-		total += len(perRank[r])
+	for _, acts := range perRank {
+		total += len(acts)
 	}
 	fmt.Printf("acquired one LU class A trace on %d processes: %d actions\n\n", procs, total)
 

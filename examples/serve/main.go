@@ -43,7 +43,6 @@ import (
 	"syscall"
 	"time"
 
-	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
 	"tireplay/internal/serve"
 )
@@ -216,16 +215,12 @@ func main() {
 // uploadFixture records the NPB LU pseudo-application and uploads its
 // per-rank time-independent traces inline.
 func uploadFixture(base string) string {
-	prog, err := npb.LU(npb.LUConfig{Class: npb.ClassS, Procs: procs})
+	perRank, err := npb.RecordAll("lu", npb.ClassS.Name, procs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	texts := make([]string, procs)
-	for r := 0; r < procs; r++ {
-		acts, err := mpi.Record(r, procs, prog)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for r, acts := range perRank {
 		var b strings.Builder
 		for _, a := range acts {
 			b.WriteString(a.Format())

@@ -15,25 +15,17 @@ import (
 	"log"
 	"os"
 
-	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
 	"tireplay/internal/sweep"
-	"tireplay/internal/trace"
 )
 
 const procs = 8
 
 func main() {
 	// 1. Acquire one time-independent LU trace.
-	prog, err := npb.LU(npb.LUConfig{Class: npb.ClassA, Procs: procs})
+	perRank, err := npb.RecordAll("lu", npb.ClassA.Name, procs)
 	if err != nil {
 		log.Fatal(err)
-	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		if perRank[r], err = mpi.Record(r, procs, prog); err != nil {
-			log.Fatal(err)
-		}
 	}
 	traces := sweep.TracesFromActions(perRank)
 

@@ -197,17 +197,13 @@ func TestAcquisitionCampaignToReplay(t *testing.T) {
 // the file layer inside a realistic pipeline.
 func TestBinaryTraceInterchange(t *testing.T) {
 	const procs = 4
-	prog, err := npb.LU(npb.LUConfig{Class: npb.ClassS, Procs: procs})
+	perRank, err := npb.RecordAll("lu", npb.ClassS.Name, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	var textTotal, binTotal int64
-	for r := 0; r < procs; r++ {
-		acts, err := mpi.Record(r, procs, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for r, acts := range perRank {
 		binPath := filepath.Join(dir, "r.tib")
 		f, err := os.Create(binPath)
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"tireplay/internal/tau"
-	"tireplay/internal/tfr"
 )
 
 // The paper attributes the replay's accuracy gap to using one average flop
@@ -41,54 +40,6 @@ func (b *BucketRates) Rate(flops float64) float64 {
 	return b.Average
 }
 
-// measureRankBuckets folds one rank's bursts into the accumulators.
-func measureRankBuckets(trcPath, edfPath string, flopsAcc, timeAcc map[int]float64) (totalFlops, totalTime float64, err error) {
-	var (
-		inState     bool
-		samples     int
-		lastExitT   float64
-		lastExitV   float64
-		started     bool
-		lastSampleT float64
-		lastSampleV float64
-	)
-	cb := tfr.Callbacks{
-		EnterState: func(t float64, node, tid, id int) {
-			inState = true
-			samples = 0
-		},
-		EventTrigger: func(t float64, node, tid, id int, v float64) {
-			if id != tau.EventPAPIFlops || !inState {
-				return
-			}
-			if samples == 0 && started {
-				flops := v - lastExitV
-				dur := t - lastExitT
-				if flops > 0 && dur > 0 {
-					b := VolumeBucket(flops)
-					flopsAcc[b] += flops
-					timeAcc[b] += dur
-					totalFlops += flops
-					totalTime += dur
-				}
-			}
-			samples++
-			lastSampleT, lastSampleV = t, v
-		},
-		LeaveState: func(t float64, node, tid, id int) {
-			if samples > 0 {
-				lastExitT, lastExitV = lastSampleT, lastSampleV
-				started = true
-			}
-			inState = false
-		},
-	}
-	if err := tfr.ReadFiles(trcPath, edfPath, cb); err != nil {
-		return 0, 0, err
-	}
-	return totalFlops, totalTime, nil
-}
-
 // MeasureBucketRates calibrates a per-volume-bin flop rate from an
 // acquisition, the refinement of MeasureFlopRate suggested by Section 6.4.
 func MeasureBucketRates(files *tau.AcquisitionFiles) (*BucketRates, error) {
@@ -96,12 +47,19 @@ func MeasureBucketRates(files *tau.AcquisitionFiles) (*BucketRates, error) {
 	timeAcc := make(map[int]float64)
 	var totalFlops, totalTime float64
 	for r := range files.TraceFiles {
-		tf, tt, err := measureRankBuckets(files.TraceFiles[r], files.EventFiles[r], flopsAcc, timeAcc)
+		var rankFlops, rankTime float64
+		err := walkBursts(files.TraceFiles[r], files.EventFiles[r], func(flops, dur float64) {
+			b := VolumeBucket(flops)
+			flopsAcc[b] += flops
+			timeAcc[b] += dur
+			rankFlops += flops
+			rankTime += dur
+		})
 		if err != nil {
 			return nil, fmt.Errorf("calibrate: rank %d: %w", r, err)
 		}
-		totalFlops += tf
-		totalTime += tt
+		totalFlops += rankFlops
+		totalTime += rankTime
 	}
 	if totalTime <= 0 {
 		return nil, fmt.Errorf("calibrate: no positive-duration bursts observed")

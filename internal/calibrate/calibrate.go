@@ -40,12 +40,27 @@ func (r RankBursts) Rate() (float64, error) {
 }
 
 // MeasureRank extracts the burst statistics of one rank from its trace
-// files. Burst boundaries are the PAPI trigger pairs around MPI states: the
-// time between the previous state's exit sample and the current state's
-// entry sample is a burst, and the counter difference its volume.
+// files (walkBursts).
 func MeasureRank(trcPath, edfPath string) (RankBursts, error) {
+	var rb RankBursts
+	err := walkBursts(trcPath, edfPath, func(flops, dur float64) {
+		rb.Flops += flops
+		rb.Seconds += dur
+		rb.Bursts++
+	})
+	if err != nil {
+		return RankBursts{}, err
+	}
+	return rb, nil
+}
+
+// walkBursts reads one rank's trace files and calls burst with the volume
+// and duration of each CPU burst that has both positive. Burst boundaries
+// are the PAPI trigger pairs around MPI states: the time between the
+// previous state's exit sample and the current state's entry sample is a
+// burst, and the counter difference its volume.
+func walkBursts(trcPath, edfPath string, burst func(flops, dur float64)) error {
 	var (
-		rb          RankBursts
 		inState     bool
 		samples     int
 		lastExitT   float64
@@ -67,9 +82,7 @@ func MeasureRank(trcPath, edfPath string) (RankBursts, error) {
 				flops := v - lastExitV
 				dur := t - lastExitT
 				if flops > 0 && dur > 0 {
-					rb.Flops += flops
-					rb.Seconds += dur
-					rb.Bursts++
+					burst(flops, dur)
 				}
 			}
 			samples++
@@ -83,10 +96,7 @@ func MeasureRank(trcPath, edfPath string) (RankBursts, error) {
 			inState = false
 		},
 	}
-	if err := tfr.ReadFiles(trcPath, edfPath, cb); err != nil {
-		return RankBursts{}, err
-	}
-	return rb, nil
+	return tfr.ReadFiles(trcPath, edfPath, cb)
 }
 
 // MeasureFlopRate measures the calibration flop rate of one acquisition: the

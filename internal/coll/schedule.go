@@ -135,9 +135,9 @@ func AppendSchedule(buf []Step, kind Kind, alg Algorithm, rank, n int, vcomm, vc
 	if n > 1 {
 		switch kind {
 		case KindBcast:
-			buf = appendBcast(buf, alg, rank, n, vcomm, 0)
+			buf = appendBcast(buf, alg, rank, n, vcomm, 0, false)
 		case KindReduce:
-			buf = appendReduce(buf, alg, rank, n, vcomm, 0)
+			buf = appendReduce(buf, alg, rank, n, vcomm, 0, false)
 		case KindAllReduce:
 			buf = appendAllReduce(buf, alg, rank, n, vcomm)
 		case KindBarrier:
@@ -145,16 +145,16 @@ func AppendSchedule(buf []Step, kind Kind, alg Algorithm, rank, n int, vcomm, vc
 			if alg == Tree {
 				barAlg = Binomial
 			}
-			buf = appendReduce(buf, barAlg, rank, n, barrierToken, 0)
-			buf = appendBcast(buf, barAlg, rank, n, barrierToken, Rounds(kind, alg, n)/2)
+			buf = appendReduce(buf, barAlg, rank, n, barrierToken, 0, false)
+			buf = appendBcast(buf, barAlg, rank, n, barrierToken, Rounds(kind, alg, n)/2, false)
 		case KindGather:
-			buf = appendGather(buf, alg, rank, n, vcomm, 0)
+			buf = appendReduce(buf, alg, rank, n, vcomm, 0, true)
 		case KindAllGather:
 			buf = appendAllGather(buf, alg, rank, n, vcomm)
 		case KindAllToAll:
 			buf = appendPairwise(buf, rank, n, vcomm)
 		case KindScatter:
-			buf = appendScatter(buf, alg, rank, n, vcomm)
+			buf = appendBcast(buf, alg, rank, n, vcomm, 0, true)
 		}
 	}
 	if vcomp > 0 && (kind == KindReduce || kind == KindAllReduce) {
@@ -164,8 +164,10 @@ func AppendSchedule(buf []Step, kind Kind, alg Algorithm, rank, n int, vcomm, vc
 }
 
 // appendBcast emits the broadcast of bytes from rank 0, rounds starting at
-// round0 (so compositions like allReduce can stack phases).
-func appendBcast(buf []Step, alg Algorithm, rank, n int, bytes float64, round0 int) []Step {
+// round0 (so compositions like allReduce can stack phases). With blocks it
+// is the scatter: each edge carries one block of bytes per rank of the
+// subtree below it.
+func appendBcast(buf []Step, alg Algorithm, rank, n int, bytes float64, round0 int, blocks bool) []Step {
 	if alg != Binomial {
 		if rank == 0 {
 			for i := 1; i < n; i++ {
@@ -178,18 +180,23 @@ func appendBcast(buf []Step, alg Algorithm, rank, n int, bytes float64, round0 i
 	start := 0
 	if rank > 0 {
 		tr := log2Floor(rank)
-		buf = append(buf, Step{Op: OpRecv, To: -1, From: rank - 1<<tr, Round: round0 + tr, Volume: bytes})
+		buf = append(buf, Step{Op: OpRecv, To: -1, From: rank - 1<<tr, Round: round0 + tr,
+			Volume: edgeVolume(rank, n, bytes, blocks)})
 		start = tr + 1
 	}
 	for t := start; rank+1<<t < n; t++ {
-		buf = append(buf, Step{Op: OpSend, To: rank + 1<<t, From: -1, Round: round0 + t, Volume: bytes})
+		child := rank + 1<<t
+		buf = append(buf, Step{Op: OpSend, To: child, From: -1, Round: round0 + t,
+			Volume: edgeVolume(child, n, bytes, blocks)})
 	}
 	return buf
 }
 
 // appendReduce emits the reduction of bytes to rank 0 (every edge carries
-// the full vector — combining does not shrink it), rounds from round0.
-func appendReduce(buf []Step, alg Algorithm, rank, n int, bytes float64, round0 int) []Step {
+// the full vector — combining does not shrink it), rounds from round0. With
+// blocks it is the gather: each edge carries one block of bytes per rank of
+// the subtree below it.
+func appendReduce(buf []Step, alg Algorithm, rank, n int, bytes float64, round0 int, blocks bool) []Step {
 	if alg != Binomial {
 		if rank == 0 {
 			for i := 1; i < n; i++ {
@@ -208,11 +215,13 @@ func appendReduce(buf []Step, alg Algorithm, rank, n int, bytes float64, round0 
 	}
 	for t := r - 1; t > tr; t-- {
 		if child := rank + 1<<t; child < n {
-			buf = append(buf, Step{Op: OpRecv, To: -1, From: child, Round: round0 + (r - 1 - t), Volume: bytes})
+			buf = append(buf, Step{Op: OpRecv, To: -1, From: child, Round: round0 + (r - 1 - t),
+				Volume: edgeVolume(child, n, bytes, blocks)})
 		}
 	}
 	if rank > 0 {
-		buf = append(buf, Step{Op: OpSend, To: rank - 1<<tr, From: -1, Round: round0 + (r - 1 - tr), Volume: bytes})
+		buf = append(buf, Step{Op: OpSend, To: rank - 1<<tr, From: -1, Round: round0 + (r - 1 - tr),
+			Volume: edgeVolume(rank, n, bytes, blocks)})
 	}
 	return buf
 }
@@ -221,8 +230,8 @@ func appendAllReduce(buf []Step, alg Algorithm, rank, n int, bytes float64) []St
 	switch alg {
 	case Binomial:
 		r := ceilLog2(n)
-		buf = appendReduce(buf, Binomial, rank, n, bytes, 0)
-		return appendBcast(buf, Binomial, rank, n, bytes, r)
+		buf = appendReduce(buf, Binomial, rank, n, bytes, 0, false)
+		return appendBcast(buf, Binomial, rank, n, bytes, r, false)
 	case RecursiveDoubling:
 		return appendRecursiveDoubling(buf, rank, n, bytes)
 	case Ring:
@@ -235,8 +244,8 @@ func appendAllReduce(buf []Step, alg Algorithm, rank, n int, bytes float64) []St
 		return buf
 	}
 	// Linear: the paper's reduce star followed by its broadcast star.
-	buf = appendReduce(buf, Linear, rank, n, bytes, 0)
-	return appendBcast(buf, Linear, rank, n, bytes, 1)
+	buf = appendReduce(buf, Linear, rank, n, bytes, 0, false)
+	return appendBcast(buf, Linear, rank, n, bytes, 1, false)
 }
 
 // appendRecursiveDoubling emits the pairwise-exchange allReduce. For
@@ -281,6 +290,15 @@ func appendRecursiveDoubling(buf []Step, rank, n int, bytes float64) []Step {
 	return buf
 }
 
+// edgeVolume is the payload of the binomial tree edge above child: bytes,
+// or with blocks one block of bytes per rank of child's subtree.
+func edgeVolume(child, n int, bytes float64, blocks bool) float64 {
+	if !blocks {
+		return bytes
+	}
+	return float64(subtreeSize(child, n)) * bytes
+}
+
 // subtreeSize returns the number of ranks in rank's binomial subtree: the
 // ranks congruent to it modulo 2^(tr+1) that exist in the world.
 func subtreeSize(rank, n int) int {
@@ -289,56 +307,6 @@ func subtreeSize(rank, n int) int {
 		span = 2 << log2Floor(rank)
 	}
 	return (n - rank + span - 1) / span
-}
-
-func appendGather(buf []Step, alg Algorithm, rank, n int, bytes float64, round0 int) []Step {
-	if alg != Binomial {
-		if rank == 0 {
-			for i := 1; i < n; i++ {
-				buf = append(buf, Step{Op: OpRecv, To: -1, From: i, Round: round0, Volume: bytes})
-			}
-			return buf
-		}
-		return append(buf, Step{Op: OpSend, To: 0, From: -1, Round: round0, Volume: bytes})
-	}
-	// Reduce-shaped tree, but an edge carries the blocks of the child's
-	// whole subtree.
-	r := ceilLog2(n)
-	tr := -1
-	if rank > 0 {
-		tr = log2Floor(rank)
-	}
-	for t := r - 1; t > tr; t-- {
-		if child := rank + 1<<t; child < n {
-			buf = append(buf, Step{Op: OpRecv, To: -1, From: child, Round: round0 + (r - 1 - t),
-				Volume: float64(subtreeSize(child, n)) * bytes})
-		}
-	}
-	if rank > 0 {
-		buf = append(buf, Step{Op: OpSend, To: rank - 1<<tr, From: -1, Round: round0 + (r - 1 - tr),
-			Volume: float64(subtreeSize(rank, n)) * bytes})
-	}
-	return buf
-}
-
-func appendScatter(buf []Step, alg Algorithm, rank, n int, bytes float64) []Step {
-	if alg != Binomial {
-		return appendBcast(buf, Linear, rank, n, bytes, 0)
-	}
-	// Broadcast-shaped tree, each edge carrying the target subtree's blocks.
-	start := 0
-	if rank > 0 {
-		tr := log2Floor(rank)
-		buf = append(buf, Step{Op: OpRecv, To: -1, From: rank - 1<<tr, Round: tr,
-			Volume: float64(subtreeSize(rank, n)) * bytes})
-		start = tr + 1
-	}
-	for t := start; rank+1<<t < n; t++ {
-		child := rank + 1<<t
-		buf = append(buf, Step{Op: OpSend, To: child, From: -1, Round: t,
-			Volume: float64(subtreeSize(child, n)) * bytes})
-	}
-	return buf
 }
 
 func appendAllGather(buf []Step, alg Algorithm, rank, n int, bytes float64) []Step {
@@ -351,8 +319,8 @@ func appendAllGather(buf []Step, alg Algorithm, rank, n int, bytes float64) []St
 		return buf
 	}
 	// Linear: gather the blocks at rank 0, broadcast the full vector back.
-	buf = appendGather(buf, Linear, rank, n, bytes, 0)
-	return appendBcast(buf, Linear, rank, n, float64(n)*bytes, 1)
+	buf = appendReduce(buf, Linear, rank, n, bytes, 0, true)
+	return appendBcast(buf, Linear, rank, n, float64(n)*bytes, 1, false)
 }
 
 // appendPairwise emits the pairwise-exchange allToAll: in step s every rank

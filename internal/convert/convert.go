@@ -19,8 +19,8 @@ package convert
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
-	"sync"
 
 	"tireplay/internal/tau"
 	"tireplay/internal/tfr"
@@ -241,29 +241,50 @@ func ExtractProcess(rank int, trcPath, edfPath string) ([]trace.Action, error) {
 }
 
 // ExtractDir extracts every rank of an acquisition directory laid out with
-// the TAU file naming convention, processing ranks concurrently — the
-// paper's tau2simgrid is itself a parallel application. It returns the
-// per-rank action lists.
+// the TAU file naming convention, processing ranks concurrently on
+// trace.EachRank — the paper's tau2simgrid is itself a parallel
+// application. It returns the per-rank action lists. The ranks' files are
+// looked up in rank order up to the first missing one, so a count past the
+// acquisition costs one failed lookup, not a table or a goroutine per
+// requested rank. A failure returns what extracting the ranks one by one
+// would: the error of the lowest rank that fails to extract, else the
+// missing rank's.
 func ExtractDir(dir string, nprocs int) ([][]trace.Action, error) {
-	out := make([][]trace.Action, nprocs)
-	errs := make([]error, nprocs)
-	var wg sync.WaitGroup
+	var trcs, edfs []string
+	var missing error
 	for r := 0; r < nprocs; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			out[r], errs[r] = ExtractProcess(r,
-				filepath.Join(dir, tau.TraceFileName(r)),
-				filepath.Join(dir, tau.EventFileName(r)))
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		trc, edf := filepath.Join(dir, tau.TraceFileName(r)), filepath.Join(dir, tau.EventFileName(r))
+		// Opened in the order tfr.ReadFiles opens them, so a missing file
+		// fails with the error its extraction would.
+		if missing = probe(edf); missing == nil {
+			missing = probe(trc)
 		}
+		if missing != nil {
+			break
+		}
+		trcs, edfs = append(trcs, trc), append(edfs, edf)
+	}
+	out := make([][]trace.Action, len(trcs))
+	err := trace.EachRank(len(trcs), func(r int) (err error) {
+		out[r], err = ExtractProcess(r, trcs[r], edfs[r])
+		return err
+	})
+	if err == nil {
+		err = missing
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// probe opens path and closes it again.
+func probe(path string) error {
+	f, err := os.Open(path)
+	if err == nil {
+		f.Close() // only opened, never read
+	}
+	return err
 }
 
 // Flatten concatenates per-rank action lists in rank order, the layout used

@@ -1,8 +1,12 @@
 package convert
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"tireplay/internal/mpi"
 	"tireplay/internal/platform"
@@ -277,5 +281,66 @@ func TestExtractedTraceIsValid(t *testing.T) {
 				t.Fatalf("unparseable extracted action %q: %v", a.Format(), err)
 			}
 		}
+	}
+}
+
+// TestExtractDirLowestRankError: rank 1's event file turns corrupt only
+// after 100000 comment lines and rank 3's on its first line, so rank 3
+// usually fails first, yet every extraction returns rank 1's error, the
+// one a serial loop stops at. Each returns only once every rank it started
+// has stopped, so the goroutine count is back at its baseline.
+func TestExtractDirLowestRankError(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, err := tau.AcquireLive(dir, mpi.LiveConfig{Procs: 4}, 0, ringProgram(50)); err != nil {
+		t.Fatal(err)
+	}
+	edf := func(r int) string { return filepath.Join(dir, tau.EventFileName(r)) }
+	body, err := os.ReadFile(edf(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, strings.Repeat("# padding\n", 100000)+"not an event\n"...)
+	if err := os.WriteFile(edf(1), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(edf(3), []byte("not an event\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := ExtractProcess(1, filepath.Join(dir, tau.TraceFileName(1)), edf(1))
+	if want == nil {
+		t.Fatal("rank 1's corrupt event file extracted")
+	}
+	before := runtime.NumGoroutine()
+	for i := range 20 {
+		if _, err := ExtractDir(dir, 4); err == nil || err.Error() != want.Error() {
+			t.Fatalf("run %d: %v, want %q", i, err, want)
+		}
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before the extractions, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestExtractDirSizedByFilesFound: a rank count far past the acquisition
+// fails on the first missing rank without a table or a goroutine per
+// requested rank. Extracting the two ranks takes ~150 KB; one table of
+// 1<<20 action lists alone would take 24 MB.
+func TestExtractDirSizedByFilesFound(t *testing.T) {
+	dir := t.TempDir()
+	if _, _, err := tau.AcquireLive(dir, mpi.LiveConfig{Procs: 2}, 0, ringProgram(1)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	perRank, err := ExtractDir(dir, 1<<20)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), tau.EventFileName(2)) {
+		t.Fatalf("ExtractDir(dir, 1<<20) = %d ranks, %v; want rank 2 missing", len(perRank), err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("failed extraction of 2 of 1<<20 ranks allocated %d B, want under 1 MB", d)
 	}
 }

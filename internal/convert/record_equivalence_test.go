@@ -36,11 +36,11 @@ func TestRecorderMatchesExtraction(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for rank := 0; rank < tc.cfg.Procs; rank++ {
-				recorded, err := mpi.Record(rank, tc.cfg.Procs, prog)
-				if err != nil {
-					t.Fatal(err)
-				}
+			perRank, err := mpi.RecordAll(tc.cfg.Procs, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rank, recorded := range perRank {
 				if !reflect.DeepEqual(recorded, extracted[rank]) {
 					max := len(recorded)
 					if len(extracted[rank]) < max {
@@ -78,12 +78,12 @@ func TestRecorderMatchesStatsCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		perRank, err := mpi.RecordAll(cfg.Procs, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var total int64
-		for rank := 0; rank < cfg.Procs; rank++ {
-			acts, err := mpi.Record(rank, cfg.Procs, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for rank, acts := range perRank {
 			if int64(len(acts)) != stats.ActionsPerRank[rank] {
 				t.Fatalf("class %s procs %d rank %d: recorded %d actions, stats predict %d",
 					cfg.Class.Name, cfg.Procs, rank, len(acts), stats.ActionsPerRank[rank])

@@ -120,12 +120,9 @@ func PerPhaseCalibration(cfg *Config) ([]PerPhaseRow, error) {
 			}
 
 			// The trace to replay comes from the target acquisition.
-			perRank := make([][]trace.Action, procs)
-			for r := 0; r < procs; r++ {
-				perRank[r], err = mpi.Record(r, procs, prog)
-				if err != nil {
-					return nil, err
-				}
+			perRank, err := mpi.RecordAll(procs, prog)
+			if err != nil {
+				return nil, err
 			}
 
 			avgTime, avgEff, err := replayWithRates(procs, perRank, avgRate, nil)

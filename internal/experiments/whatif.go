@@ -27,11 +27,9 @@ func WhatIf(ctx context.Context, cfg *Config, grid sweep.Grid, workers int) (*sw
 	if err != nil {
 		return nil, err
 	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		if perRank[r], err = mpi.Record(r, procs, prog); err != nil {
-			return nil, fmt.Errorf("experiments: whatif acquisition rank %d: %w", r, err)
-		}
+	perRank, err := mpi.RecordAll(procs, prog)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: whatif acquisition: %w", err)
 	}
 	ts := sweep.TracesFromActions(perRank)
 	res, err := sweep.Run(ctx, &sweep.Config{

@@ -6,11 +6,9 @@ import (
 	"strings"
 	"testing"
 
-	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
 	"tireplay/internal/platform"
 	"tireplay/internal/replay"
-	"tireplay/internal/trace"
 )
 
 func approx(a, b float64) bool {
@@ -215,15 +213,9 @@ func TestRankNaturalOrder(t *testing.T) {
 // internal/replay.
 func TestAnalyzeMatchesProfileOnLU(t *testing.T) {
 	const procs = 8
-	prog, err := npb.LU(npb.LUConfig{Class: npb.ClassS, Procs: procs})
+	perRank, err := npb.RecordAll("lu", npb.ClassS.Name, procs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		if perRank[r], err = mpi.Record(r, procs, prog); err != nil {
-			t.Fatal(err)
-		}
 	}
 	b, err := platform.BuildBordereauCustom(procs, 1, platform.BordereauPower)
 	if err != nil {

@@ -135,6 +135,25 @@ func Record(rank, size int, prog Program) ([]trace.Action, error) {
 	return c.actions, c.err
 }
 
+// RecordAll records every rank of a size-rank world (Record) on
+// trace.EachRank: the live engine already runs a program's ranks
+// concurrently, so prog must be safe to run on several goroutines at once.
+// A failure returns the lowest failed rank's error.
+func RecordAll(size int, prog Program) ([][]trace.Action, error) {
+	if size <= 0 {
+		return nil, fmt.Errorf("mpi: world size %d", size)
+	}
+	perRank := make([][]trace.Action, size)
+	err := trace.EachRank(size, func(r int) (err error) {
+		perRank[r], err = Record(r, size, prog)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return perRank, nil
+}
+
 // RecordStream is Record with a streaming sink instead of an in-memory
 // slice, for traces too large to materialise.
 func RecordStream(rank, size int, prog Program, emit func(trace.Action) error) error {

@@ -30,20 +30,16 @@ func Build(app, class string, procs int) (mpi.Program, error) {
 }
 
 // RecordAll unrolls every rank of an NPB benchmark through the
-// acquisition recorder, returning the exact per-rank time-independent
-// traces the real pipeline would produce.
+// acquisition recorder (mpi.RecordAll), returning the exact per-rank
+// time-independent traces the real pipeline would produce.
 func RecordAll(app, class string, procs int) ([][]trace.Action, error) {
 	prog, err := Build(app, class, procs)
 	if err != nil {
 		return nil, err
 	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		acts, err := mpi.Record(r, procs, prog)
-		if err != nil {
-			return nil, fmt.Errorf("npb: recording rank %d of %s.%s: %w", r, app, class, err)
-		}
-		perRank[r] = acts
+	perRank, err := mpi.RecordAll(procs, prog)
+	if err != nil {
+		return nil, fmt.Errorf("npb: recording %s.%s: %w", app, class, err)
 	}
 	return perRank, nil
 }

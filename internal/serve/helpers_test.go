@@ -25,11 +25,9 @@ func luActions(tb testing.TB, class npb.Class, procs int) [][]trace.Action {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		if perRank[r], err = mpi.Record(r, procs, prog); err != nil {
-			tb.Fatal(err)
-		}
+	perRank, err := mpi.RecordAll(procs, prog)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return perRank
 }

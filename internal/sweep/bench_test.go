@@ -9,7 +9,6 @@ import (
 	"tireplay/internal/mpi"
 	"tireplay/internal/npb"
 	"tireplay/internal/platform"
-	"tireplay/internal/trace"
 )
 
 // BenchmarkSweepParallel is the CI scaling gate of the parallel sweep
@@ -27,11 +26,9 @@ func BenchmarkSweepParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		if perRank[r], err = mpi.Record(r, procs, prog); err != nil {
-			b.Fatal(err)
-		}
+	perRank, err := mpi.RecordAll(procs, prog)
+	if err != nil {
+		b.Fatal(err)
 	}
 	ts := TracesFromActions(perRank)
 	base := platform.BordereauWithCores(procs, 1)
@@ -88,11 +85,9 @@ func BenchmarkSweepSerialScenario(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		if perRank[r], err = mpi.Record(r, procs, prog); err != nil {
-			b.Fatal(err)
-		}
+	perRank, err := mpi.RecordAll(procs, prog)
+	if err != nil {
+		b.Fatal(err)
 	}
 	ts := TracesFromActions(perRank)
 	base := platform.BordereauWithCores(procs, 1)

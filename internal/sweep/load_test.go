@@ -190,13 +190,13 @@ func TestEachRankRaisesPanic(t *testing.T) {
 			t.Fatalf("recovered %v, want rank 3's panic", p)
 		}
 	}()
-	eachRank(8, func(r int) error {
+	trace.EachRank(8, func(r int) error {
 		if r == 3 {
 			panic("rank 3")
 		}
 		return nil
 	})
-	t.Fatal("eachRank returned")
+	t.Fatal("EachRank returned")
 }
 
 // BenchmarkLoadDir loads NPB LU class W on 16 ranks written as text, the

@@ -26,11 +26,9 @@ func luTraces(t testing.TB, class npb.Class, procs int) *TraceSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perRank := make([][]trace.Action, procs)
-	for r := 0; r < procs; r++ {
-		if perRank[r], err = mpi.Record(r, procs, prog); err != nil {
-			t.Fatal(err)
-		}
+	perRank, err := mpi.RecordAll(procs, prog)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return TracesFromActions(perRank)
 }

@@ -2,10 +2,7 @@ package sweep
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"tireplay/internal/replay"
 	"tireplay/internal/trace"
@@ -57,7 +54,7 @@ func TracesFromActions(perRank [][]trace.Action) *TraceSet {
 // encode would.
 func TracesFromTexts(texts []string) (*TraceSet, error) {
 	t := &TraceSet{images: make([][]byte, len(texts))}
-	err := eachRank(len(texts), func(r int) (err error) {
+	err := trace.EachRank(len(texts), func(r int) (err error) {
 		if t.images[r], err = trace.EncodeText(strings.NewReader(texts[r])); err != nil {
 			return fmt.Errorf("rank %d: %w", r, err)
 		}
@@ -87,7 +84,7 @@ func LoadDir(dir string, n int) (*TraceSet, error) {
 	// its error comes before the missing rank's.
 	paths, missing := trace.RankFiles(dir, n)
 	ts := &TraceSet{images: make([][]byte, len(paths)), mapped: make([]*trace.MappedTrace, len(paths))}
-	err := eachRank(len(paths), func(r int) (err error) {
+	err := trace.EachRank(len(paths), func(r int) (err error) {
 		ts.images[r], ts.mapped[r], err = loadRank(paths[r])
 		return err
 	})
@@ -117,54 +114,6 @@ func loadRank(path string) ([]byte, *trace.MappedTrace, error) {
 		return nil, nil, fmt.Errorf("sweep: %s: %w", path, err)
 	}
 	return m.Data(), m, nil
-}
-
-// eachRank calls load for ranks 0..n-1 on min(GOMAXPROCS, n) goroutines,
-// each taking the next rank in rank order, and returns once all have
-// stopped. After a rank fails no further rank is started; every lower rank
-// was started before it, so the error returned, the lowest failed rank's,
-// is the one a serial loop would return. A panic in load is raised again
-// on the caller's goroutine.
-func eachRank(n int, load func(r int) error) error {
-	width := min(runtime.GOMAXPROCS(0), n)
-	errs := make([]error, n)
-	panics := make([]any, width)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := range width {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panics[w] = p
-					failed.Store(true)
-				}
-			}()
-			for !failed.Load() {
-				r := int(next.Add(1) - 1)
-				if r >= n {
-					return
-				}
-				if errs[r] = load(r); errs[r] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Ranks returns the number of ranks in the set.

@@ -101,22 +101,28 @@ func Fit(perRank [][]trace.Action) (*Model, error) {
 }
 
 // FitDir fits a model from a directory of per-rank trace files
-// (SG_process<rank>.trace, .trace.gz and .tib are all resolved).
+// (SG_process<rank>.trace, .trace.gz and .tib are all resolved). The files
+// are resolved up to the first missing rank (trace.RankFiles) before any
+// is read, then read on trace.EachRank; a failure returns what reading the
+// ranks one by one would, the error of the lowest rank that is missing or
+// fails to read.
 func FitDir(dir string, ranks int) (*Model, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("synth: fit needs a positive rank count")
 	}
-	perRank := make([][]trace.Action, ranks)
-	for r := range perRank {
-		path, err := trace.RankFile(dir, r)
-		if err != nil {
-			return nil, err
+	paths, missing := trace.RankFiles(dir, ranks)
+	perRank := make([][]trace.Action, len(paths))
+	err := trace.EachRank(len(paths), func(r int) (err error) {
+		if perRank[r], err = trace.ReadFile(paths[r]); err != nil {
+			return fmt.Errorf("synth: reading %s: %w", paths[r], err)
 		}
-		acts, err := trace.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("synth: reading %s: %w", path, err)
-		}
-		perRank[r] = acts
+		return nil
+	})
+	if err == nil {
+		err = missing
+	}
+	if err != nil {
+		return nil, err
 	}
 	return Fit(perRank)
 }

@@ -2,6 +2,11 @@ package synth
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"tireplay/internal/npb"
@@ -279,5 +284,37 @@ func TestFitModelJSONRoundTrip(t *testing.T) {
 		if err := sameActions(a1, a2); err != nil {
 			t.Fatalf("rank %d differs after JSON round trip: %v", r, err)
 		}
+	}
+}
+
+// TestFitDirSizedByFilesFound: a rank count far past the directory's ranks
+// fails naming the first missing rank without allocating a table of that
+// count, and a rank that fails to read beats the missing higher one, as in
+// a serial loop. Reading the two ranks takes ~136 KB, mostly their 64 KB
+// read buffers; one table of 1<<20 action lists alone would take 24 MB.
+func TestFitDirSizedByFilesFound(t *testing.T) {
+	dir := t.TempDir()
+	for r := 0; r < 2; r++ {
+		body := fmt.Sprintf("p%d comm_size 2\np%d compute 1e6\n", r, r)
+		if err := os.WriteFile(filepath.Join(dir, trace.ProcessFileName(r)), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := FitDir(dir, 1<<20)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "no trace for rank 2 ") {
+		t.Fatalf("FitDir(dir, 1<<20) = %v, %v; want rank 2 missing", m, err)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("failed fit of 2 of 1<<20 ranks allocated %d B, want under 1 MB", d)
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, trace.ProcessFileName(1)), []byte("p1 compute abc\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FitDir(dir, 1<<20); err == nil || !strings.Contains(err.Error(), trace.ProcessFileName(1)+": line 1: ") {
+		t.Fatalf("FitDir with rank 1 malformed: %v, want rank 1's read error", err)
 	}
 }

@@ -7,7 +7,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Writer streams actions to an output in the textual format.
@@ -178,6 +181,54 @@ func RankFiles(dir string, n int) ([]string, error) {
 		paths = append(paths, p)
 	}
 	return paths, nil
+}
+
+// EachRank calls do for ranks 0..n-1 on min(GOMAXPROCS, n) goroutines,
+// each taking the next rank in rank order, and returns once all have
+// stopped. After a rank fails no further rank is started; every lower rank
+// was started before it, so the error returned, the lowest failed rank's,
+// is the one a serial loop would return. A panic in do is raised again on
+// the caller's goroutine.
+func EachRank(n int, do func(r int) error) error {
+	width := min(runtime.GOMAXPROCS(0), n)
+	errs := make([]error, n)
+	panics := make([]any, width)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := range width {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panics[w] = p
+					failed.Store(true)
+				}
+			}()
+			for !failed.Load() {
+				r := int(next.Add(1) - 1)
+				if r >= n {
+					return
+				}
+				if errs[r] = do(r); errs[r] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteSplit writes one trace file per process under dir, named with
