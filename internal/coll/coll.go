@@ -191,9 +191,10 @@ type Step struct {
 	To int
 	// From is the source rank of OpRecv/OpShift.
 	From int
-	// Round is the mailbox round the step's message belongs to, in
-	// [0, Rounds(kind, alg, n)). Every rank numbers rounds identically, so
-	// a (round, src, dst) triple names one rendezvous globally.
+	// Round is the schedule phase the step's message belongs to, in
+	// [0, Rounds(kind, alg, n)). Every rank numbers rounds identically and
+	// lists its messages in non-decreasing round order, so a (round, src,
+	// dst) triple names one message of the collective.
 	Round int
 	// Volume is the payload in bytes (OpSend/OpShift) or flops (OpCompute).
 	Volume float64

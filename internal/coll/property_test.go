@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -107,6 +108,11 @@ func combos() [][2]any {
 // and receives of a collective pair off exactly per (round, src, dst) slot,
 // no rank deadlocks under blocking execution, rounds stay inside the
 // declared span, and the bytes put on the network match the cost model.
+// It also pins the order rule the replay matches collective messages by:
+// each rank's rounds never decrease, and for every directed pair the
+// sender's sends and the receiver's receives list the same rounds in the
+// same order, so a pair's k-th send meets its k-th receive in one FIFO
+// mailbox.
 func TestSchedulesPairOffAndComplete(t *testing.T) {
 	const vcomm = 1000.0
 	for _, c := range combos() {
@@ -119,9 +125,12 @@ func TestSchedulesPairOffAndComplete(t *testing.T) {
 			sends := make(map[rendezvous]int)
 			recvs := make(map[rendezvous]int)
 			sendVolume := make(map[rendezvous]float64)
+			sendOrder := make(map[[2]int][]int) // (src, dst) -> rounds of src's sends
+			recvOrder := make(map[[2]int][]int) // (src, dst) -> rounds of dst's receives
 			total := 0.0
 			maxRound := -1
 			for r, steps := range schedules {
+				last := 0
 				for _, s := range steps {
 					if s.Op == OpCompute {
 						t.Fatalf("%s: unexpected compute step with vcomp=0", name)
@@ -129,6 +138,10 @@ func TestSchedulesPairOffAndComplete(t *testing.T) {
 					if s.Round < 0 || s.Round >= rounds {
 						t.Fatalf("%s: rank %d step round %d outside [0,%d)", name, r, s.Round, rounds)
 					}
+					if s.Round < last {
+						t.Fatalf("%s: rank %d steps back from round %d to %d", name, r, last, s.Round)
+					}
+					last = s.Round
 					if s.Round > maxRound {
 						maxRound = s.Round
 					}
@@ -141,6 +154,7 @@ func TestSchedulesPairOffAndComplete(t *testing.T) {
 						}
 						sends[rendezvous{s.Round, r, s.To}]++
 						sendVolume[rendezvous{s.Round, r, s.To}] = s.Volume
+						sendOrder[[2]int{r, s.To}] = append(sendOrder[[2]int{r, s.To}], s.Round)
 						total += s.Volume
 					}
 					if s.Op == OpRecv || s.Op == OpShift {
@@ -148,7 +162,14 @@ func TestSchedulesPairOffAndComplete(t *testing.T) {
 							t.Fatalf("%s: rank %d receives from %d", name, r, s.From)
 						}
 						recvs[rendezvous{s.Round, s.From, r}]++
+						recvOrder[[2]int{s.From, r}] = append(recvOrder[[2]int{s.From, r}], s.Round)
 					}
+				}
+			}
+			for pair, sent := range sendOrder {
+				if got := recvOrder[pair]; !slices.Equal(sent, got) {
+					t.Fatalf("%s: p%d sends to p%d in rounds %v, p%d receives in rounds %v",
+						name, pair[0], pair[1], sent, pair[1], got)
 				}
 			}
 			if maxRound != rounds-1 {
@@ -181,8 +202,9 @@ func TestSchedulesPairOffAndComplete(t *testing.T) {
 }
 
 // TestSchedulesDeterministic pins that schedule generation is a pure
-// function of (kind, alg, rank, n, volumes) — the property the shared round
-// counter of the replay relies on.
+// function of (kind, alg, rank, n, volumes): every rank derives its side of
+// a collective on its own, so the sides agree only if each generation is
+// the same.
 func TestSchedulesDeterministic(t *testing.T) {
 	for _, c := range combos() {
 		kind, alg := c[0].(Kind), c[1].(Algorithm)

@@ -79,11 +79,10 @@ func autoThresholds(model *smpi.Model) (small, eager float64) {
 
 func isInf(f float64) bool { return f > 1e300 }
 
-// Rounds returns the number of mailbox rounds the schedule of one
-// (kind, alg) collective spans in an n-rank world — identical on every rank,
-// so the replay can reserve consecutive round numbers from its shared
-// collective counter before generating the rank's steps. alg must be
-// concrete (post-Resolve).
+// Rounds returns the number of phases the schedule of one (kind, alg)
+// collective spans in an n-rank world, identical on every rank: barrier
+// stacks its two phases with it, and the property tests pair messages by
+// round. alg must be concrete (post-Resolve).
 func Rounds(kind Kind, alg Algorithm, n int) int {
 	if n <= 1 {
 		return 0

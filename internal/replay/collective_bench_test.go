@@ -28,13 +28,12 @@ func (s *bcastSource) Next() (trace.Action, bool, error) {
 }
 
 // BenchmarkCollectiveRound measures one full collective round across 32
-// ranks — schedule generation, round reservation, every rendezvous of the
-// decomposition, and the round-window recycling — under the linear star and
-// the binomial tree. Like the steady-state benchmark it guards the
-// allocation-free invariant: round structs and their mailboxes recycle
-// through the world's free list, so the reported allocs/op must stay 0 and
-// the built-in assertion fails the benchmark outright if a round starts
-// allocating.
+// ranks — schedule generation and every rendezvous of the decomposition —
+// under the linear star and the binomial tree. Like the steady-state
+// benchmark it guards the allocation-free invariant: each pair's collective
+// mailbox is created by the first collective and reused by every later one,
+// so the reported allocs/op must stay 0 and the built-in assertion fails the
+// benchmark outright if a round starts allocating.
 func BenchmarkCollectiveRound(b *testing.B) {
 	const ranks = 32
 	for _, alg := range []string{"linear", "binomial"} {
@@ -66,7 +65,7 @@ func BenchmarkCollectiveRound(b *testing.B) {
 			if res.Actions != int64(ranks*b.N) {
 				b.Fatalf("replayed %d actions, want %d", res.Actions, ranks*b.N)
 			}
-			// Beyond the constant setup (spawn, pools and the round window
+			// Beyond the constant setup (spawn, pools and the pair table
 			// warming up) a collective round must not allocate. Only
 			// meaningful once b.N dwarfs the setup.
 			if b.N >= 10000 {

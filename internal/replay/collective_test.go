@@ -95,12 +95,11 @@ func TestCollectiveConfigDeterministic(t *testing.T) {
 }
 
 // TestRecycledRoundTableGrowth: pairwise allToAll rounds use a different
-// n-pair set per round, and a one-round bcast between them rotates which
-// round a recycled struct serves next, so recycled round structs accumulate
-// distinct keys until their pair tables grow. A growth that lost or moved
-// an entry would hand one side of a pair a fresh mailbox and deadlock the
-// replay; after growth the replay must still complete, identically on a
-// repeat.
+// n-pair set per round, so the collective pair table meets all n(n-1)
+// directed pairs and grows past its initial slots while bcasts and a ring
+// allGather keep reusing entries. A growth that lost or moved an entry
+// would hand one side of a pair a fresh mailbox and deadlock the replay;
+// after growth the replay must still complete, identically on a repeat.
 func TestRecycledRoundTableGrowth(t *testing.T) {
 	const n = 8
 	var lines []string
@@ -131,12 +130,8 @@ func TestRecycledRoundTableGrowth(t *testing.T) {
 		return res.SimulatedTime, buf.Bytes()
 	}
 	t1, tr1 := run()
-	grown := false
-	for _, r := range captured.world.free {
-		grown = grown || len(r.pairs.keys) > 64
-	}
-	if !grown {
-		t.Fatal("no recycled round table grew past its initial 64 slots")
+	if got := len(captured.world.coll.keys); got <= 64 {
+		t.Fatalf("collective pair table has %d slots, want growth past its initial 64", got)
 	}
 	if t2, tr2 := run(); t1 != t2 || !bytes.Equal(tr1, tr2) {
 		t.Fatalf("replay after round-table growth not deterministic: %v vs %v", t1, t2)
@@ -198,24 +193,11 @@ func TestReplayWaitAllThenWaitFails(t *testing.T) {
 	}
 }
 
-// TestCollectiveRoundWindowRecycles pins the allocation story of the round
-// table: once every rank has passed a collective, its rounds retire to the
-// free list and later collectives reuse them — the live window stays at the
-// rank skew, it does not grow with the trace.
-func TestCollectiveRoundWindowRecycles(t *testing.T) {
-	const n, colls = 4, 50
-	var sb strings.Builder
-	for r := 0; r < n; r++ {
-		for i := 0; i < colls; i++ {
-			sb.WriteString(trace.Action{Proc: r, Type: trace.AllReduce, Peer: -1,
-				Volume: 1e4, Volume2: 1e4}.Format())
-			sb.WriteByte('\n')
-			sb.WriteString(trace.Action{Proc: r, Type: trace.Bcast, Peer: -1, Volume: 1e4}.Format())
-			sb.WriteByte('\n')
-		}
-	}
-	// Run through the public API, then inspect the world the run left
-	// behind via a registry hook that captures one Proc.
+// captureWorld replays doc on n ranks with a registry hook on compute and
+// returns the world the run left behind; doc must give some rank a compute
+// action.
+func captureWorld(t *testing.T, doc string, n int, cc coll.Config) *world {
+	t.Helper()
 	var captured *Proc
 	reg := Default()
 	base, _ := reg.Lookup(trace.Compute)
@@ -223,29 +205,88 @@ func TestCollectiveRoundWindowRecycles(t *testing.T) {
 		captured = p
 		return base(p, a)
 	})
-	doc := sb.String()
-	for r := 0; r < n; r++ {
-		doc += trace.Action{Proc: r, Type: trace.Compute, Peer: -1, Volume: 1}.Format() + "\n"
-	}
 	b, d := paperSetup(t, n)
-	if _, err := RunActions(b, d, Config{Registry: reg}, perRankActions(t, doc, n)); err != nil {
+	if _, err := RunActions(b, d, Config{Registry: reg, Collectives: cc}, perRankActions(t, doc, n)); err != nil {
 		t.Fatal(err)
 	}
 	if captured == nil {
 		t.Fatal("capture hook never ran")
 	}
-	w := captured.world
-	// 50 allReduces (2 rounds) + 50 bcasts (1 round) = 150 rounds total;
-	// after the run every round has been released.
-	if w.base != 150 {
-		t.Fatalf("window base = %d, want 150 rounds retired", w.base)
+	return captured.world
+}
+
+// formatActions renders, for every rank of an n-rank world, the given
+// actions of that rank followed by a compute burst (the capture hook's
+// trigger).
+func formatActions(n int, actions ...trace.Action) string {
+	actions = append(actions[:len(actions):len(actions)], trace.Action{Type: trace.Compute, Peer: -1, Volume: 1})
+	var sb strings.Builder
+	for r := 0; r < n; r++ {
+		for _, a := range actions {
+			a.Proc = r
+			sb.WriteString(a.Format())
+			sb.WriteByte('\n')
+		}
 	}
-	if live := len(w.rounds) - w.head; live != 0 {
-		t.Fatalf("%d rounds still live after the run", live)
+	return sb.String()
+}
+
+// TestCollectiveRoundWindowRecycles pins the allocation story of the
+// collective mailboxes: a pair's messages of every collective meet in one
+// mailbox, so the table holds the pairs the schedules use, however many
+// collectives the trace runs.
+func TestCollectiveRoundWindowRecycles(t *testing.T) {
+	const n, colls = 4, 50
+	var acts []trace.Action
+	for i := 0; i < colls; i++ {
+		acts = append(acts,
+			trace.Action{Type: trace.AllReduce, Peer: -1, Volume: 1e4, Volume2: 1e4},
+			trace.Action{Type: trace.Bcast, Peer: -1, Volume: 1e4})
 	}
-	// The free list holds the recycled structs; far fewer than the 150
-	// rounds the trace consumed, or recycling is not happening.
-	if len(w.free) == 0 || len(w.free) >= colls {
-		t.Fatalf("free list holds %d round structs (want 1..%d)", len(w.free), colls-1)
+	w := captureWorld(t, formatActions(n, acts...), n, coll.Config{})
+	// The linear star moves i->0 and 0->i for every i > 0: 2(n-1) pairs.
+	if w.coll.used != 2*(n-1) {
+		t.Fatalf("collective pair table holds %d mailboxes after %d collectives, want %d",
+			w.coll.used, 2*colls, 2*(n-1))
+	}
+	if w.p2p.used != 0 {
+		t.Fatalf("collectives created %d point-to-point mailboxes", w.p2p.used)
+	}
+}
+
+// TestRingCollectivePairsLinear: ring collectives run 2(n-1) rounds over
+// the same neighbour pairs, so the collective table holds exactly the
+// distinct directed pairs the ranks' schedules name, O(n), not n pairs per
+// round.
+func TestRingCollectivePairsLinear(t *testing.T) {
+	const n = 64
+	var acts []trace.Action
+	for i := 0; i < 3; i++ {
+		acts = append(acts, trace.Action{Type: trace.AllReduce, Peer: -1, Volume: 1e5, Volume2: 1e3})
+	}
+	for i := 0; i < 2; i++ {
+		acts = append(acts, trace.Action{Type: trace.AllGather, Peer: -1, Volume: 1e5})
+	}
+	w := captureWorld(t, formatActions(n, acts...), n, coll.MustParseSpec("allReduce=ring,allGather=ring"))
+
+	pairs := make(map[[2]int]bool)
+	for r := 0; r < n; r++ {
+		for _, kind := range []coll.Kind{coll.KindAllReduce, coll.KindAllGather} {
+			for _, s := range coll.AppendSchedule(nil, kind, coll.Ring, r, n, 1e5, 1e3) {
+				if s.Op == coll.OpSend || s.Op == coll.OpShift {
+					pairs[[2]int{r, s.To}] = true
+				}
+				if s.Op == coll.OpRecv || s.Op == coll.OpShift {
+					pairs[[2]int{s.From, r}] = true
+				}
+			}
+		}
+	}
+	if w.coll.used != len(pairs) {
+		t.Fatalf("collective pair table holds %d mailboxes, schedules name %d distinct pairs",
+			w.coll.used, len(pairs))
+	}
+	if len(pairs) > 2*n {
+		t.Fatalf("ring schedules name %d distinct pairs on %d ranks, want O(n)", len(pairs), n)
 	}
 }

@@ -35,21 +35,23 @@ func (p *Proc) p2pMbox(src, dst int) simx.MailboxID {
 	return p.world.pairMbox(&p.world.p2p, src, dst)
 }
 
-// collMbox resolves the mailbox of the (src,dst) leg of collective round
-// seq from the world's round table. Every process executes the same
-// sequence of collective actions (an MPI requirement), so the per-process
-// sequence counter identifies matching rounds globally and the ID derives
-// from it.
-func (p *Proc) collMbox(seq int64, src, dst int) simx.MailboxID {
-	return p.world.pairMbox(&p.world.round(seq).pairs, src, dst)
+// collMbox resolves the mailbox of src-to-dst collective traffic from the
+// world's collective pair table, where a pair's messages of every
+// collective meet in posting order.
+func (p *Proc) collMbox(src, dst int) simx.MailboxID {
+	return p.world.pairMbox(&p.world.coll, src, dst)
 }
 
-// checkPeer rejects peers outside the deployment: the run loop does not
-// re-validate actions (a custom Source can hand over anything), and the pair
-// table keys src*n+dst alias across ranks for an out-of-range peer, so such
-// a peer — in either direction — must fail with a diagnostic rather than
-// meet a stranger's traffic or a bare deadlock.
-func (p *Proc) checkPeer(peer int) error {
+// checkPeer rejects the rank itself and peers outside the deployment,
+// naming the action by verb ("sends to"). A message to or from itself has
+// no partner, and the pair table keys src*n+dst alias across ranks for an
+// out-of-range peer; the run loop does not re-validate actions (a custom
+// Source can hand over anything), so such a peer must fail with a
+// diagnostic rather than meet a stranger's traffic or a bare deadlock.
+func (p *Proc) checkPeer(peer int, verb string) error {
+	if peer == p.Rank {
+		return fmt.Errorf("replay: p%d %s itself", p.Rank, verb)
+	}
 	if peer < 0 || peer >= p.N {
 		return fmt.Errorf("replay: p%d names peer p%d but deployment has %d processes",
 			p.Rank, peer, p.N)
@@ -72,10 +74,7 @@ func (p *Proc) begin(t trace.ActionType, a trace.Action) (parked bool, err error
 	case trace.Send:
 		// A blocking send: synchronous above smpi.EagerThreshold (the
 		// sender waits for the transfer), buffered up to it.
-		if a.Peer == p.Rank {
-			return false, fmt.Errorf("replay: p%d sends to itself", p.Rank)
-		}
-		if err := p.checkPeer(a.Peer); err != nil {
+		if err := p.checkPeer(a.Peer, "sends to"); err != nil {
 			return false, err
 		}
 		if a.Volume <= smpi.EagerThreshold {
@@ -87,16 +86,13 @@ func (p *Proc) begin(t trace.ActionType, a trace.Action) (parked bool, err error
 	case trace.Isend:
 		// Following the MSG replay design the message is detached:
 		// completion is the network's business.
-		if a.Peer == p.Rank {
-			return false, fmt.Errorf("replay: p%d Isends to itself", p.Rank)
-		}
-		if err := p.checkPeer(a.Peer); err != nil {
+		if err := p.checkPeer(a.Peer, "Isends to"); err != nil {
 			return false, err
 		}
 		p.Sim.ISendDetached(p.p2pMbox(p.Rank, a.Peer), a.Volume)
 		return false, nil
 	case trace.Recv:
-		if err := p.checkPeer(a.Peer); err != nil {
+		if err := p.checkPeer(a.Peer, "receives from"); err != nil {
 			return false, err
 		}
 		p.wait = p.Sim.IRecv(p.p2pMbox(a.Peer, p.Rank))
@@ -104,7 +100,7 @@ func (p *Proc) begin(t trace.ActionType, a trace.Action) (parked bool, err error
 	case trace.Irecv:
 		// The request joins the rank's FIFO of pending requests consumed by
 		// wait actions.
-		if err := p.checkPeer(a.Peer); err != nil {
+		if err := p.checkPeer(a.Peer, "Irecvs from"); err != nil {
 			return false, err
 		}
 		p.pending.Push(p.Sim.IRecv(p.p2pMbox(a.Peer, p.Rank)))
@@ -207,16 +203,10 @@ func (p *Proc) await() bool {
 
 // startCollective decomposes one traced collective into the point-to-point
 // schedule of the configured algorithm (the generalisation of the paper's
-// star decomposition), which collective then executes through the mailbox
-// machinery. The schedule is a pure function of (rank, world size, volume),
-// so every rank reserves the same span of round numbers and the rendezvous
-// mailboxes derive from the shared counter: multi-round algorithms simply
-// consume several seqs per collective.
+// star decomposition), which collective then executes through the world's
+// collective pair mailboxes.
 func (p *Proc) startCollective(kind coll.Kind, vcomm, vcomp float64) {
 	alg := coll.Resolve(kind, p.cfg.Collectives.For(kind), p.cfg.Model, p.N, vcomm)
-	p.rounds = coll.Rounds(kind, alg, p.N)
-	p.base = p.collSeq
-	p.collSeq += int64(p.rounds)
 	p.steps = coll.AppendSchedule(p.steps[:0], kind, alg, p.Rank, p.N, vcomm, vcomp)
 	p.step = 0
 	p.cont = contColl
@@ -234,25 +224,20 @@ func (p *Proc) collective() bool {
 			p.wait, p.shift = p.shift, nil
 		}
 		if p.step == len(p.steps) {
-			// All of this rank's transfers in the collective's rounds have
-			// completed; once the last rank passes here the rounds'
-			// mailboxes are drained and recycle.
-			p.world.release(p.base, p.rounds)
 			return false
 		}
 		s := &p.steps[p.step]
 		p.step++
-		seq := p.base + int64(s.Round)
 		switch s.Op {
 		case coll.OpSend:
-			p.wait = p.Sim.ISend(p.collMbox(seq, p.Rank, s.To), s.Volume)
+			p.wait = p.Sim.ISend(p.collMbox(p.Rank, s.To), s.Volume)
 		case coll.OpRecv:
-			p.wait = p.Sim.IRecv(p.collMbox(seq, s.From, p.Rank))
+			p.wait = p.Sim.IRecv(p.collMbox(s.From, p.Rank))
 		case coll.OpShift:
 			// Pairwise exchange: post the send asynchronously so two ranks
 			// shifting to each other cannot deadlock, then complete both.
-			p.shift = p.Sim.ISend(p.collMbox(seq, p.Rank, s.To), s.Volume)
-			p.wait = p.Sim.IRecv(p.collMbox(seq, s.From, p.Rank))
+			p.shift = p.Sim.ISend(p.collMbox(p.Rank, s.To), s.Volume)
+			p.wait = p.Sim.IRecv(p.collMbox(s.From, p.Rank))
 		case coll.OpCompute:
 			p.Sim.ParkExecute(s.Volume)
 			return true

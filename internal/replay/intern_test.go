@@ -132,6 +132,24 @@ func TestOutOfRangePeerRejected(t *testing.T) {
 	}
 }
 
+// TestSelfPeerRejected: a rank naming itself as the peer of a send or a
+// receive must fail with a diagnostic; a receive from itself would otherwise
+// post a receive no send can match and stall the replay.
+func TestSelfPeerRejected(t *testing.T) {
+	for _, doc := range []string{
+		"p0 send p0 1e6\n",
+		"p0 Isend p0 1e6\n",
+		"p0 compute 1e6\np0 recv p0\n",
+		"p0 Irecv p0\np0 wait\n",
+	} {
+		b, d := paperSetup(t, 2)
+		_, err := RunActions(b, d, Config{Model: smpi.Identity()}, perRankActions(t, doc, 2))
+		if err == nil || !strings.Contains(err.Error(), "itself") {
+			t.Fatalf("doc %q: err = %v, want a self-peer diagnostic", doc, err)
+		}
+	}
+}
+
 // TestNegativePeerFromRawSource: the run loop trusts its Sources, so a
 // hand-built action with a negative peer must come back as an error, not an
 // index panic in the rank-sized mailbox tables.

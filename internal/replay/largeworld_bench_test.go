@@ -49,7 +49,7 @@ func (s rankGenSource) Next() (trace.Action, bool, error) { return s.rg.Next() }
 // ns/op it reports bytes_per_rank: the per-rank setup allocation
 // footprint, which must stay flat as the world grows (the gated
 // rank_flatness floor is bpr(1k)/bpr(16k), so any O(world) per-rank
-// state — mailbox tables, round tables, sink buckets — shows up as a
+// state — mailbox tables, sink buckets — shows up as a
 // drop below 1/16th-ish flatness, not as noise).
 func BenchmarkLargeWorldReplay(b *testing.B) {
 	// Sub-benchmarks run in declaration order, so the 1k measurement is

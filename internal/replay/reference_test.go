@@ -138,7 +138,7 @@ func TestInternedCollectiveRoundIsolation(t *testing.T) {
 
 // TestCollectiveAlgorithmsMatchStringKeyedPath extends the mailbox check to
 // every algorithm, multi-round ones included: whatever the schedule, the
-// round mailboxes reproduce the string-keyed path's output.
+// pair mailboxes reproduce the string-keyed path's output.
 func TestCollectiveAlgorithmsMatchStringKeyedPath(t *testing.T) {
 	requirePinnedArch(t)
 	const n = 6

@@ -94,7 +94,6 @@ type Proc struct {
 	// pending is the FIFO of outstanding Irecv requests; the queue reuses
 	// its backing array, so wait-heavy traces do not grow it per round.
 	pending fifo.Queue[*simx.Comm]
-	collSeq int64
 
 	// steps is the rank's reusable collective-schedule buffer; its capacity
 	// stabilises after the first few collectives, keeping the collective
@@ -102,15 +101,12 @@ type Proc struct {
 	steps []coll.Step
 
 	// The action in flight (see cont): wait is the handle the rank waits
-	// on; a collective runs steps from index step over the rounds
-	// [base, base+rounds), and shift is the send an OpShift step posted
-	// alongside the receive in wait.
-	cont   cont
-	wait   *simx.Comm
-	shift  *simx.Comm
-	step   int
-	base   int64
-	rounds int
+	// on; a collective runs steps from index step, and shift is the send an
+	// OpShift step posted alongside the receive in wait.
+	cont  cont
+	wait  *simx.Comm
+	shift *simx.Comm
+	step  int
 }
 
 // world is the replay state shared by every rank of one run. The kernel
@@ -124,21 +120,13 @@ type world struct {
 	// meets in one anonymous mailbox, no name is formatted or hashed, and
 	// the table grows with the pairs that talk, not with the world squared.
 	p2p pairTable
-
-	// Collective round window. rounds[head:] holds the live rounds in
-	// sequence order, rounds[head] being round `base`: every rank executes
-	// the same collective sequence, so rounds are created on demand in
-	// round order and all ranks meet in the same anonymous mailboxes — the
-	// IDs derive from the sequence counter, no name is formatted or hashed.
-	// Once every rank has released a round (refs == 0) its mailboxes are
-	// drained, so the whole struct — mailbox IDs included — moves to the
-	// free list and a later round reuses it without touching the kernel:
-	// the collective steady state allocates nothing and the window only
-	// grows with the spread between the fastest and slowest rank.
-	rounds []*collRound
-	head   int
-	base   int64
-	free   []*collRound
+	// coll holds the collective mailbox of every (src,dst) pair, kept apart
+	// from p2p so a collective message never meets a traced send. A pair's
+	// collective messages match in the order both sides post them, MPI's
+	// non-overtaking rule: a rank finishes each step's transfers before its
+	// next step, and every schedule lists a pair's messages in the same
+	// order on both sides, so the k-th send meets the k-th receive.
+	coll pairTable
 }
 
 // pairTable maps directed rank pairs to anonymous mailboxes with open
@@ -147,52 +135,20 @@ type world struct {
 // O(n) for the stencil and tree patterns traces show. keys holds
 // src*n+dst+1 (0 = empty slot).
 type pairTable struct {
-	used int // occupied slots, live and stale
+	used int // occupied slots
 	keys []int64
 	vals []simx.MailboxID
 }
 
-// collRound holds the pair mailboxes of one collective round: every
-// schedule sends at most once per (round, src, dst), so a round uses at most
-// n directed pairs and its table stays O(n) even though a ring allReduce
-// keeps 2(n-1) rounds live at once. refs counts the ranks still executing
-// the collective the round belongs to.
-type collRound struct {
-	refs  int
-	pairs pairTable
-}
-
-// round returns (creating rounds up to seq on demand) round seq's mailboxes.
-func (w *world) round(seq int64) *collRound {
-	for idx := int(seq - w.base); idx >= len(w.rounds)-w.head; {
-		var r *collRound
-		if n := len(w.free); n > 0 {
-			r = w.free[n-1]
-			w.free[n-1] = nil
-			w.free = w.free[:n-1]
-		} else {
-			r = new(collRound)
-		}
-		r.refs = w.n
-		w.rounds = append(w.rounds, r)
-	}
-	return w.rounds[w.head+int(seq-w.base)]
-}
-
 // pairMbox resolves the src-to-dst mailbox of a pair table, creating it on
-// first use. Recycled collective rounds keep their tables: a stale entry
-// from a previous occupant of the struct maps the same pair to a mailbox
-// that was drained when that round retired, so reusing it is free — the
-// steady state neither interns a mailbox nor allocates.
+// first use: the steady state neither interns a mailbox nor allocates.
 func (w *world) pairMbox(t *pairTable, src, dst int) simx.MailboxID {
 	key := int64(src)*int64(w.n) + int64(dst) + 1
 	if t.keys == nil {
 		// Start small and let grow() right-size by the pairs the table
-		// actually sees: dense tables (a linear star's single round uses ~n
-		// pairs) reach O(n) capacity through log n geometric regrows, after
-		// which the round free list recycles the grown table; sparse ones
-		// (tree and ring rounds move O(1) pairs per rank) never pay for 2n
-		// slots up front.
+		// actually sees: dense tables (a linear star uses ~2n pairs) reach
+		// O(n) capacity through log n geometric regrows; sparse ones never
+		// pay for 2n slots up front.
 		t.keys, t.vals = make([]int64, 64), make([]simx.MailboxID, 64)
 	}
 	mask := len(t.keys) - 1
@@ -203,10 +159,9 @@ func (w *world) pairMbox(t *pairTable, src, dst int) simx.MailboxID {
 		case key:
 			return t.vals[i]
 		case 0:
-			// Keep occupancy (live + stale) at or below half so probe
-			// chains stay short; growth is geometric and bounded by the
-			// distinct pairs the table ever sees (<= n^2), so it amortises
-			// away.
+			// Keep occupancy at or below half so probe chains stay short;
+			// growth is geometric and bounded by the distinct pairs the
+			// table ever sees (<= n^2), so it amortises away.
 			if t.used >= (mask+1)/2 {
 				t.grow()
 				return w.pairMbox(t, src, dst)
@@ -221,7 +176,7 @@ func (w *world) pairMbox(t *pairTable, src, dst int) simx.MailboxID {
 	}
 }
 
-// grow doubles the table, keeping every entry (stale ones stay reusable).
+// grow doubles the table, keeping every entry.
 func (t *pairTable) grow() {
 	oldKeys, oldVals := t.keys, t.vals
 	t.keys = make([]int64, 2*len(oldKeys))
@@ -237,32 +192,6 @@ func (t *pairTable) grow() {
 		}
 		t.keys[i] = k
 		t.vals[i] = oldVals[j]
-	}
-}
-
-// release marks this rank done with the `rounds` rounds starting at seq.
-// Rounds retire in sequence order (a rank finishes collective k before
-// k+1), so the window advances from the head; fully-released rounds go to
-// the free list with their mailboxes.
-func (w *world) release(seq int64, rounds int) {
-	for s := seq; s < seq+int64(rounds); s++ {
-		w.round(s).refs--
-	}
-	for w.head < len(w.rounds) && w.rounds[w.head].refs == 0 {
-		w.free = append(w.free, w.rounds[w.head])
-		w.rounds[w.head] = nil
-		w.head++
-		w.base++
-	}
-	// Compact the window once the dead prefix dominates, so a long trace
-	// does not accumulate head slots.
-	if w.head > 32 && w.head*2 >= len(w.rounds) {
-		n := copy(w.rounds, w.rounds[w.head:])
-		for i := n; i < len(w.rounds); i++ {
-			w.rounds[i] = nil
-		}
-		w.rounds = w.rounds[:n]
-		w.head = 0
 	}
 }
 
@@ -313,7 +242,7 @@ func ScannerSource(sc *trace.Scanner) Source {
 }
 
 // run owns every piece of mutable state of one replay: the kernel (with its
-// activity/comm pools and interning tables), the collective round table, the
+// activity/comm pools and interning tables), the mailbox pair tables, the
 // ranks, the per-rank error slots and the action counter. Nothing in this
 // struct — or reachable from it — is shared with any other run, which is
 // what lets a sweep execute many runs concurrently over one read-only

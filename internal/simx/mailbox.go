@@ -89,9 +89,9 @@ func (k *Kernel) freeComm(c *Comm) {
 }
 
 // NewMailbox creates a mailbox and returns its ID, the only way to address
-// it. The replay tool creates one per rank pair that exchanges
-// point-to-point messages, and one per pair and collective round; the MPI
-// engine creates one per ordered rank pair.
+// it. The replay tool creates one per rank pair for each kind of traffic
+// the pair exchanges, point-to-point or collective; the MPI engine creates
+// one per ordered rank pair.
 func (k *Kernel) NewMailbox() MailboxID {
 	k.mailboxes = append(k.mailboxes, &Mailbox{})
 	return MailboxID(len(k.mailboxes) - 1)
